@@ -65,9 +65,25 @@ def _add_param_flags(sp):
     for name in ("lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl", "tol"):
         sp.add_argument(f"--{name}", type=float, default=None)
     sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    sp.add_argument(
+        "--max-iter", dest="max_iter", type=int, default=None,
+        help="cap on policy improvements before the solve fails with exit 3",
+    )
     sp.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
     sp.add_argument("--out", type=str, default=".", help="output directory")
+
+
+def _coerce(key, value):
+    """A config-file value as the type of its default, or ParameterError."""
+    kind = type(DEFAULTS[key])
+    try:
+        out = kind(value)
+        ok = not isinstance(value, bool) and (kind is float or out == float(value))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
+    return out
 
 
 def _merge_config(args):
@@ -75,10 +91,12 @@ def _merge_config(args):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ParameterError("config file must hold a JSON object")
         unknown = set(loaded) - set(DEFAULTS) - {"out"}
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
+        cfg.update({k: _coerce(k, v) for k, v in loaded.items() if k in DEFAULTS})
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
@@ -110,8 +128,11 @@ def cmd_solve(args):
     diag = diagonal_structure(result.field, policy, ch, econ, discount)
     report = {
         "converged": True,
+        "method": "policy-iteration",
         "iterations": result.iterations,
+        "evaluation_steps": result.evaluation_steps,
         "residual": result.residual,
+        "bound": result.bound,
         "tol": cfg["tol"],
         "grid": grid.n,
         "params": {k: cfg[k] for k in ("lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl")},
@@ -121,7 +142,8 @@ def cmd_solve(args):
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(
-        f"converged in {result.iterations} sweeps, residual {result.residual:.3e}; "
+        f"converged in {result.iterations} policy improvements, "
+        f"residual {result.residual:.3e}, bound {result.bound:.3e}; "
         f"diagonal: {diag.kind}"
     )
     return EXIT_OK
@@ -278,7 +300,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="run value iteration, write value.json")
+    sp = sub.add_parser("solve", help="run policy iteration, write value.json")
     _add_param_flags(sp)
     sp.set_defaults(func=cmd_solve)
 

@@ -6,10 +6,10 @@ carries the constraint
     V(p) - beta * sum_y f_a(p, y) V(y) >= g_a(p)
 
 where the next-state weights f_a spread each successor belief over its
-enclosing cell's vertices with the same bilinear weights the value sweeps
-use. Minimizing sum_p V(p) subject to all constraints reproduces the
+enclosing cell's vertices with the same bilinear weights the Bellman
+backups use. Minimizing sum_p V(p) subject to all constraints reproduces the
 discretized optimal values, so an external LP solver can cross-check the
-value iteration from the file alone. Solving is deliberately out of scope
+solver from the file alone. Solving is deliberately out of scope
 here; this module only builds kernels, writes the model, and parses the
 emitted subset back for verification.
 """

@@ -1,10 +1,13 @@
-"""Discounted value iteration on a discretized belief square.
+"""Discounted policy iteration on a discretized belief square.
 
-The square [0,1]^2 of per-channel beliefs is covered by a uniform lattice;
-the fixed point of the four-action Bellman operator is computed by Jacobi
-sweeps, with bilinear interpolation supplying values at off-lattice
-continuation beliefs. The sweep is written so that a symmetric field stays
-bit-exactly symmetric, which the downstream mirror checks depend on.
+The square [0,1]^2 of per-channel beliefs is covered by a uniform lattice,
+with bilinear interpolation supplying values at off-lattice continuation
+beliefs. The fixed point of the four-action Bellman operator is computed by
+Howard policy iteration (Howard 1960; Puterman 1994, ch. 6): each policy is
+evaluated on the small closed set of lattice points its transitions read,
+and one final Bellman backup certifies the field with its residual. The
+backup is written so that a symmetric field stays bit-exactly symmetric,
+which the downstream mirror checks depend on.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .dynamics import (
     ACTION_PRIORITY,
@@ -48,11 +52,13 @@ __all__ = [
 
 
 class NonConvergence(RuntimeError):
-    """Sweep budget exhausted before the sup-norm step reached tolerance."""
+    """Policy-improvement budget exhausted, or the certified Bellman
+    residual of the final field above tolerance."""
 
     def __init__(self, iterations, residual, tol):
         super().__init__(
-            f"no convergence after {iterations} sweeps: residual {residual:.3e} > tol {tol:.3e}"
+            f"no convergence after {iterations} policy improvements: "
+            f"residual {residual:.3e} > tol {tol:.3e}"
         )
         self.iterations = iterations
         self.residual = residual
@@ -87,7 +93,7 @@ class ValueField:
     """One value per lattice point.
 
     values[i, j] belongs to the belief (points[i], points[j]); the first
-    index runs along the first channel. The array is frozen to keep sweeps
+    index runs along the first channel. The array is frozen to keep backups
     honest about not updating in place.
     """
 
@@ -121,9 +127,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solved field and its certificate.
+
+    iterations counts policy improvements and residual is the sup-norm step
+    of one Bellman backup of the field, so bound = beta/(1-beta) * residual
+    bounds the field's distance from the discretized fixed point.
+    evaluation_steps counts the Jacobi steps of all policy evaluations; a
+    field loaded from file does not record it and carries 0.
+    """
+
     field: ValueField
     iterations: int
     residual: float
+    bound: float
+    evaluation_steps: int = 0
 
 
 def _locate(points, q):
@@ -144,15 +161,21 @@ def _tensor_interp(values, points, qx, qy):
     # to associate), which the mirror-symmetry guarantees rely on.
     ix, fx = _locate(points, np.asarray(qx, dtype=np.float64))
     iy, fy = _locate(points, np.asarray(qy, dtype=np.float64))
-    wx0 = (1.0 - fx)[:, None]
-    wx1 = fx[:, None]
-    wy0 = (1.0 - fy)[None, :]
-    wy1 = fy[None, :]
-    v00 = values[np.ix_(ix, iy)]
-    v01 = values[np.ix_(ix, iy + 1)]
-    v10 = values[np.ix_(ix + 1, iy)]
-    v11 = values[np.ix_(ix + 1, iy + 1)]
-    return (wx0 * wy0 * v00 + wx1 * wy1 * v11) + (wx0 * wy1 * v01 + wx1 * wy0 * v10)
+    wx = ((1.0 - fx)[:, None], fx[:, None])
+    wy = ((1.0 - fy)[None, :], fy[None, :])
+
+    def term(a, b):
+        # (wx * wy) * v, accumulated in place to hold few grid-sized temporaries
+        t = wx[a] * wy[b]
+        t *= values[np.ix_(ix + a, iy + b)]
+        return t
+
+    out = term(0, 0)
+    out += term(1, 1)
+    cross = term(0, 1)
+    cross += term(1, 0)
+    out += cross
+    return out
 
 
 def interpolate(v, b):
@@ -242,7 +265,7 @@ def action_value_grids(v, ch, econ, discount):
 
 
 def bellman_backup(v, ch, econ, discount):
-    """One Jacobi sweep: pointwise max of the four Q grids against v.
+    """One Bellman backup: pointwise max of the four Q grids against v.
 
     The input field is read only; a fresh field is returned, so results do
     not depend on any evaluation order.
@@ -251,27 +274,207 @@ def bellman_backup(v, ch, econ, discount):
     return ValueField(v.grid, np.maximum.reduce([q[a] for a in ACTION_PRIORITY]))
 
 
-def solve(cfg, ch, econ, grid):
-    """Iterate bellman_backup from the zero field until the sup-norm step
-    falls to cfg.tol.
+# Relative size below which a Q difference counts as rounding noise. The
+# greedy step keeps the incumbent action unless another one wins by more
+# than this times the field's magnitude, so near-ties cannot make the policy
+# cycle.
+_TIE_MARGIN = 2.0 ** -44
 
-    Raises NonConvergence when max_iter sweeps are not enough, which points
-    at beta close to one or an overtight tolerance.
+_K = {a: k for k, a in enumerate(ACTION_PRIORITY)}
+
+
+def _select(q, policy):
+    """Per lattice point, the Q value of the action indexed by policy."""
+    out = q[ACTION_PRIORITY[0]].copy()
+    for k, a in enumerate(ACTION_PRIORITY[1:], 1):
+        np.copyto(out, q[a], where=policy == k)
+    return out
+
+
+def _improve(v, incumbent, ch, econ, discount):
+    """Greedy policy of v under a stable tie rule, and its gain Q(v) - v.
+
+    A running argmax over the Q grids in priority order, so exact ties go
+    to the earlier action; where an incumbent policy is given it is kept
+    unless the argmax beats it by more than a rounding-level margin. The
+    policy comes back as int8 indices into ACTION_PRIORITY.
     """
+    q = action_value_grids(v, ch, econ, discount)
+    best = q[ACTION_PRIORITY[0]].copy()
+    policy = np.zeros(best.shape, dtype=np.int8)
+    for k, a in enumerate(ACTION_PRIORITY[1:], 1):
+        better = q[a] > best
+        np.copyto(best, q[a], where=better)
+        policy[better] = k
+    if incumbent is not None:
+        held = _select(q, incumbent)
+        keep = best - held <= _TIE_MARGIN * float(np.abs(v.values).max())
+        np.copyto(policy, incumbent, where=keep)
+        np.copyto(best, held, where=keep)
+    best -= v.values
+    return policy, best
+
+
+class _Stencils:
+    """Per-coordinate interpolation stencils of the successor beliefs.
+
+    An observed coordinate moves to lambda1 with probability p and to
+    lambda0 otherwise: four lattice slots `obs` with weights from `obs_frac`.
+    An unobserved one drifts to T(x_i): slots lo[i] and lo[i] + 1 with
+    weights 1 - frac[i] and frac[i].
+    """
+
+    def __init__(self, grid, ch):
+        self.points = grid.points
+        idx, self.obs_frac = _locate(self.points, np.array([ch.lambda0, ch.lambda1]))
+        self.obs = np.array([idx[0], idx[0] + 1, idx[1], idx[1] + 1])
+        self.lo, self.frac = _locate(self.points, propagate_array(self.points, ch))
+
+    def drift_image(self, used):
+        """Lattice indices read by the drift stencils of the flagged indices."""
+        k = self.lo[used]
+        return np.union1d(k, k + 1)
+
+    def rest_image(self, rest):
+        """Mask of the lattice points read by the resting points in rest."""
+        # The drift map is monotone, so indices sharing a stencil form
+        # contiguous runs: OR each run along both axes, then mark both slots.
+        t, starts = np.unique(self.lo, return_index=True)
+        hit = np.logical_or.reduceat(
+            np.logical_or.reduceat(rest, starts, axis=0), starts, axis=1
+        )
+        mask = np.zeros_like(rest)
+        for a in (0, 1):
+            for b in (0, 1):
+                mask[np.ix_(t + a, t + b)] |= hit
+        return mask
+
+    def axis(self, idx, observed):
+        """Four (index, weight) slots per point along one coordinate."""
+        p = self.points[idx][:, None]
+        f0, f1 = self.obs_frac
+        obs_w = np.hstack([(1.0 - p) * (1.0 - f0), (1.0 - p) * f0, p * (1.0 - f1), p * f1])
+        f = self.frac[idx]
+        zero = np.zeros_like(f)
+        drift_w = np.stack([1.0 - f, f, zero, zero], axis=1)
+        drift_i = self.lo[idx][:, None] + np.array([0, 1, 0, 1])
+        observed = observed[:, None]
+        return np.where(observed, self.obs, drift_i), np.where(observed, obs_w, drift_w)
+
+
+def _support(policy, st):
+    """Sorted flat indices of the lattice points that P_policy reads.
+
+    Every successor of every point lies in this set, so it is closed under
+    the policy's transitions and the policy's values on it determine the
+    values everywhere.
+    """
+    mask = st.rest_image(policy == _K[Action.CONSERVATIVE])
+    if (policy == _K[Action.BALANCED]).any():
+        mask[np.ix_(st.obs, st.obs)] = True
+    mask[np.ix_(st.obs, st.drift_image((policy == _K[Action.BET1]).any(axis=0)))] = True
+    mask[np.ix_(st.drift_image((policy == _K[Action.BET2]).any(axis=1)), st.obs)] = True
+    return np.flatnonzero(mask)
+
+
+def _restricted_kernel(support, policy, st):
+    """P_policy restricted to its closed support, as a CSR matrix."""
+    n = st.points.size
+    m = support.size
+    i, j = np.divmod(support, n)
+    k = policy.ravel()[support]
+    both = k == _K[Action.BALANCED]
+    i1, w1 = st.axis(i, both | (k == _K[Action.BET1]))
+    i2, w2 = st.axis(j, both | (k == _K[Action.BET2]))
+    cols = np.searchsorted(support, (i1[:, :, None] * n + i2[:, None, :]).ravel())
+    probs = (w1[:, :, None] * w2[:, None, :]).ravel()
+    rows = np.repeat(np.arange(m), 16)
+    return sparse.csr_matrix((probs, (rows, cols)), shape=(m, m))
+
+
+def _evaluate(kernel, gain, beta, max_steps):
+    """Solve delta = gain + beta * kernel @ delta by Jacobi steps.
+
+    The span of the step contracts by at least beta per step; iteration
+    stops once it stops shrinking, i.e. at rounding level. The MacQueen
+    bounds place the solution within beta/(1-beta) * [min, max] of the
+    last step, and the midpoint of that interval is returned, which removes
+    the slowly decaying constant mode. Returns (delta, steps).
+    """
+    delta = np.zeros_like(gain)
+    prev = np.inf
+    shift = beta / (1.0 - beta)
+    for step in range(1, max_steps + 1):
+        nxt = gain + beta * (kernel @ delta)
+        d = nxt - delta
+        delta = nxt
+        lo, hi = float(d.min()), float(d.max())
+        if hi - lo == 0.0 or hi - lo >= prev:
+            break
+        prev = hi - lo
+    return delta + shift * 0.5 * (lo + hi), step
+
+
+def _extend(grid, support, v_support, policy, ch, econ, discount):
+    """The policy's values on the whole lattice from its values on its
+    closed support, symmetrized. Every successor lies in the support, so
+    one pass of each point's chosen-action Q grid is exact."""
+    vals = np.zeros(grid.n * grid.n)
+    vals[support] = v_support
+    q = action_value_grids(ValueField(grid, vals.reshape(grid.n, grid.n)), ch, econ, discount)
+    vals = _select(q, policy)
+    return ValueField(grid, (vals + vals.T) / 2.0)
+
+
+def solve(cfg, ch, econ, grid):
+    """Howard policy iteration from the myopic policy to a repeated policy.
+
+    Each improvement takes the greedy policy of the current field (see
+    _improve) and evaluates it on the closed set of lattice points its
+    transitions read (see _support and _evaluate), then extends the values
+    to the whole lattice. Once the policy repeats, one bellman_backup
+    certifies the field: its step is the reported residual and its output,
+    exactly mirror-symmetric, is the returned field.
+
+    Raises NonConvergence when max_iter improvements are not enough or the
+    certified residual exceeds cfg.tol.
+    """
+    discount = cfg.discount
+    st = _Stencils(grid, ch)
+    # Enough Jacobi steps to contract any start by 2^-52 at rate beta; an
+    # evaluation cut short by the cap still has to pass the certificate.
+    max_steps = 100 + int(40.0 / (1.0 - discount.beta))
     v = ValueField(grid, np.zeros((grid.n, grid.n)))
-    residual = np.inf
+    policy = None
+    steps = 0
     for iteration in range(1, cfg.max_iter + 1):
-        nxt = bellman_backup(v, ch, econ, cfg.discount)
-        residual = float(np.max(np.abs(nxt.values - v.values)))
-        v = nxt
-        if residual <= cfg.tol:
-            if float(v.values.min()) < -cfg.tol:
-                # Resting forever guarantees zero, so a negative value is a bug.
-                raise RuntimeError(
-                    f"converged field has negative values (min {v.values.min():.3e})"
-                )
-            return SolveResult(v, iteration, residual)
+        new, gain = _improve(v, policy, ch, econ, discount)
+        if policy is not None and np.array_equal(new, policy):
+            return _certify(v, iteration, steps, cfg, ch, econ)
+        residual = float(np.abs(gain).max())
+        policy = new
+        support = _support(policy, st)
+        gain = gain.ravel()[support]
+        delta, n_steps = _evaluate(
+            _restricted_kernel(support, policy, st), gain, discount.beta, max_steps
+        )
+        steps += n_steps
+        v = _extend(grid, support, v.values.ravel()[support] + delta, policy, ch, econ, discount)
     raise NonConvergence(cfg.max_iter, residual, cfg.tol)
+
+
+def _certify(v, iteration, steps, cfg, ch, econ):
+    """One Bellman backup of the converged field: its step is the residual
+    and its output the returned field."""
+    nxt = bellman_backup(v, ch, econ, cfg.discount)
+    residual = float(np.max(np.abs(nxt.values - v.values)))
+    if residual > cfg.tol:
+        raise NonConvergence(iteration, residual, cfg.tol)
+    if float(nxt.values.min()) < -cfg.tol:
+        # Resting forever guarantees zero, so a negative value is a bug.
+        raise RuntimeError(f"solved field has negative values (min {nxt.values.min():.3e})")
+    beta = cfg.discount.beta
+    return SolveResult(nxt, iteration, residual, beta / (1.0 - beta) * residual, steps)
 
 
 def value_bounds(econ, discount):
@@ -311,23 +514,29 @@ def save_value_field(path, result, ch, econ, discount):
 def load_value_field(path):
     """Inverse of save_value_field.
 
-    Returns (SolveResult, ChannelParams, EconParams, Discount).
+    Returns (SolveResult, ChannelParams, EconParams, Discount). Any content
+    that does not describe a valid solved field raises ValueFileError.
     """
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        n = int(doc["n"])
-        ch = ChannelParams(doc["lambda0"], doc["lambda1"])
-        econ = EconParams(doc["rh"], doc["rl"], doc["ch"], doc["cl"])
-        discount = Discount(doc["beta"])
-        values = np.asarray(doc["values"], dtype=np.float64)
-        iterations = int(doc["iterations"])
-        residual = float(doc["residual"])
+        return _parse_value_doc(doc)
     except KeyError as exc:
         raise ValueFileError(f"value file {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueFileError(f"value file {path}: {exc}") from exc
+
+
+def _parse_value_doc(doc):
+    n = int(doc["n"])
+    ch = ChannelParams(doc["lambda0"], doc["lambda1"])
+    econ = EconParams(doc["rh"], doc["rl"], doc["ch"], doc["cl"])
+    discount = Discount(doc["beta"])
+    values = np.asarray(doc["values"], dtype=np.float64)
+    iterations = int(doc["iterations"])
+    residual = float(doc["residual"])
     if values.size != n * n:
-        raise ValueFileError(
-            f"value file {path}: expected {n * n} values, found {values.size}"
-        )
+        raise ValueFileError(f"expected {n * n} values, found {values.size}")
     fld = ValueField(BeliefGrid(n), values.reshape(n, n))
-    return SolveResult(fld, iterations, residual), ch, econ, discount
+    bound = discount.beta / (1.0 - discount.beta) * residual
+    return SolveResult(fld, iterations, residual, bound), ch, econ, discount

@@ -1,7 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gepower
 from gepower.cli import (
     EXIT_IO,
     EXIT_NONCONVERGENCE,
@@ -68,6 +74,80 @@ class TestSolveCommand:
         assert (out1 / "solve_report.json").read_bytes() == (out2 / "solve_report.json").read_bytes()
 
 
+    def test_report_describes_certified_policy_iteration(self, tmp_path, capsys):
+        assert main(_solve_args(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["method"] == "policy-iteration"
+        assert report["bound"] == 0.9 / (1.0 - 0.9) * report["residual"]
+        assert report["evaluation_steps"] > 0
+        assert "policy improvements" in capsys.readouterr().out
+
+    def test_patient_discount_converges(self, tmp_path):
+        assert main(["solve", "--beta", "0.999", "--grid", "51", "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["residual"] <= report["tol"]
+
+    def test_byte_identical_reruns_patient(self, tmp_path):
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for out in outs:
+            assert main(_solve_args(out, ["--beta", "0.99"])) == EXIT_OK
+        assert (outs[0] / "value.json").read_bytes() == (outs[1] / "value.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ('{"grid": 11, "tol": "1e-6"}', EXIT_OK),
+            ('{"grid": "11"}', EXIT_OK),
+            ('{"grid": 11, "tol": "abc"}', EXIT_VALIDATION),
+            ('{"grid": 11, "tol": null}', EXIT_VALIDATION),
+            ('{"grid": 11.5}', EXIT_VALIDATION),
+            ('{"grid": true}', EXIT_VALIDATION),
+            ("11", EXIT_VALIDATION),
+        ],
+    )
+    def test_config_values_coerced_or_rejected(self, tmp_path, text, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["solve", "--out", str(tmp_path), "--config", str(cfg)]) == code
+        if code == EXIT_OK:
+            report = json.loads((tmp_path / "solve_report.json").read_text())
+            assert report["grid"] == 11 and report["tol"] == 1e-6
+
+
+def test_solve_does_not_import_sparse_linalg(tmp_path):
+    # scipy.sparse.linalg costs start-up time and resident memory on every run
+    src = Path(gepower.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from gepower import cli\n"
+        f"assert cli.main(['solve', '--grid', '11', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _malformed(doc, name):
+    if name == "values-not-numbers":
+        doc["values"] = "abc"
+    elif name == "null-value":
+        doc["values"][0] = None
+    elif name == "nan-value":
+        doc["values"][0] = math.nan
+    elif name == "ragged-values":
+        doc["values"] = [[0.0, 1.0], [2.0]]
+    elif name == "n-not-integer":
+        doc["n"] = "five"
+    elif name == "missing-key":
+        del doc["beta"]
+    elif name == "invalid-parameters":
+        doc["lambda0"] = 0.95
+    elif name == "not-an-object":
+        doc = [doc]
+    return doc
+
+
 class TestAnalyzeCommand:
     @pytest.fixture()
     def value_file(self, tmp_path):
@@ -105,6 +185,18 @@ class TestAnalyzeCommand:
         bad.write_text(json.dumps(doc))
         assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_IO
         assert "expected 25 values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "values-not-numbers", "null-value", "nan-value", "ragged-values",
+            "n-not-integer", "missing-key", "invalid-parameters", "not-an-object",
+        ],
+    )
+    def test_malformed_value_file_is_a_format_error(self, value_file, tmp_path, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_malformed(json.loads(value_file.read_text()), name)))
+        assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_IO
 
     def test_missing_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_IO

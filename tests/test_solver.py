@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,33 @@ from gepower import (
     save_value_field,
     solve,
 )
-from gepower.solver import action_value_grids, value_bounds
+from gepower.dynamics import ACTION_PRIORITY
+from gepower.lpmodel import build_kernel
+from gepower.solver import (
+    _restricted_kernel,
+    _Stencils,
+    _support,
+    action_value_grids,
+    value_bounds,
+)
 
 from horizon_oracle import HorizonOracle
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
 DISC = Discount(0.9)
+
+
+def _iterate_backups(grid, discount, tol):
+    """Reference fixed point: bellman_backup from the zero field until the
+    sup-norm step falls to tol. Returns (field, sweeps, last step)."""
+    f = ValueField(grid, np.zeros((grid.n, grid.n)))
+    for sweeps in itertools.count(1):
+        nxt = bellman_backup(f, CH, ECON, discount)
+        step = float(np.max(np.abs(nxt.values - f.values)))
+        f = nxt
+        if step <= tol:
+            return f, sweeps, step
 
 
 def _field(n, fn):
@@ -224,11 +246,30 @@ class TestSolve:
         with pytest.raises(NonConvergence):
             solve(SolverConfig(DISC, 1e-9, 3), CH, ECON, BeliefGrid(21))
 
-    def test_residual_contracts_geometrically(self, solved_a):
+    def test_residual_contracts_geometrically(self):
         # stopping residual after k sweeps is at most beta^k times the
         # initial sup-norm step (which is bounded by the best one-slot gain)
         first_step = max(ECON.rh, 2 * ECON.rl)
-        assert solved_a.residual <= DISC.beta ** (solved_a.iterations - 1) * first_step
+        _, sweeps, residual = _iterate_backups(BeliefGrid(101), DISC, 1e-6)
+        assert residual <= DISC.beta ** (sweeps - 1) * first_step
+
+    @pytest.mark.parametrize("beta", [0.9, 0.99])
+    def test_matches_tight_backup_fixed_point(self, beta):
+        disc = Discount(beta)
+        grid = BeliefGrid(31)
+        ref, _, _ = _iterate_backups(grid, disc, 1e-12)
+        res = solve(SolverConfig(disc, 1e-6, 50), CH, ECON, grid)
+        err = np.max(np.abs(res.field.values - ref.values))
+        assert err <= beta / (1.0 - beta) * 1e-12 + 1e-12
+
+    def test_patient_field_exactly_symmetric_and_certified(self):
+        disc = Discount(0.99)
+        res = solve(SolverConfig(disc, 1e-6, 50), CH, ECON, BeliefGrid(41))
+        v = res.field.values
+        assert np.max(np.abs(v - v.T)) == 0.0
+        assert res.bound == 0.99 / (1.0 - 0.99) * res.residual
+        assert res.bound <= 1e-9
+        assert res.evaluation_steps > 0
 
     def test_bellman_residual_within_tolerance(self, solved_a, channel, econ_a, discount):
         v = solved_a.field
@@ -305,6 +346,22 @@ class TestSolve:
             assert f.values[i, j] == pytest.approx(
                 oracle.value(float(grid.points[i]), float(grid.points[j]), 3), abs=0.05
             )
+
+
+class TestPolicyEvaluation:
+    def test_support_is_closed_and_kernel_matches_lattice_kernels(self):
+        # Against the per-point loop kernels of the LP export, for a random
+        # policy on a grid where lambda0 and lambda1 fall between points.
+        grid = BeliefGrid(22)
+        policy = np.random.default_rng(2).integers(0, 4, size=(22, 22)).astype(np.int8)
+        st = _Stencils(grid, CH)
+        support = _support(policy, st)
+        full = {a: build_kernel(grid, CH, a).to_sparse().toarray() for a in ACTION_PRIORITY}
+        rows = np.stack([full[ACTION_PRIORITY[k]][p] for p, k in enumerate(policy.ravel())])
+        outside = np.setdiff1d(np.arange(22 * 22), support)
+        assert not rows[:, outside].any()
+        restricted = _restricted_kernel(support, policy, st).toarray()
+        np.testing.assert_allclose(restricted, rows[support][:, support], rtol=0, atol=1e-15)
 
 
 class TestSerialization:
