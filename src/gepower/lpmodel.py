@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
+_TERMS_PER_LINE = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,89 +68,76 @@ class TransitionKernel:
         )
 
 
-def _vertex_weights(points, coord):
-    idx, frac = _locate(points, np.array([coord]))
-    i, f = int(idx[0]), float(frac[0])
-    return ((i, 1.0 - f), (i + 1, f))
+def _branches(grid, ch, action):
+    """Every point's successor beliefs and branch probabilities for one action.
 
-
-def _successors(grid, ch, action):
-    """Per lattice point: the action's successor beliefs and probabilities."""
+    Returns (sx, sy, prob), each of shape (n*n, branches): flat points in
+    row-major order, branches in a fixed order per action.
+    """
+    n = grid.n
     x = grid.points
     tx = propagate_array(x, ch)
     l0, l1 = ch.lambda0, ch.lambda1
-    n = grid.n
-    for i in range(n):
-        p1 = x[i]
-        for j in range(n):
-            p2 = x[j]
-            if action is Action.BALANCED:
-                yield (
-                    ((l0, l0), (1.0 - p1) * (1.0 - p2)),
-                    ((l1, l1), p1 * p2),
-                    ((l1, l0), p1 * (1.0 - p2)),
-                    ((l0, l1), (1.0 - p1) * p2),
-                )
-            elif action is Action.BET1:
-                yield (((l1, tx[j]), p1), ((l0, tx[j]), 1.0 - p1))
-            elif action is Action.BET2:
-                yield (((tx[i], l1), p2), ((tx[i], l0), 1.0 - p2))
-            else:
-                yield (((tx[i], tx[j]), 1.0),)
+    p1, p2 = np.repeat(x, n), np.tile(x, n)
+    t1, t2 = np.repeat(tx, n), np.tile(tx, n)
+    if action is Action.BALANCED:
+        sx = (l0, l1, l1, l0)
+        sy = (l0, l1, l0, l1)
+        prob = ((1.0 - p1) * (1.0 - p2), p1 * p2, p1 * (1.0 - p2), (1.0 - p1) * p2)
+    elif action is Action.BET1:
+        sx, sy, prob = (l1, l0), (t2, t2), (p1, 1.0 - p1)
+    elif action is Action.BET2:
+        sx, sy, prob = (t1, t1), (l1, l0), (p2, 1.0 - p2)
+    else:
+        sx, sy, prob = (t1,), (t2,), (1.0,)
+    return tuple(
+        np.stack([np.broadcast_to(c, (n * n,)) for c in cols], axis=1)
+        for cols in (sx, sy, prob)
+    )
 
 
 def build_kernel(grid, ch, action):
     """Bilinear spread of the action's successor beliefs onto the lattice.
 
-    Zero-probability branches and zero-weight vertices are dropped, so a
-    successor that happens to sit on a lattice point occupies one slot.
+    Each point emits its candidates branch by branch, then x-vertex, then
+    y-vertex, with weight prob * wx * wy. Zero weights are dropped, so a
+    successor that happens to sit on a lattice point occupies one slot, and
+    candidates landing on the same lattice point are summed left to right in
+    emission order.
     """
     n = grid.n
-    points = grid.points
-    indptr = np.zeros(n * n + 1, dtype=np.int64)
-    all_cols = []
-    all_probs = []
-    weight_cache = {}
+    size = n * n
+    sx, sy, prob = _branches(grid, ch, action)
+    ix, fx = _locate(grid.points, sx)
+    iy, fy = _locate(grid.points, sy)
+    # Candidates indexed (point, branch, x-vertex, y-vertex), so raveling
+    # gives emission order.
+    wx = np.stack([1.0 - fx, fx], axis=-1)[:, :, :, None]
+    wy = np.stack([1.0 - fy, fy], axis=-1)[:, :, None, :]
+    vx = np.stack([ix, ix + 1], axis=-1)[:, :, :, None]
+    vy = np.stack([iy, iy + 1], axis=-1)[:, :, None, :]
+    w = (prob[:, :, None, None] * wx * wy).ravel()
+    row = np.repeat(np.arange(size, dtype=np.int64), w.size // size)
+    key = row * size + (vx * n + vy).ravel()
+    keep = w != 0.0
+    order = np.argsort(key[keep], kind="stable")
+    key, w = key[keep][order], w[keep][order]
 
-    def vertex_weights(coord):
-        got = weight_cache.get(coord)
-        if got is None:
-            got = _vertex_weights(points, coord)
-            weight_cache[coord] = got
-        return got
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    probs = np.zeros(int(first.sum()))
+    np.add.at(probs, np.cumsum(first) - 1, w)
+    key = key[first]
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // size, minlength=size), out=indptr[1:])
 
-    for p, succ in enumerate(_successors(grid, ch, action)):
-        acc = {}
-        for (sx, sy), prob in succ:
-            if prob == 0.0:
-                continue
-            for ivx, wx in vertex_weights(sx):
-                if wx == 0.0:
-                    continue
-                for ivy, wy in vertex_weights(sy):
-                    w = prob * wx * wy
-                    if w == 0.0:
-                        continue
-                    flat = ivx * n + ivy
-                    acc[flat] = acc.get(flat, 0.0) + w
-        cols = sorted(acc)
-        row = np.array([acc[c] for c in cols])
-        total = float(row.sum())
-        if abs(total - 1.0) > _ROW_SUM_TOL:
-            raise AssertionError(
-                f"kernel row {p} for {action.value} sums to {total!r}"
-            )
-        all_cols.extend(cols)
-        all_probs.extend(row)
-        indptr[p + 1] = len(all_cols)
-
-    return TransitionKernel(
-        action,
-        n,
-        indptr,
-        np.asarray(all_cols, dtype=np.int64),
-        np.asarray(all_probs, dtype=np.float64),
-    )
+    totals = np.add.reduceat(probs, indptr[:-1])
+    bad = np.flatnonzero(np.abs(totals - 1.0) > _ROW_SUM_TOL)
+    if bad.size:
+        p = int(bad[0])
+        raise AssertionError(f"kernel row {p} for {action.value} sums to {float(totals[p])!r}")
+    return TransitionKernel(action, n, indptr, key % size, probs)
 
 
 def build_all_kernels(grid, ch):
@@ -179,11 +167,44 @@ def _fmt(x):
     return format(x, "+.17g")
 
 
-def _write_terms(fh, head, terms, per_line=6):
+def _write_terms(fh, head, terms, per_line=_TERMS_PER_LINE):
     chunks = [f"{_fmt(c)} {name}" for c, name in terms]
     fh.write(head)
     for start in range(0, len(chunks), per_line):
         fh.write(" " + " ".join(chunks[start:start + per_line]) + "\n")
+
+
+def _constraint_rows(kernel, beta):
+    """CSR rows (indptr, cols, coefs) of I - beta * K, zeros dropped.
+
+    The diagonal is 1.0 - beta*f (1.0 where the kernel has no self loop)
+    and every other entry 0.0 - beta*f, the sums the per-row definition
+    V(p) - beta * sum_y f(p, y) V(y) gives.
+    """
+    size = kernel.n * kernel.n
+    rows = np.repeat(np.arange(size), np.diff(kernel.indptr))
+    diag = kernel.cols == rows
+    coefs = np.where(diag, 1.0, 0.0) - beta * kernel.probs
+    lone = np.ones(size, dtype=bool)
+    lone[rows[diag]] = False
+    extra = np.flatnonzero(lone)
+    rows = np.concatenate([rows, extra])
+    cols = np.concatenate([kernel.cols, extra])
+    coefs = np.concatenate([coefs, np.ones(extra.size)])
+    keep = coefs != 0.0
+    order = np.lexsort((cols[keep], rows[keep]))
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=size), out=indptr[1:])
+    return indptr, cols[keep][order], coefs[keep][order]
+
+
+def _line_ends(indptr):
+    """Per CSR entry: whether a term line ends after it."""
+    nnz = int(indptr[-1])
+    starts = np.repeat(indptr[:-1], np.diff(indptr))
+    end = (np.arange(nnz) - starts) % _TERMS_PER_LINE == _TERMS_PER_LINE - 1
+    end[indptr[1:] - 1] = True
+    return end
 
 
 def export_lp(path, grid, kernels, econ, discount, meta_path=None):
@@ -191,12 +212,19 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
 
     Variables appear in row-major lattice order; constraints are grouped
     per point in the same order with actions in fixed priority order, so
-    repeated exports are byte-identical.
+    repeated exports are byte-identical. The text is built and written one
+    lattice row (4n constraints) at a time.
     """
     n = grid.n
     size = n * n
     beta = discount.beta
-    rewards = {a: reward_grid(grid, econ, a).ravel() for a in ACTION_PRIORITY}
+    rows = [_constraint_rows(kernels[a], beta) for a in ACTION_PRIORITY]
+    ends = [_line_ends(indptr) for indptr, _, _ in rows]
+    rewards = [reward_grid(grid, econ, a).ravel() for a in ACTION_PRIORITY]
+    distinct = np.unique(np.concatenate([coefs for _, _, coefs in rows] + rewards))
+    text = {c: _fmt(c) for c in distinct.tolist()}
+    names = [variable_name(n, p) for p in range(size)]
+    labels = [a.value for a in ACTION_PRIORITY]
 
     with open(path, "w") as fh:
         fh.write("\\ discretized two-channel power allocation, discounted value LP\n")
@@ -207,26 +235,32 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
             "\\ each constraint: V(p) - beta * sum_y f_a(p, y) V(y) >= g_a(p)\n"
         )
         fh.write("Minimize\n")
-        _write_terms(
-            fh, " obj:\n", [(1.0, variable_name(n, p)) for p in range(size)]
-        )
+        _write_terms(fh, " obj:\n", [(1.0, name) for name in names])
         fh.write("Subject To\n")
-        for p in range(size):
-            for a in ACTION_PRIORITY:
-                cols, probs = kernels[a].row(p)
-                coef = {p: 1.0}
-                for y, f in zip(cols, probs):
-                    y = int(y)
-                    coef[y] = coef.get(y, 0.0) - beta * f
+        for i in range(n):
+            first, stop = i * n, (i + 1) * n
+            blocks = []
+            for (indptr, cols, coefs), end, g in zip(rows, ends, rewards):
+                lo, hi = indptr[first], indptr[stop]
                 terms = [
-                    (coef[y], variable_name(n, y)) for y in sorted(coef) if coef[y] != 0.0
+                    f" {text[c]} {names[y]}\n" if e else f" {text[c]} {names[y]}"
+                    for c, y, e in zip(
+                        coefs[lo:hi].tolist(), cols[lo:hi].tolist(), end[lo:hi].tolist()
+                    )
                 ]
-                head = f" {a.value}_{p // n}_{p % n}:\n"
-                _write_terms(fh, head, terms)
-                fh.write(f" >= {_fmt(rewards[a][p])}\n")
+                bounds = (indptr[first:stop + 1] - lo).tolist()
+                rhs = [f" >= {text[r]}\n" for r in g[first:stop].tolist()]
+                blocks.append((terms, bounds, rhs))
+            parts = []
+            for j in range(n):
+                for label, (terms, bounds, rhs) in zip(labels, blocks):
+                    parts.append(f" {label}_{i}_{j}:\n")
+                    parts.extend(terms[bounds[j]:bounds[j + 1]])
+                    parts.append(rhs[j])
+            fh.write("".join(parts))
         fh.write("Bounds\n")
-        for p in range(size):
-            fh.write(f" {variable_name(n, p)} free\n")
+        for name in names:
+            fh.write(f" {name} free\n")
         fh.write("End\n")
 
     if meta_path is not None:

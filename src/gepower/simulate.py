@@ -3,9 +3,19 @@
 True channel states evolve as hidden two-state chains; the controller sees
 only what its actions reveal and tracks beliefs with the same propagation
 the solver assumes, so empirical discounted returns can be held against the
-value function. Episode k draws its randomness from stream k of the master
-seed, which makes summaries reproducible bit for bit and lets different
-policies share identical channel paths for paired comparisons.
+value function.
+
+Randomness: one Philox counter-based generator is keyed by the master seed
+(through SeedSequence), and episode k reads the stream whose counter is
+(0, 0, k, 0), with the block count running in word 0. An episode's draws
+therefore depend only on (seed, k), which makes summaries reproducible bit
+for bit and lets different policies share identical channel paths for
+paired comparisons.
+
+Stepping: every belief a channel can hold is T^k of its last observation or
+of its initial belief, so beliefs are carried as integer codes and each slot
+is a handful of table lookups. Episodes run in blocks of EPISODE_BLOCK,
+which bounds the uniforms held at once; no result depends on the blocking.
 """
 
 from __future__ import annotations
@@ -51,6 +61,10 @@ USES_CHANNEL = {
     Action.BET2: (False, True),
     Action.CONSERVATIVE: (False, False),
 }
+
+
+# Episodes stepped at a time: one block's uniforms are ~10 MB at horizon 200.
+EPISODE_BLOCK = 2048
 
 
 class ObservationMismatch(ValueError):
@@ -149,41 +163,93 @@ class SimSummary:
     truncation_ok: bool
 
 
-def _episode_uniforms(seed, episodes, horizon):
-    # Stream k depends only on (seed, k). Fixed layout per episode: two
-    # initial-state draws, then per slot one action draw and two transition
-    # draws. The channel path therefore does not depend on the policy.
-    children = np.random.SeedSequence(seed).spawn(episodes)
+def _episode_uniforms(seed, episodes, horizon, first=0):
+    """Uniforms of episodes first, ..., first + episodes - 1, one row each.
+
+    Episode k reads a Philox stream keyed by the master seed (through
+    SeedSequence, so seeds of any size work) with k in counter word 2; the
+    row therefore depends only on (seed, k). Fixed layout per row: two
+    initial-state draws, then per slot one action draw and two transition
+    draws, so the channel path does not depend on the policy.
+    """
+    bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    gen = np.random.Generator(bits)
+    # A snapshot of the fresh generator (counter zero, buffer empty); only
+    # counter word 2 changes between episodes.
+    state = bits.state
+    counter = state["state"]["counter"]
     out = np.empty((episodes, 2 + 3 * horizon))
-    for k, child in enumerate(children):
-        out[k] = np.random.Generator(np.random.PCG64(child)).random(2 + 3 * horizon)
+    for k in range(episodes):
+        counter[2] = first + k
+        bits.state = state
+        gen.random(out=out[k])
     return out
 
 
-def _select_actions(policy, beliefs, econ, u_act):
+def _belief_codes(cfg, ch):
+    """Belief tables and transition tables over belief codes.
+
+    A channel's belief is T^k of its last observation (lambda0 or lambda1)
+    or of its initial belief, with k <= horizon, so code s*(H+1) + k stands
+    for T^k of start s (0: lambda0, 1: lambda1, 2: initial belief).
+    Returns tab[i, code], the belief of channel i, and nxt[i, action,
+    state, code], channel i's next code.
+    """
+    H = cfg.horizon
+    b0 = cfg.initial_belief
+    tab = np.empty((2, 3, H + 1))
+    cur = np.array([[ch.lambda0, ch.lambda1, b0.p1], [ch.lambda0, ch.lambda1, b0.p2]])
+    for k in range(H + 1):
+        tab[:, :, k] = cur
+        cur = propagate_array(cur, ch)
+    drift = np.arange(3 * (H + 1)) + 1
+    drift[H::H + 1] -= 1     # chain ends are never read; keep codes in range
+    observe = np.array([0, H + 1])[:, None]
+    used = np.array([USES_CHANNEL[a] for a in ACTION_PRIORITY])
+    nxt = np.stack(
+        [np.where(used[:, i, None, None], observe, drift) for i in (0, 1)]
+    )
+    return tab.reshape(2, -1), nxt
+
+
+def _reward_table(econ):
+    """R[action, g1, g2]: the slot's realized reward."""
+    half = np.array([-econ.cl, econ.rl])
+    full = np.array([-econ.ch, econ.rh])
+    r = np.zeros((len(ACTION_PRIORITY), 2, 2))
+    r[ACTION_PRIORITY.index(Action.BALANCED)] = half[:, None] + half[None, :]
+    r[ACTION_PRIORITY.index(Action.BET1)] = full[:, None]
+    r[ACTION_PRIORITY.index(Action.BET2)] = full[None, :]
+    return r
+
+
+def _action_rule(policy, tab, econ):
+    """The policy as a function (c1, c2, u_act) -> action indices."""
     if isinstance(policy, PolicyField):
-        n = policy.grid.n
-        i = np.rint(beliefs[:, 0] * (n - 1)).astype(np.intp)
-        j = np.rint(beliefs[:, 1] * (n - 1)).astype(np.intp)
-        return policy.primary[i, j].astype(np.intp)
-    if policy == "always-balanced":
-        return np.full(beliefs.shape[0], ACTION_PRIORITY.index(Action.BALANCED), dtype=np.intp)
-    if policy == "always-conservative":
-        return np.full(beliefs.shape[0], ACTION_PRIORITY.index(Action.CONSERVATIVE), dtype=np.intp)
+        idx = np.rint(tab * (policy.grid.n - 1)).astype(np.intp)
+        primary = policy.primary.astype(np.intp)
+        return lambda c1, c2, u: primary[idx[0][c1], idx[1][c2]]
+    fixed = {"always-balanced": Action.BALANCED, "always-conservative": Action.CONSERVATIVE}
+    if policy in fixed:
+        k = ACTION_PRIORITY.index(fixed[policy])
+        return lambda c1, c2, u: np.full(c1.size, k, dtype=np.intp)
     if policy == "random-uniform":
-        return np.minimum((u_act * 4).astype(np.intp), 3)
+        return lambda c1, c2, u: np.minimum((u * 4).astype(np.intp), 3)
     if policy == "myopic":
-        # Columns in priority order, so argmax tie-breaks like `primary`.
-        g = np.stack(
-            [
-                (beliefs[:, 0] + beliefs[:, 1]) * (econ.rl + econ.cl) - 2.0 * econ.cl,
-                beliefs[:, 0] * (econ.rh + econ.ch) - econ.ch,
-                beliefs[:, 1] * (econ.rh + econ.ch) - econ.ch,
-                np.zeros(beliefs.shape[0]),
-            ],
-            axis=1,
-        )
-        return g.argmax(axis=1).astype(np.intp)
+        def myopic(c1, c2, u):
+            b1, b2 = tab[0][c1], tab[1][c2]
+            # Columns in priority order, so argmax tie-breaks like `primary`.
+            g = np.stack(
+                [
+                    (b1 + b2) * (econ.rl + econ.cl) - 2.0 * econ.cl,
+                    b1 * (econ.rh + econ.ch) - econ.ch,
+                    b2 * (econ.rh + econ.ch) - econ.ch,
+                    np.zeros(b1.size),
+                ],
+                axis=1,
+            )
+            return g.argmax(axis=1)
+        return myopic
     raise ParameterError(f"unknown policy {policy!r}; baselines: {', '.join(BASELINES)}")
 
 
@@ -192,25 +258,24 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
 
     policy is a PolicyField (actions read at the nearest lattice point) or
     one of BASELINES. Returns a SimSummary; with collect_traces also a
-    TraceBatch. Identical config means bit-identical results.
+    TraceBatch. Identical config means bit-identical results. Episodes run
+    in blocks of EPISODE_BLOCK; each episode's result is independent of the
+    blocking.
     """
     E, H = cfg.episodes, cfg.horizon
     beta = discount.beta
-    u = _episode_uniforms(cfg.seed, E, H)
-
+    tab, nxt = _belief_codes(cfg, ch)
+    act = _action_rule(policy, tab, econ)
+    reward = _reward_table(econ)
+    lam = np.array([ch.lambda0, ch.lambda1])
     b0 = cfg.initial_belief
-    if cfg.initial_states is None:
-        states = (u[:, 0:2] < np.array([b0.p1, b0.p2])).astype(np.int8)
-    else:
-        states = np.tile(np.array(cfg.initial_states, dtype=np.int8), (E, 1))
-    beliefs = np.tile(np.array([b0.p1, b0.p2]), (E, 1))
+    start = 2 * (H + 1)
+    weights = [1.0]     # beta^t by repeated products, as the running sum uses
+    for _ in range(H - 1):
+        weights.append(weights[-1] * beta)
 
     total = np.zeros(E)
     counts = np.zeros(len(ACTION_PRIORITY), dtype=np.int64)
-    bal_k = ACTION_PRIORITY.index(Action.BALANCED)
-    b1_k = ACTION_PRIORITY.index(Action.BET1)
-    b2_k = ACTION_PRIORITY.index(Action.BET2)
-
     if collect_traces:
         tr_states = np.empty((E, H, 2), dtype=np.int8)
         tr_beliefs = np.empty((E, H, 2))
@@ -218,50 +283,36 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
         tr_rewards = np.empty((E, H))
         tr_cum = np.empty((E, H))
 
-    bt = 1.0
-    for t in range(H):
-        acts = _select_actions(policy, beliefs, econ, u[:, 2 + 3 * t])
-        counts += np.bincount(acts, minlength=len(ACTION_PRIORITY))
-
-        good1 = states[:, 0] == 1
-        good2 = states[:, 1] == 1
-        r_full1 = np.where(good1, econ.rh, -econ.ch)
-        r_full2 = np.where(good2, econ.rh, -econ.ch)
-        r_half = np.where(good1, econ.rl, -econ.cl) + np.where(good2, econ.rl, -econ.cl)
-        rewards = np.select(
-            [acts == bal_k, acts == b1_k, acts == b2_k],
-            [r_half, r_full1, r_full2],
-            default=0.0,
-        )
-        total += bt * rewards
-
-        if collect_traces:
-            tr_states[:, t] = states
-            tr_beliefs[:, t] = beliefs
-            tr_actions[:, t] = acts
-            tr_rewards[:, t] = rewards
-            tr_cum[:, t] = total
-
-        used1 = (acts == bal_k) | (acts == b1_k)
-        used2 = (acts == bal_k) | (acts == b2_k)
-        obs1 = np.where(good1, ch.lambda1, ch.lambda0)
-        obs2 = np.where(good2, ch.lambda1, ch.lambda0)
-        beliefs = np.column_stack(
-            [
-                np.where(used1, obs1, propagate_array(beliefs[:, 0], ch)),
-                np.where(used2, obs2, propagate_array(beliefs[:, 1], ch)),
-            ]
-        )
-
-        p_good1 = np.where(good1, ch.lambda1, ch.lambda0)
-        p_good2 = np.where(good2, ch.lambda1, ch.lambda0)
-        states = np.column_stack(
-            [
-                (u[:, 3 + 3 * t] < p_good1).astype(np.int8),
-                (u[:, 4 + 3 * t] < p_good2).astype(np.int8),
-            ]
-        )
-        bt *= beta
+    for lo in range(0, E, EPISODE_BLOCK):
+        hi = min(lo + EPISODE_BLOCK, E)
+        u = _episode_uniforms(cfg.seed, hi - lo, H, first=lo)
+        if cfg.initial_states is None:
+            g1 = (u[:, 0] < b0.p1).astype(np.intp)
+            g2 = (u[:, 1] < b0.p2).astype(np.intp)
+        else:
+            g1 = np.full(hi - lo, cfg.initial_states[0], dtype=np.intp)
+            g2 = np.full(hi - lo, cfg.initial_states[1], dtype=np.intp)
+        c1 = np.full(hi - lo, start, dtype=np.intp)
+        c2 = np.full(hi - lo, start, dtype=np.intp)
+        acc = total[lo:hi]
+        for t in range(H):
+            acts = act(c1, c2, u[:, 2 + 3 * t])
+            counts += np.bincount(acts, minlength=len(ACTION_PRIORITY))
+            rewards = reward[acts, g1, g2]
+            acc += weights[t] * rewards
+            if collect_traces:
+                tr_states[lo:hi, t, 0] = g1
+                tr_states[lo:hi, t, 1] = g2
+                tr_beliefs[lo:hi, t, 0] = tab[0][c1]
+                tr_beliefs[lo:hi, t, 1] = tab[1][c2]
+                tr_actions[lo:hi, t] = acts
+                tr_rewards[lo:hi, t] = rewards
+                tr_cum[lo:hi, t] = acc
+            c1 = nxt[0][acts, g1, c1]
+            c2 = nxt[1][acts, g2, c2]
+            g1 = (u[:, 3 + 3 * t] < lam[g1]).astype(np.intp)
+            g2 = (u[:, 4 + 3 * t] < lam[g2]).astype(np.intp)
+        del u     # so that the next block's uniforms do not coexist with these
 
     mean = float(np.mean(total))
     se = float(np.std(total, ddof=1) / math.sqrt(E)) if E > 1 else 0.0

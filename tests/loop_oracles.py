@@ -1,0 +1,198 @@
+"""Scalar and per-slot reference loops for the vectorised kernels and the
+table-driven Monte Carlo.
+
+These are the straightforward formulations: one dict per kernel row, and a
+Monte Carlo step that carries float beliefs and recomputes every reward.
+Tests require the production code to match them bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from gepower import Action
+from gepower.dynamics import ACTION_PRIORITY, propagate_array
+from gepower.lpmodel import TransitionKernel
+from gepower.policy import PolicyField
+from gepower.simulate import SimSummary, TraceBatch, _episode_uniforms
+from gepower.solver import _locate
+
+
+def _vertex_weights(points, coord):
+    idx, frac = _locate(points, np.array([coord]))
+    i, f = int(idx[0]), float(frac[0])
+    return ((i, 1.0 - f), (i + 1, f))
+
+
+def _successors(grid, ch, action):
+    """Per lattice point: the action's successor beliefs and probabilities."""
+    x = grid.points
+    tx = propagate_array(x, ch)
+    l0, l1 = ch.lambda0, ch.lambda1
+    n = grid.n
+    for i in range(n):
+        p1 = x[i]
+        for j in range(n):
+            p2 = x[j]
+            if action is Action.BALANCED:
+                yield (
+                    ((l0, l0), (1.0 - p1) * (1.0 - p2)),
+                    ((l1, l1), p1 * p2),
+                    ((l1, l0), p1 * (1.0 - p2)),
+                    ((l0, l1), (1.0 - p1) * p2),
+                )
+            elif action is Action.BET1:
+                yield (((l1, tx[j]), p1), ((l0, tx[j]), 1.0 - p1))
+            elif action is Action.BET2:
+                yield (((tx[i], l1), p2), ((tx[i], l0), 1.0 - p2))
+            else:
+                yield (((tx[i], tx[j]), 1.0),)
+
+
+def loop_kernel(grid, ch, action):
+    """build_kernel as one dict accumulation per lattice point."""
+    n = grid.n
+    indptr = np.zeros(n * n + 1, dtype=np.int64)
+    all_cols = []
+    all_probs = []
+    for p, succ in enumerate(_successors(grid, ch, action)):
+        acc = {}
+        for (sx, sy), prob in succ:
+            if prob == 0.0:
+                continue
+            for ivx, wx in _vertex_weights(grid.points, sx):
+                if wx == 0.0:
+                    continue
+                for ivy, wy in _vertex_weights(grid.points, sy):
+                    w = prob * wx * wy
+                    if w == 0.0:
+                        continue
+                    flat = ivx * n + ivy
+                    acc[flat] = acc.get(flat, 0.0) + w
+        cols = sorted(acc)
+        all_cols.extend(cols)
+        all_probs.extend(acc[c] for c in cols)
+        indptr[p + 1] = len(all_cols)
+    return TransitionKernel(
+        action,
+        n,
+        indptr,
+        np.asarray(all_cols, dtype=np.int64),
+        np.asarray(all_probs, dtype=np.float64),
+    )
+
+
+def _select_actions(policy, beliefs, econ, u_act):
+    if isinstance(policy, PolicyField):
+        n = policy.grid.n
+        i = np.rint(beliefs[:, 0] * (n - 1)).astype(np.intp)
+        j = np.rint(beliefs[:, 1] * (n - 1)).astype(np.intp)
+        return policy.primary[i, j].astype(np.intp)
+    if policy == "always-balanced":
+        return np.full(beliefs.shape[0], ACTION_PRIORITY.index(Action.BALANCED), dtype=np.intp)
+    if policy == "always-conservative":
+        return np.full(beliefs.shape[0], ACTION_PRIORITY.index(Action.CONSERVATIVE), dtype=np.intp)
+    if policy == "random-uniform":
+        return np.minimum((u_act * 4).astype(np.intp), 3)
+    assert policy == "myopic"
+    g = np.stack(
+        [
+            (beliefs[:, 0] + beliefs[:, 1]) * (econ.rl + econ.cl) - 2.0 * econ.cl,
+            beliefs[:, 0] * (econ.rh + econ.ch) - econ.ch,
+            beliefs[:, 1] * (econ.rh + econ.ch) - econ.ch,
+            np.zeros(beliefs.shape[0]),
+        ],
+        axis=1,
+    )
+    return g.argmax(axis=1).astype(np.intp)
+
+
+def loop_episodes(policy, cfg, ch, econ, discount, value_scale=None):
+    """run_episodes as one pass over all episodes per slot, carrying float
+    beliefs; returns (SimSummary, TraceBatch)."""
+    E, H = cfg.episodes, cfg.horizon
+    beta = discount.beta
+    u = _episode_uniforms(cfg.seed, E, H)
+
+    b0 = cfg.initial_belief
+    if cfg.initial_states is None:
+        states = (u[:, 0:2] < np.array([b0.p1, b0.p2])).astype(np.int8)
+    else:
+        states = np.tile(np.array(cfg.initial_states, dtype=np.int8), (E, 1))
+    beliefs = np.tile(np.array([b0.p1, b0.p2]), (E, 1))
+
+    total = np.zeros(E)
+    counts = np.zeros(len(ACTION_PRIORITY), dtype=np.int64)
+    bal_k = ACTION_PRIORITY.index(Action.BALANCED)
+    b1_k = ACTION_PRIORITY.index(Action.BET1)
+    b2_k = ACTION_PRIORITY.index(Action.BET2)
+
+    tr_states = np.empty((E, H, 2), dtype=np.int8)
+    tr_beliefs = np.empty((E, H, 2))
+    tr_actions = np.empty((E, H), dtype=np.int8)
+    tr_rewards = np.empty((E, H))
+    tr_cum = np.empty((E, H))
+
+    bt = 1.0
+    for t in range(H):
+        acts = _select_actions(policy, beliefs, econ, u[:, 2 + 3 * t])
+        counts += np.bincount(acts, minlength=len(ACTION_PRIORITY))
+
+        good1 = states[:, 0] == 1
+        good2 = states[:, 1] == 1
+        r_full1 = np.where(good1, econ.rh, -econ.ch)
+        r_full2 = np.where(good2, econ.rh, -econ.ch)
+        r_half = np.where(good1, econ.rl, -econ.cl) + np.where(good2, econ.rl, -econ.cl)
+        rewards = np.select(
+            [acts == bal_k, acts == b1_k, acts == b2_k],
+            [r_half, r_full1, r_full2],
+            default=0.0,
+        )
+        total += bt * rewards
+
+        tr_states[:, t] = states
+        tr_beliefs[:, t] = beliefs
+        tr_actions[:, t] = acts
+        tr_rewards[:, t] = rewards
+        tr_cum[:, t] = total
+
+        used1 = (acts == bal_k) | (acts == b1_k)
+        used2 = (acts == bal_k) | (acts == b2_k)
+        obs1 = np.where(good1, ch.lambda1, ch.lambda0)
+        obs2 = np.where(good2, ch.lambda1, ch.lambda0)
+        beliefs = np.column_stack(
+            [
+                np.where(used1, obs1, propagate_array(beliefs[:, 0], ch)),
+                np.where(used2, obs2, propagate_array(beliefs[:, 1], ch)),
+            ]
+        )
+
+        p_good1 = np.where(good1, ch.lambda1, ch.lambda0)
+        p_good2 = np.where(good2, ch.lambda1, ch.lambda0)
+        states = np.column_stack(
+            [
+                (u[:, 3 + 3 * t] < p_good1).astype(np.int8),
+                (u[:, 4 + 3 * t] < p_good2).astype(np.int8),
+            ]
+        )
+        bt *= beta
+
+    mean = float(np.mean(total))
+    se = float(np.std(total, ddof=1) / math.sqrt(E)) if E > 1 else 0.0
+    if value_scale is None:
+        value_scale = max(econ.rh, 2.0 * econ.rl) / (1.0 - beta) if beta > 0.0 else max(econ.rh, 2.0 * econ.rl)
+    bound = beta ** H * value_scale
+    summary = SimSummary(
+        policy=policy if isinstance(policy, str) else "grid-policy",
+        episodes=E,
+        horizon=H,
+        seed=cfg.seed,
+        mean=mean,
+        se=se,
+        action_freq={
+            a: float(counts[k] / (E * H)) for k, a in enumerate(ACTION_PRIORITY)
+        },
+        truncation_bound=float(bound),
+        truncation_ok=bool(bound <= 0.01 * value_scale),
+    )
+    return summary, TraceBatch(tr_states, tr_beliefs, tr_actions, tr_rewards, tr_cum)

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from loop_oracles import loop_kernel
 
 from gepower import (
     Action,
@@ -85,7 +88,38 @@ class TestKernels:
             )
 
 
+class TestKernelOracle:
+    @pytest.mark.parametrize("lam", [(0.1, 0.9), (0.13, 0.77), (0.0, 0.6)])
+    @pytest.mark.parametrize("n", [2, 11, 22, 37])
+    def test_matches_dict_accumulation_loop(self, n, lam):
+        grid = BeliefGrid(n)
+        ch = ChannelParams(*lam)
+        for action in ACTION_PRIORITY:
+            got = build_kernel(grid, ch, action)
+            ref = loop_kernel(grid, ch, action)
+            for name in ("indptr", "cols", "probs"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype, (action, name)
+                assert np.array_equal(a, b), (action, name)
+
+
 class TestExport:
+    # sha256 of model.lp as the loop export wrote it; the file is part of
+    # the byte-identity contract, so a faster writer must reproduce it.
+    @pytest.mark.parametrize(
+        "n, lam, digest",
+        [
+            (7, (0.1, 0.9), "4f11fc27941f72fb9830f221fc24efd77ef2d68ca23ec2edd0991fffba9915f8"),
+            (22, (0.13, 0.77), "9a37b34397ed06bb3405d398c243c6643bc7783f341d592affc6897e68ab0378"),
+        ],
+        ids=["n7", "n22-off-lattice"],
+    )
+    def test_pinned_bytes(self, tmp_path, n, lam, digest):
+        grid = BeliefGrid(n)
+        path = tmp_path / "model.lp"
+        export_lp(path, grid, build_all_kernels(grid, ChannelParams(*lam)), ECON, DISC)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_tiny_model_counts(self, tmp_path):
         grid = BeliefGrid(2)
         kernels = build_all_kernels(grid, CH)

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from loop_oracles import loop_episodes
 
 from gepower import (
     Action,
@@ -18,6 +20,7 @@ from gepower import (
 )
 from gepower.dynamics import ACTION_PRIORITY, ParameterError
 from gepower.simulate import (
+    EPISODE_BLOCK,
     save_summary,
     summary_to_dict,
     write_traces_csv,
@@ -204,6 +207,78 @@ class TestEpisodeStreams:
         _, a = run_episodes("always-balanced", cfg, CH, ECON, DISC, collect_traces=True)
         _, b = run_episodes("always-conservative", cfg, CH, ECON, DISC, collect_traces=True)
         np.testing.assert_array_equal(a.states, b.states)
+
+
+class TestLoopOracle:
+    POLICIES = ("grid", "myopic", "always-balanced", "always-conservative", "random-uniform")
+
+    @staticmethod
+    def _policy(name, policy_a):
+        return policy_a if name == "grid" else name
+
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_matches_per_slot_loop(self, name, policy_a):
+        # more than one block, so the block seams are covered
+        policy = self._policy(name, policy_a)
+        cfg = SimConfig(
+            episodes=EPISODE_BLOCK + 17, horizon=20, seed=8, initial_belief=Belief(0.3, 0.65)
+        )
+        summary, batch = run_episodes(policy, cfg, CH, ECON, DISC, collect_traces=True)
+        ref_summary, ref_batch = loop_episodes(policy, cfg, CH, ECON, DISC)
+        assert summary == ref_summary
+        assert run_episodes(policy, cfg, CH, ECON, DISC) == ref_summary
+        for field in ("states", "beliefs", "actions", "rewards", "cum_disc"):
+            got, want = getattr(batch, field), getattr(ref_batch, field)
+            assert got.dtype == want.dtype, field
+            np.testing.assert_array_equal(got, want, err_msg=field)
+
+    def test_fixed_initial_states_match_loop(self):
+        cfg = SimConfig(
+            episodes=300, horizon=15, seed=4, initial_belief=Belief(0.2, 0.9),
+            initial_states=(0, 1),
+        )
+        summary, batch = run_episodes("myopic", cfg, CH, ECON, DISC, collect_traces=True)
+        ref_summary, ref_batch = loop_episodes("myopic", cfg, CH, ECON, DISC)
+        assert summary == ref_summary
+        np.testing.assert_array_equal(batch.cum_disc, ref_batch.cum_disc)
+
+    @pytest.mark.parametrize("k", [100, EPISODE_BLOCK + 5])
+    def test_prefix_of_larger_run(self, k, policy_a):
+        big = SimConfig(episodes=EPISODE_BLOCK + 17, horizon=12, seed=6,
+                        initial_belief=Belief(0.5, 0.5))
+        small = SimConfig(episodes=k, horizon=12, seed=6, initial_belief=Belief(0.5, 0.5))
+        _, a = run_episodes(policy_a, big, CH, ECON, DISC, collect_traces=True)
+        _, b = run_episodes(policy_a, small, CH, ECON, DISC, collect_traces=True)
+        for field in ("states", "beliefs", "actions", "rewards", "cum_disc"):
+            np.testing.assert_array_equal(getattr(a, field)[:k], getattr(b, field), err_msg=field)
+
+
+class TestLargeSeed:
+    SEED = 2 ** 70
+
+    def test_sim_config_path(self):
+        def mean(seed):
+            cfg = SimConfig(episodes=200, horizon=10, seed=seed, initial_belief=Belief(0.5, 0.5))
+            return run_episodes("myopic", cfg, CH, ECON, DISC).mean
+
+        big = mean(self.SEED)
+        assert big != mean(self.SEED + 1)
+        # a seed wrapped to 64 bits would collide with seed 0
+        assert big != mean(self.SEED % 2 ** 64)
+
+    def test_cli_path(self, tmp_path):
+        from gepower.cli import EXIT_OK, main
+
+        means = []
+        for seed in (self.SEED, self.SEED + 1):
+            out = tmp_path / str(seed)
+            code = main(["simulate", "--baseline", "myopic", "--episodes", "50",
+                         "--horizon", "10", "--seed", str(seed), "--out", str(out)])
+            assert code == EXIT_OK
+            doc = json.loads((out / "sim_summary.json").read_text())
+            assert doc["seed"] == seed
+            means.append(doc["mean"])
+        assert means[0] != means[1]
 
 
 class TestSummaryOutput:
