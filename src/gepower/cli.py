@@ -155,7 +155,7 @@ def cmd_analyze(args):
     policy = extract_policy(result.field, ch, econ, discount, args.tie_tol)
     export_policy_csv(policy, out / "policy.csv")
     export_policy_ppm(policy, out / "policy.ppm")
-    report = analyze_structure(result.field, ch, econ, discount, args.tie_tol)
+    report = analyze_structure(result.field, policy, ch, econ, discount)
     save_structure_report(report, out / "structure.json")
     for name, ok in report.flags.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
@@ -210,7 +210,8 @@ def cmd_sweep(args):
         except NonConvergence as exc:
             print(f"skipping {args.param}={value:g}: {exc}", file=sys.stderr)
             continue
-        report = analyze_structure(result.field, ch, econ, discount)
+        policy = extract_policy(result.field, ch, econ, discount)
+        report = analyze_structure(result.field, policy, ch, econ, discount)
         areas = report.areas
         rows.append(
             (

@@ -436,9 +436,8 @@ class StructureReport:
             object.__setattr__(self, "flags", flags)
 
 
-def analyze_structure(v, ch, econ, discount, tie_tol=None):
-    """Run every structural check against a converged field."""
-    policy = extract_policy(v, ch, econ, discount, tie_tol)
+def analyze_structure(v, policy, ch, econ, discount):
+    """Run every structural check against a converged field and its policy."""
     regions = region_map(policy)
     n = v.grid.n
 
@@ -518,21 +517,31 @@ def save_structure_report(report, path):
         fh.write("\n")
 
 
+# "primary,best-set" row ends, indexed by (primary << 4) | best-set bits with
+# bit k standing for ACTION_PRIORITY[k].
+_CSV_SUFFIXES = [
+    ACTION_PRIORITY[code >> 4].value
+    + ","
+    + "|".join(a.value for k, a in enumerate(ACTION_PRIORITY) if code >> k & 1)
+    + "\n"
+    for code in range(len(ACTION_PRIORITY) << 4)
+]
+_BEST_BITS = np.array([1 << k for k in range(len(ACTION_PRIORITY))], dtype=np.uint8)
+
+
 def export_policy_csv(policy, path):
     """One row per lattice point: indices, beliefs, primary and tied actions."""
-    x = policy.grid.points
+    x = [repr(float(p)) for p in policy.grid.points]
     with open(path, "w") as fh:
         fh.write("# primary action resolves ties as balanced > bet1 > bet2 > conservative\n")
         fh.write("i,j,p1,p2,primary,best\n")
         for i in range(policy.grid.n):
-            for j in range(policy.grid.n):
-                names = "|".join(
-                    ACTION_PRIORITY[k].value
-                    for k in range(len(ACTION_PRIORITY))
-                    if policy.best[i, j, k]
-                )
-                primary = ACTION_PRIORITY[policy.primary[i, j]].value
-                fh.write(f"{i},{j},{x[i]!r},{x[j]!r},{primary},{names}\n")
+            codes = (policy.primary[i].astype(np.uint8) << 4) | (policy.best[i] @ _BEST_BITS)
+            xi = x[i]
+            fh.write("".join(
+                f"{i},{j},{xi},{xj},{_CSV_SUFFIXES[c]}"
+                for j, (xj, c) in enumerate(zip(x, codes.tolist()))
+            ))
 
 
 _PPM_COLORS = {
@@ -541,6 +550,7 @@ _PPM_COLORS = {
     Action.BET2: (0, 102, 204),
     Action.CONSERVATIVE: (128, 128, 128),
 }
+_PPM_PIXELS = ["%d %d %d" % _PPM_COLORS[a] for a in ACTION_PRIORITY]
 
 
 def export_policy_ppm(policy, path):
@@ -550,19 +560,14 @@ def export_policy_ppm(policy, path):
         "P3",
         "# primary action map; legend (r g b):",
     ]
-    for a in ACTION_PRIORITY:
-        r, g, b = _PPM_COLORS[a]
-        lines.append(f"# {a.value} = {r} {g} {b}")
+    for a, pixel in zip(ACTION_PRIORITY, _PPM_PIXELS):
+        lines.append(f"# {a.value} = {pixel}")
     lines.append("# column c is p1 = c/(n-1); row r is p2 = 1 - r/(n-1) (p2 falls top to bottom)")
     lines.append(f"{n} {n}")
     lines.append("255")
-    for r in range(n):
-        j = n - 1 - r
-        row = []
-        for c in range(n):
-            col = _PPM_COLORS[ACTION_PRIORITY[policy.primary[c, j]]]
-            row.append(f"{col[0]} {col[1]} {col[2]}")
-        lines.append("  ".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
+        for row in policy.primary.T[::-1]:
+            fh.write("  ".join(map(_PPM_PIXELS.__getitem__, row.tolist())))
+            fh.write("\n")

@@ -20,7 +20,6 @@ which bounds the uniforms held at once; no result depends on the blocking.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -358,26 +357,39 @@ def save_summary(s, path):
         fh.write("\n")
 
 
+def _repr_table(values):
+    """Sorted distinct bit patterns of values and float.__repr__ of each;
+    told apart by bits, -0.0 keeps its sign."""
+    bits = np.unique(np.ascontiguousarray(values).view(np.uint64))
+    return bits, list(map(float.__repr__, bits.view(np.float64).tolist()))
+
+
 def write_traces_csv(batch, path):
-    """Flat per-slot dump; large for big runs, so callers gate it on a flag."""
-    E, H = batch.actions.shape
+    """Flat per-slot dump; large for big runs, so callers gate it on a flag.
+
+    Beliefs and rewards take few distinct values, so each is formatted once
+    per block of EPISODE_BLOCK episodes and looked up by bit pattern; only
+    the running discounted total is formatted per slot. Rows end in \\r\\n,
+    as csv.writer writes them.
+    """
+    E = batch.actions.shape[0]
+    names = [a.value for a in ACTION_PRIORITY]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["episode", "t", "g1", "g2", "b1", "b2", "action", "reward", "cum_discounted"]
-        )
-        for e in range(E):
-            for t in range(H):
-                writer.writerow(
-                    [
-                        e,
-                        t,
-                        int(batch.states[e, t, 0]),
-                        int(batch.states[e, t, 1]),
-                        repr(float(batch.beliefs[e, t, 0])),
-                        repr(float(batch.beliefs[e, t, 1])),
-                        ACTION_PRIORITY[batch.actions[e, t]].value,
-                        repr(float(batch.rewards[e, t])),
-                        repr(float(batch.cum_disc[e, t])),
-                    ]
+        fh.write("episode,t,g1,g2,b1,b2,action,reward,cum_discounted\r\n")
+        for lo in range(0, E, EPISODE_BLOCK):
+            hi = min(lo + EPISODE_BLOCK, E)
+            bbits, beliefs = _repr_table(batch.beliefs[lo:hi])
+            rbits, rewards = _repr_table(batch.rewards[lo:hi])
+            for e in range(lo, hi):
+                slots = zip(
+                    batch.states[e].tolist(),
+                    np.searchsorted(bbits, batch.beliefs[e].view(np.uint64)).tolist(),
+                    batch.actions[e].tolist(),
+                    np.searchsorted(rbits, batch.rewards[e].view(np.uint64)).tolist(),
+                    batch.cum_disc[e].tolist(),
                 )
+                fh.write("".join(
+                    f"{e},{t},{g1},{g2},{beliefs[b1]},{beliefs[b2]},"
+                    f"{names[a]},{rewards[r]},{cum!r}\r\n"
+                    for t, ((g1, g2), (b1, b2), a, r, cum) in enumerate(slots)
+                ))

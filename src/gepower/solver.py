@@ -504,11 +504,16 @@ def save_value_field(path, result, ch, econ, discount):
         "beta": discount.beta,
         "iterations": result.iterations,
         "residual": result.residual,
-        "values": [float(x) for x in result.field.values.ravel()],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc)[:-1] + ', "values": [')
+        sep = ""
+        for row in result.field.values:
+            # json writes a finite float as float.__repr__, and ValueField
+            # holds only finite values, so this is what json.dump would write.
+            fh.write(sep + ", ".join(map(float.__repr__, row.tolist())))
+            sep = ", "
+        fh.write("]}\n")
 
 
 def load_value_field(path):

@@ -1,11 +1,14 @@
-"""Scalar and per-slot reference loops for the vectorised kernels and the
-table-driven Monte Carlo.
+"""Scalar and per-slot reference loops for the vectorised kernels, the
+table-driven Monte Carlo and the table-driven artifact writers.
 
-These are the straightforward formulations: one dict per kernel row, and a
-Monte Carlo step that carries float beliefs and recomputes every reward.
-Tests require the production code to match them bit for bit.
+These are the straightforward formulations: one dict per kernel row, a
+Monte Carlo step that carries float beliefs and recomputes every reward,
+and writers that format every point or slot on its own. Tests require the
+production code to match them bit for bit.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -13,9 +16,9 @@ import numpy as np
 from gepower import Action
 from gepower.dynamics import ACTION_PRIORITY, propagate_array
 from gepower.lpmodel import TransitionKernel
-from gepower.policy import PolicyField
+from gepower.policy import _PPM_COLORS, PolicyField
 from gepower.simulate import SimSummary, TraceBatch, _episode_uniforms
-from gepower.solver import _locate
+from gepower.solver import _LAYOUT_NOTE, _locate
 
 
 def _vertex_weights(points, coord):
@@ -196,3 +199,91 @@ def loop_episodes(policy, cfg, ch, econ, discount, value_scale=None):
         truncation_ok=bool(bound <= 0.01 * value_scale),
     )
     return summary, TraceBatch(tr_states, tr_beliefs, tr_actions, tr_rewards, tr_cum)
+
+
+def loop_policy_csv(policy, path):
+    """export_policy_csv as one f-string per lattice point."""
+    x = policy.grid.points
+    with open(path, "w") as fh:
+        fh.write("# primary action resolves ties as balanced > bet1 > bet2 > conservative\n")
+        fh.write("i,j,p1,p2,primary,best\n")
+        for i in range(policy.grid.n):
+            for j in range(policy.grid.n):
+                names = "|".join(
+                    ACTION_PRIORITY[k].value
+                    for k in range(len(ACTION_PRIORITY))
+                    if policy.best[i, j, k]
+                )
+                primary = ACTION_PRIORITY[policy.primary[i, j]].value
+                fh.write(f"{i},{j},{float(x[i])!r},{float(x[j])!r},{primary},{names}\n")
+
+
+def loop_policy_ppm(policy, path):
+    """export_policy_ppm as one colour lookup per lattice point."""
+    n = policy.grid.n
+    lines = [
+        "P3",
+        "# primary action map; legend (r g b):",
+    ]
+    for a in ACTION_PRIORITY:
+        r, g, b = _PPM_COLORS[a]
+        lines.append(f"# {a.value} = {r} {g} {b}")
+    lines.append("# column c is p1 = c/(n-1); row r is p2 = 1 - r/(n-1) (p2 falls top to bottom)")
+    lines.append(f"{n} {n}")
+    lines.append("255")
+    for r in range(n):
+        j = n - 1 - r
+        row = []
+        for c in range(n):
+            col = _PPM_COLORS[ACTION_PRIORITY[policy.primary[c, j]]]
+            row.append(f"{col[0]} {col[1]} {col[2]}")
+        lines.append("  ".join(row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def loop_value_field(path, result, ch, econ, discount):
+    """save_value_field as one json.dump of the whole document."""
+    doc = {
+        "layout": _LAYOUT_NOTE,
+        "n": result.field.grid.n,
+        "lambda0": ch.lambda0,
+        "lambda1": ch.lambda1,
+        "rh": econ.rh,
+        "rl": econ.rl,
+        "ch": econ.ch,
+        "cl": econ.cl,
+        "beta": discount.beta,
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "values": [float(x) for x in result.field.values.ravel()],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
+def loop_traces_csv(batch, path):
+    """write_traces_csv as one csv.writer row and four reprs per slot."""
+    E, H = batch.actions.shape
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["episode", "t", "g1", "g2", "b1", "b2", "action", "reward", "cum_discounted"]
+        )
+        for e in range(E):
+            for t in range(H):
+                writer.writerow(
+                    [
+                        e,
+                        t,
+                        int(batch.states[e, t, 0]),
+                        int(batch.states[e, t, 1]),
+                        repr(float(batch.beliefs[e, t, 0])),
+                        repr(float(batch.beliefs[e, t, 1])),
+                        ACTION_PRIORITY[batch.actions[e, t]].value,
+                        repr(float(batch.rewards[e, t])),
+                        repr(float(batch.cum_disc[e, t])),
+                    ]
+                )

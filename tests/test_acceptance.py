@@ -234,7 +234,8 @@ def _sweep_areas(param, values, base, n=51):
         ch = ChannelParams(p["lambda0"], p["lambda1"])
         econ = EconParams(p["rh"], p["rl"], p["ch"], p["cl"])
         res = solve(SolverConfig(DISC, TOL, 5000), ch, econ, BeliefGrid(n))
-        report = analyze_structure(res.field, ch, econ, DISC)
+        policy = extract_policy(res.field, ch, econ, DISC)
+        report = analyze_structure(res.field, policy, ch, econ, DISC)
         rows.append((v, report.areas, report.diagonal.kind))
     return rows
 

@@ -13,6 +13,7 @@ from gepower.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_VALIDATION,
+    EXIT_VIOLATIONS,
     main,
 )
 
@@ -303,3 +304,24 @@ class TestExportLpCommand:
         main(["export-lp", "--grid", "5", "--out", str(out1)])
         main(["export-lp", "--grid", "5", "--out", str(out2)])
         assert (out1 / "model.lp").read_bytes() == (out2 / "model.lp").read_bytes()
+
+
+def test_no_numpy_scalar_reprs_in_outputs(tmp_path):
+    """A numpy scalar formatted with repr reads np.float64(...) under
+    numpy >= 2; no file any command writes may carry one."""
+    solve_out = tmp_path / "solve"
+    runs = [
+        _solve_args(solve_out),
+        ["analyze", str(solve_out / "value.json"), "--out", str(tmp_path / "analyze")],
+        ["sweep", "--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8",
+         "--points", "2", "--grid", "11", "--out", str(tmp_path / "sweep")],
+        ["simulate", str(solve_out / "value.json"), "--episodes", "20", "--horizon", "5",
+         "--dump-traces", "--out", str(tmp_path / "simulate")],
+        ["export-lp", "--grid", "5", "--out", str(tmp_path / "export-lp")],
+    ]
+    for args in runs:
+        assert main(args) in (EXIT_OK, EXIT_VIOLATIONS)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert {p.parent.name for p in files} == {"solve", "analyze", "sweep", "simulate", "export-lp"}
+    for path in files:
+        assert b"np." not in path.read_bytes(), path.name

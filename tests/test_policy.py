@@ -288,8 +288,8 @@ class TestDiagonal:
 
 
 class TestStructureReport:
-    def test_report_flags_and_exports(self, solved_a, tmp_path):
-        report = analyze_structure(solved_a.field, CH, ECON_A, DISC)
+    def test_report_flags_and_exports(self, solved_a, policy_a, tmp_path):
+        report = analyze_structure(solved_a.field, policy_a, CH, ECON_A, DISC)
         assert report.flags["corners_ok"]
         assert report.flags["symmetry_ok"]
         assert report.flags["connectivity_ok"]
