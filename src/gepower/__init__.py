@@ -56,10 +56,6 @@ from .solver import (
     bellman_backup,
     interpolate,
     load_value_field,
-    q_balanced,
-    q_bet1,
-    q_bet2,
-    q_conservative,
     save_value_field,
     solve,
 )

@@ -17,15 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .dynamics import ACTION_PRIORITY, Action, Belief, propagate
-from .solver import (
-    action_value_grids,
-    q_balanced,
-    q_bet1,
-    q_bet2,
-    q_conservative,
-    _tensor_interp,
-)
+from .dynamics import ACTION_PRIORITY, Action, propagate
+from .solver import _tensor_interp, action_value_grids, q_probe
 
 __all__ = [
     "PolicyField",
@@ -149,34 +142,31 @@ class ContiguityViolation:
     gap: tuple       # (first, last) lattice index of the first hole
 
 
-def _first_hole(line):
-    hits = np.flatnonzero(line)
-    if hits.size < 2:
-        return None
-    inner = line[hits[0]:hits[-1] + 1]
-    holes = np.flatnonzero(~inner)
-    if holes.size == 0:
-        return None
-    start = int(hits[0] + holes[0])
-    end = start
-    while end + 1 < hits[-1] and not line[end + 1]:
-        end += 1
-    return (start, end)
+def _line_holes(lines):
+    """First hole of every line along the last axis.
+
+    Returns (has_hole, start, end): a line has a hole when a miss lies
+    between its first and last hit, and start..end is the first such run
+    of misses.
+    """
+    n = lines.shape[-1]
+    pos = np.arange(n)
+    first = lines.argmax(axis=-1)
+    last = n - 1 - lines[..., ::-1].argmax(axis=-1)
+    start = (~lines & (pos > first[..., None])).argmax(axis=-1)
+    end = (lines & (pos > start[..., None])).argmax(axis=-1) - 1
+    return lines.any(axis=-1) & (first < start) & (start < last), start, end
 
 
 def check_contiguity(p):
     """Membership along every lattice row and column must be an interval."""
+    m = np.moveaxis(p.best, 2, 0)  # m[k, i, j]: rows i run along p2
+    holes = (("along-p2", _line_holes(m)), ("along-p1", _line_holes(m.transpose(0, 2, 1))))
     out = []
     for k, a in enumerate(ACTION_PRIORITY):
-        m = p.best[:, :, k]
-        for i in range(p.grid.n):
-            gap = _first_hole(m[i, :])
-            if gap is not None:
-                out.append(ContiguityViolation(a, "along-p2", i, gap))
-        for j in range(p.grid.n):
-            gap = _first_hole(m[:, j])
-            if gap is not None:
-                out.append(ContiguityViolation(a, "along-p1", j, gap))
+        for axis, (has, start, end) in holes:
+            for i in np.flatnonzero(has[k]).tolist():
+                out.append(ContiguityViolation(a, axis, i, (int(start[k, i]), int(end[k, i]))))
     return out
 
 
@@ -265,6 +255,17 @@ def _bisect(f, lo, hi, xtol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def _q_gap(q, a, b, p1=None):
+    """y -> Q(a) - Q(b) from the probe q at (p1, y), or at (y, y) if p1 is None."""
+    ka, kb = _IDX[a], _IDX[b]
+
+    def f(y):
+        qs = q(y if p1 is None else p1, y)
+        return qs[ka] - qs[kb]
+
+    return f
+
+
 @dataclass(frozen=True)
 class EdgeThresholds:
     """Switching points of the one-dimensional edge restrictions.
@@ -284,12 +285,8 @@ class EdgeThresholds:
 
 def edge_thresholds(v, ch, econ, discount, xtol=1e-10):
     notes = []
-
-    def f1(y):
-        b = Belief(0.0, y)
-        return q_bet2(v, b, ch, econ, discount) - q_conservative(v, b, ch, discount)
-
-    th1 = _bisect(f1, 0.0, 1.0, xtol)
+    q = q_probe(v, ch, econ, discount)
+    th1 = _bisect(_q_gap(q, Action.BET2, Action.CONSERVATIVE, 0.0), 0.0, 1.0, xtol)
     th1_res = None
     if th1 is None:
         notes.append("edge p1=0 has no conservative/bet2 crossing")
@@ -297,11 +294,7 @@ def edge_thresholds(v, ch, econ, discount, xtol=1e-10):
         d0, _ = delta_funcs(v, th1, ch)
         th1_res = th1 * (econ.rh + econ.ch) - econ.ch + discount.beta * d0
 
-    def f2(y):
-        b = Belief(1.0, y)
-        return q_balanced(v, b, ch, econ, discount) - q_bet1(v, b, ch, econ, discount)
-
-    th2 = _bisect(f2, 0.0, 1.0, xtol)
+    th2 = _bisect(_q_gap(q, Action.BALANCED, Action.BET1, 1.0), 0.0, 1.0, xtol)
     th2_res = None
     if th2 is None:
         notes.append("edge p1=1 has no bet1/balanced crossing")
@@ -371,14 +364,10 @@ def diagonal_structure(v, policy, ch, econ, discount, xtol=1e-10):
     covered = (in_bal | in_bet | in_rest).all()
     strict_bet = in_bet & ~in_bal & ~in_rest
 
-    def on_diag(qfun, y):
-        return qfun(v, Belief(y, y), ch, econ, discount)
-
-    def rest_val(y):
-        return q_conservative(v, Belief(y, y), ch, discount)
-
     if not (in_rest[0] and in_bal[-1] and covered):
         return DiagonalStructure(OTHER, None, None, seq)
+
+    q = q_probe(v, ch, econ, discount)
 
     if strict_bet.any():
         ordered = (
@@ -386,21 +375,19 @@ def diagonal_structure(v, policy, ch, econ, discount, xtol=1e-10):
             and _is_suffix(in_bal)
             and _is_interval(strict_bet)
         )
-        margins = [
-            on_diag(q_bet1, x[k]) - max(on_diag(q_balanced, x[k]), rest_val(x[k]))
-            for k in np.flatnonzero(strict_bet)
-        ]
+        margins = []
+        for y in x[np.flatnonzero(strict_bet)].tolist():
+            bal, bet1, _, rest = q(y, y)
+            margins.append(bet1 - max(bal, rest))
         y_star = float(x[np.flatnonzero(strict_bet)[int(np.argmax(margins))]])
-        rho1 = _bisect(lambda y: on_diag(q_bet1, y) - rest_val(y), 0.0, y_star, xtol)
-        rho2 = _bisect(
-            lambda y: on_diag(q_bet1, y) - on_diag(q_balanced, y), y_star, 1.0, xtol
-        )
+        rho1 = _bisect(_q_gap(q, Action.BET1, Action.CONSERVATIVE), 0.0, y_star, xtol)
+        rho2 = _bisect(_q_gap(q, Action.BET1, Action.BALANCED), y_star, 1.0, xtol)
         if ordered and rho1 is not None and rho2 is not None and 0.0 < rho1 < rho2 < 1.0:
             return DiagonalStructure(TWO_THRESHOLD, float(rho1), float(rho2), seq)
         return DiagonalStructure(OTHER, rho1, rho2, seq)
 
     ordered = _is_prefix(in_rest) and _is_suffix(in_bal)
-    rho1 = _bisect(lambda y: on_diag(q_balanced, y) - rest_val(y), 0.0, 1.0, xtol)
+    rho1 = _bisect(_q_gap(q, Action.BALANCED, Action.CONSERVATIVE), 0.0, 1.0, xtol)
     if ordered and rho1 is not None and 0.0 < rho1 < 1.0:
         return DiagonalStructure(ONE_THRESHOLD, float(rho1), None, seq)
     return DiagonalStructure(OTHER, rho1, None, seq)

@@ -13,6 +13,7 @@ which the downstream mirror checks depend on.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ from scipy import sparse
 from .dynamics import (
     ACTION_PRIORITY,
     Action,
-    Belief,
     ChannelParams,
     Discount,
     EconParams,
@@ -38,10 +38,7 @@ __all__ = [
     "NonConvergence",
     "ValueFileError",
     "interpolate",
-    "q_balanced",
-    "q_bet1",
-    "q_bet2",
-    "q_conservative",
+    "q_probe",
     "action_value_grids",
     "bellman_backup",
     "solve",
@@ -184,43 +181,61 @@ def interpolate(v, b):
     return float(out[0, 0])
 
 
-def _corner_values(v, ch):
-    lam = np.array([ch.lambda0, ch.lambda1])
-    c = _tensor_interp(v.values, v.grid.points, lam, lam)
-    return c[0, 0], c[0, 1], c[1, 0], c[1, 1]
+def q_probe(v, ch, econ, discount):
+    """Scalar Q values of all four actions against the frozen field v.
 
+    Returns probe(p1, p2), which gives the four action values at the belief
+    (p1, p2) as Python floats in ACTION_PRIORITY order. It repeats the
+    arithmetic of action_value_grids one point at a time: _locate's cell
+    search, _tensor_interp's summation order and the Q expressions'
+    association, so it agrees with the grids bit for bit on the lattice.
+    Field rows are converted to lists only when a probe first reads them.
+    """
+    pts = v.grid.points.tolist()
+    last = len(pts) - 2
+    rows = {}
 
-def q_balanced(v, b, ch, econ, discount):
-    """Action value of splitting power across both channels."""
-    v00, v01, v10, v11 = _corner_values(v, ch)
-    cont = (((1.0 - b.p1) * (1.0 - b.p2)) * v00 + (b.p1 * b.p2) * v11) + (
-        (b.p1 * (1.0 - b.p2)) * v10 + ((1.0 - b.p1) * b.p2) * v01
-    )
-    return (b.p1 + b.p2) * (econ.rl + econ.cl) - 2.0 * econ.cl + discount.beta * cont
+    def row(i):
+        r = rows.get(i)
+        if r is None:
+            r = rows[i] = v.values[i].tolist()
+        return r
 
+    def locate(q):
+        i = min(max(bisect_right(pts, q) - 1, 0), last)
+        return i, (q - pts[i]) / (pts[i + 1] - pts[i])
 
-def q_bet1(v, b, ch, econ, discount):
-    """Action value of putting all power on channel 1."""
-    t2 = propagate(b.p2, ch)
-    lam = np.array([ch.lambda0, ch.lambda1])
-    e = _tensor_interp(v.values, v.grid.points, lam, np.array([t2]))[:, 0]
-    cont = b.p1 * e[1] + (1.0 - b.p1) * e[0]
-    return (econ.rh + econ.ch) * b.p1 - econ.ch + discount.beta * cont
+    def interp(at_x, at_y):
+        (i, fx), (j, fy) = at_x, at_y
+        gx = 1.0 - fx
+        gy = 1.0 - fy
+        r0 = row(i)
+        r1 = row(i + 1)
+        out = (gx * gy) * r0[j]
+        out += (fx * fy) * r1[j + 1]
+        return out + ((gx * fy) * r0[j + 1] + (fx * gy) * r1[j])
 
+    l0 = locate(ch.lambda0)
+    l1 = locate(ch.lambda1)
+    v00, v01, v10, v11 = interp(l0, l0), interp(l0, l1), interp(l1, l0), interp(l1, l1)
+    beta = discount.beta
 
-def q_bet2(v, b, ch, econ, discount):
-    """Action value of putting all power on channel 2."""
-    t1 = propagate(b.p1, ch)
-    lam = np.array([ch.lambda0, ch.lambda1])
-    e = _tensor_interp(v.values, v.grid.points, np.array([t1]), lam)[0, :]
-    cont = b.p2 * e[1] + (1.0 - b.p2) * e[0]
-    return (econ.rh + econ.ch) * b.p2 - econ.ch + discount.beta * cont
+    def probe(p1, p2):
+        t1 = locate(propagate(p1, ch))
+        t2 = locate(propagate(p2, ch))
+        q_bb = (p1 + p2) * (econ.rl + econ.cl) - 2.0 * econ.cl + beta * (
+            (((1.0 - p1) * (1.0 - p2)) * v00 + (p1 * p2) * v11)
+            + ((p1 * (1.0 - p2)) * v10 + ((1.0 - p1) * p2) * v01)
+        )
+        q_b1 = (econ.rh + econ.ch) * p1 - econ.ch + beta * (
+            p1 * interp(l1, t2) + (1.0 - p1) * interp(l0, t2)
+        )
+        q_b2 = (econ.rh + econ.ch) * p2 - econ.ch + beta * (
+            p2 * interp(t1, l1) + (1.0 - p2) * interp(t1, l0)
+        )
+        return q_bb, q_b1, q_b2, beta * interp(t1, t2)
 
-
-def q_conservative(v, b, ch, discount):
-    """Action value of resting: no reward, beliefs drift toward stationary."""
-    nxt = Belief(propagate(b.p1, ch), propagate(b.p2, ch))
-    return discount.beta * interpolate(v, nxt)
+    return probe
 
 
 def action_value_grids(v, ch, econ, discount):

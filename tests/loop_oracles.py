@@ -1,10 +1,12 @@
 """Scalar and per-slot reference loops for the vectorised kernels, the
-table-driven Monte Carlo and the table-driven artifact writers.
+table-driven Monte Carlo, the table-driven artifact writers, the scalar
+Q probe and the vectorised contiguity check.
 
 These are the straightforward formulations: one dict per kernel row, a
 Monte Carlo step that carries float beliefs and recomputes every reward,
-and writers that format every point or slot on its own. Tests require the
-production code to match them bit for bit.
+writers that format every point or slot on its own, one Q function per
+action built on one-point numpy interpolation, and a per-line hole search.
+Tests require the production code to match them bit for bit.
 """
 
 import csv
@@ -14,11 +16,11 @@ import math
 import numpy as np
 
 from gepower import Action
-from gepower.dynamics import ACTION_PRIORITY, propagate_array
+from gepower.dynamics import ACTION_PRIORITY, Belief, propagate, propagate_array
 from gepower.lpmodel import TransitionKernel
-from gepower.policy import _PPM_COLORS, PolicyField
+from gepower.policy import _PPM_COLORS, ContiguityViolation, PolicyField
 from gepower.simulate import SimSummary, TraceBatch, _episode_uniforms
-from gepower.solver import _LAYOUT_NOTE, _locate
+from gepower.solver import _LAYOUT_NOTE, _locate, _tensor_interp, interpolate
 
 
 def _vertex_weights(points, coord):
@@ -287,3 +289,73 @@ def loop_traces_csv(batch, path):
                         repr(float(batch.cum_disc[e, t])),
                     ]
                 )
+
+
+def _corner_values(v, ch):
+    lam = np.array([ch.lambda0, ch.lambda1])
+    c = _tensor_interp(v.values, v.grid.points, lam, lam)
+    return c[0, 0], c[0, 1], c[1, 0], c[1, 1]
+
+
+def q_balanced(v, b, ch, econ, discount):
+    """Action value of splitting power across both channels."""
+    v00, v01, v10, v11 = _corner_values(v, ch)
+    cont = (((1.0 - b.p1) * (1.0 - b.p2)) * v00 + (b.p1 * b.p2) * v11) + (
+        (b.p1 * (1.0 - b.p2)) * v10 + ((1.0 - b.p1) * b.p2) * v01
+    )
+    return (b.p1 + b.p2) * (econ.rl + econ.cl) - 2.0 * econ.cl + discount.beta * cont
+
+
+def q_bet1(v, b, ch, econ, discount):
+    """Action value of putting all power on channel 1."""
+    t2 = propagate(b.p2, ch)
+    lam = np.array([ch.lambda0, ch.lambda1])
+    e = _tensor_interp(v.values, v.grid.points, lam, np.array([t2]))[:, 0]
+    cont = b.p1 * e[1] + (1.0 - b.p1) * e[0]
+    return (econ.rh + econ.ch) * b.p1 - econ.ch + discount.beta * cont
+
+
+def q_bet2(v, b, ch, econ, discount):
+    """Action value of putting all power on channel 2."""
+    t1 = propagate(b.p1, ch)
+    lam = np.array([ch.lambda0, ch.lambda1])
+    e = _tensor_interp(v.values, v.grid.points, np.array([t1]), lam)[0, :]
+    cont = b.p2 * e[1] + (1.0 - b.p2) * e[0]
+    return (econ.rh + econ.ch) * b.p2 - econ.ch + discount.beta * cont
+
+
+def q_conservative(v, b, ch, discount):
+    """Action value of resting: no reward, beliefs drift toward stationary."""
+    nxt = Belief(propagate(b.p1, ch), propagate(b.p2, ch))
+    return discount.beta * interpolate(v, nxt)
+
+
+def _first_hole(line):
+    hits = np.flatnonzero(line)
+    if hits.size < 2:
+        return None
+    inner = line[hits[0]:hits[-1] + 1]
+    holes = np.flatnonzero(~inner)
+    if holes.size == 0:
+        return None
+    start = int(hits[0] + holes[0])
+    end = start
+    while end + 1 < hits[-1] and not line[end + 1]:
+        end += 1
+    return (start, end)
+
+
+def loop_contiguity(p):
+    """check_contiguity as one hole search per lattice row and column."""
+    out = []
+    for k, a in enumerate(ACTION_PRIORITY):
+        m = p.best[:, :, k]
+        for i in range(p.grid.n):
+            gap = _first_hole(m[i, :])
+            if gap is not None:
+                out.append(ContiguityViolation(a, "along-p2", i, gap))
+        for j in range(p.grid.n):
+            gap = _first_hole(m[:, j])
+            if gap is not None:
+                out.append(ContiguityViolation(a, "along-p1", j, gap))
+    return out

@@ -46,9 +46,10 @@ from gepower.policy import (
     check_symmetry,
     _IDX,
 )
-from gepower.solver import action_value_grids, q_bet1
+from gepower.solver import action_value_grids
 
 from horizon_oracle import HorizonOracle
+from loop_oracles import q_bet1
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)

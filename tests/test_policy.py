@@ -27,7 +27,8 @@ from gepower.policy import (
     export_policy_ppm,
     _IDX,
 )
-from gepower.solver import q_balanced, q_bet1, q_bet2, q_conservative
+
+from loop_oracles import loop_contiguity, q_balanced, q_bet1, q_bet2, q_conservative
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -170,6 +171,33 @@ class TestDetectors:
         primary[0, 5] = _IDX[Action.BET1]   # deep on the wrong side
         bad = bet_dominance_violations(_policy_from_primary(primary))
         assert (Action.BET1, 0, 5) in bad
+
+
+def _random_policy(rng, n, density):
+    best = rng.uniform(size=(n, n, len(ACTION_PRIORITY))) < density
+    empty = ~best.any(axis=2)
+    best[empty, rng.integers(len(ACTION_PRIORITY), size=int(empty.sum()))] = True
+    return PolicyField(BeliefGrid(n), best, best.argmax(axis=2), 0.0)
+
+
+class TestContiguityMatchesLoop:
+    @pytest.mark.parametrize("n", [2, 3, 7, 22, 101])
+    def test_random_masks(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.05, 0.3, 0.5, 0.8, 0.97):
+            for _ in range(3 if n == 101 else 30):
+                p = _random_policy(rng, n, density)
+                assert check_contiguity(p) == loop_contiguity(p)
+
+    def test_tie_heavy_solved_policies(self, solved_a, solved_b):
+        found = 0
+        for v, econ in ((solved_a.field, ECON_A), (solved_b.field, EconParams(3.7, 2.0, 1.2, 0.8))):
+            for tie_tol in (None, 0.5):
+                p = extract_policy(v, CH, econ, DISC, tie_tol)
+                got = check_contiguity(p)
+                assert got == loop_contiguity(p)
+                found += len(got)
+        assert found > 0
 
 
 class TestConvergedFieldChecks:

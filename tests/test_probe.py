@@ -1,0 +1,125 @@
+"""The scalar Q probe behind every threshold bisection, bit for bit.
+
+On the lattice it must equal action_value_grids; off the lattice it must
+equal the one-point numpy Q functions it replaced (tests/loop_oracles.py).
+The pinned digests were taken from the code before the probe existed, so
+the thresholds it bisects leave every structure and sweep byte as it was.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from gepower import BeliefGrid, ChannelParams, Discount, EconParams, SolverConfig, ValueField, solve
+from gepower.cli import main
+from gepower.dynamics import ACTION_PRIORITY, Belief, propagate
+from gepower.solver import action_value_grids, q_probe
+
+from loop_oracles import q_balanced, q_bet1, q_bet2, q_conservative
+
+CH = ChannelParams(0.1, 0.9)
+ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
+ECON_B = EconParams(3.7, 2.0, 1.2, 0.8)
+
+
+def _fields(n, beta, ch, econ):
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(n, n))
+    solved = solve(SolverConfig(Discount(beta), 1e-6, 5000), ch, econ, BeliefGrid(n))
+    return {
+        "solved": solved.field,
+        "random": ValueField(BeliefGrid(n), vals),
+        "symmetric": ValueField(BeliefGrid(n), vals + vals.T),
+    }
+
+
+def _oracle(v, p1, p2, ch, econ, disc):
+    b = Belief(p1, p2)
+    return (
+        q_balanced(v, b, ch, econ, disc),
+        q_bet1(v, b, ch, econ, disc),
+        q_bet2(v, b, ch, econ, disc),
+        q_conservative(v, b, ch, disc),
+    )
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.99])
+@pytest.mark.parametrize("n", [2, 7, 22, 101])
+def test_equals_grids_on_lattice(n, beta):
+    disc = Discount(beta)
+    for name, v in _fields(n, beta, CH, ECON_B).items():
+        grids = action_value_grids(v, CH, ECON_B, disc)
+        expect = np.stack([grids[a] for a in ACTION_PRIORITY], axis=-1)
+        probe = q_probe(v, CH, ECON_B, disc)
+        x = v.grid.points.tolist()
+        got = np.array([[probe(p1, p2) for p2 in x] for p1 in x])
+        assert np.array_equal(got, expect), name
+
+
+def _exact_preimages(points, ch):
+    """Beliefs p whose propagated belief T(p) is exactly a lattice point."""
+    out = []
+    for y in points.tolist():
+        p = (y - ch.lambda0) / ch.alpha
+        for q in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+            if 0.0 < q < 1.0 and propagate(float(q), ch) == y:
+                out.append(float(q))
+                break
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.99])
+@pytest.mark.parametrize("n", [7, 22, 101])
+@pytest.mark.parametrize("lam", [(0.1, 0.9), (0.13, 0.77), (0.25, 1.0)])
+def test_equals_oracles_off_lattice(n, beta, lam):
+    ch = ChannelParams(*lam)
+    disc = Discount(beta)
+    econ = ECON_A
+    rng = np.random.default_rng(17 * n)
+    special = [0.0, 1.0, ch.lambda0, ch.lambda1]
+    preimages = _exact_preimages(BeliefGrid(n).points, ch)
+    assert len(preimages) >= 2
+    preimages = preimages[:: max(1, len(preimages) // 8)]
+    coords = special + preimages + rng.uniform(size=12).tolist()
+    for name, v in _fields(n, beta, ch, econ).items():
+        probe = q_probe(v, ch, econ, disc)
+        pairs = [(p1, p2) for p1 in coords for p2 in special + preimages[:3]]
+        pairs += [tuple(pair) for pair in rng.uniform(size=(40, 2)).tolist()]
+        for p1, p2 in pairs:
+            got = probe(p1, p2)
+            assert all(type(q) is float for q in got)
+            assert np.array_equal(got, _oracle(v, p1, p2, ch, econ, disc)), (name, p1, p2)
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    # sha256 of the files written before the bisections went through the
+    # probe; structure.json carries th1, th2, rho1 and rho2 and the
+    # contiguity list, solve_report.json the diagonal thresholds, and
+    # sweep.csv both kinds of diagonal.
+    @pytest.mark.parametrize(
+        "extra, structure, report",
+        [
+            ([], "e9ecb658a9b496338b4915d9ed147d6b4c1fbd2d9936157f854f3fd2e504f327",
+             "27ecf7d6294f44f30da413a13cc7974b7c559fa01269db897634ab04e1387a3a"),
+            (["--rh", "3.7"], "ae244d126d7882c55d17895fc08affba597aca9c4f5f20a82d01e8ea4ad97dda",
+             "37640e944b3c2bf1ea9e8888a11d71302a4809b16b281b33826bb3d265f00d00"),
+        ],
+        ids=["one-threshold", "two-threshold"],
+    )
+    def test_solve_and_analyze(self, tmp_path, extra, structure, report):
+        main(["solve", "--grid", "22", "--out", str(tmp_path)] + extra)
+        main(["analyze", str(tmp_path / "value.json"), "--out", str(tmp_path)])
+        assert _digest(tmp_path / "solve_report.json") == report
+        assert _digest(tmp_path / "structure.json") == structure
+
+    def test_sweep(self, tmp_path):
+        main(["sweep", "--grid", "22", "--param", "rh_over_rl", "--start", "1.05",
+              "--stop", "1.95", "--points", "4", "--out", str(tmp_path)])
+        assert _digest(tmp_path / "sweep.csv") == (
+            "70f33123620cd4679901462176652a21f33039868002e304854ef7c41d9e3747"
+        )

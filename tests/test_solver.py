@@ -17,10 +17,6 @@ from gepower import (
     immediate_reward,
     interpolate,
     load_value_field,
-    q_balanced,
-    q_bet1,
-    q_bet2,
-    q_conservative,
     save_value_field,
     solve,
 )
@@ -35,6 +31,7 @@ from gepower.solver import (
 )
 
 from horizon_oracle import HorizonOracle
+from loop_oracles import q_balanced, q_bet1, q_bet2, q_conservative
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
