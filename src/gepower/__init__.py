@@ -39,7 +39,6 @@ from .policy import (
 )
 from .simulate import (
     BASELINES,
-    EpisodeTrace,
     ObservationMismatch,
     SimConfig,
     SimSummary,

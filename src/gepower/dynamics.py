@@ -25,6 +25,7 @@ __all__ = [
     "propagate_array",
     "propagate_n",
     "immediate_reward",
+    "expected_rewards",
 ]
 
 # Absolute slack accepted on probabilities that went through text round-trips.
@@ -148,6 +149,14 @@ class Action(Enum):
 # Tie-break order whenever a single action must be rendered per point.
 ACTION_PRIORITY = (Action.BALANCED, Action.BET1, Action.BET2, Action.CONSERVATIVE)
 
+# Which channels an action powers (and therefore observes).
+USES_CHANNEL = {
+    Action.BALANCED: (True, True),
+    Action.BET1: (True, False),
+    Action.BET2: (False, True),
+    Action.CONSERVATIVE: (False, False),
+}
+
 
 def propagate(p, ch):
     """One-step belief update for an unobserved channel.
@@ -201,3 +210,19 @@ def immediate_reward(b, a, econ):
     if a is Action.CONSERVATIVE:
         return 0.0
     raise TypeError(f"not an Action: {a!r}")
+
+
+def expected_rewards(p1, p2, econ):
+    """Expected bits gained in one slot by every action, in ACTION_PRIORITY
+    order, at beliefs p1 and p2 (arrays that broadcast against each other).
+
+    The vectorised counterpart of immediate_reward: the Q grids, the LP
+    right-hand sides and the myopic baseline all read it.
+    """
+    full = econ.rh + econ.ch
+    return (
+        (p1 + p2) * (econ.rl + econ.cl) - 2.0 * econ.cl,
+        full * p1 - econ.ch,
+        full * p2 - econ.ch,
+        np.zeros(np.broadcast_shapes(np.shape(p1), np.shape(p2))),
+    )

@@ -7,11 +7,14 @@ carries the constraint
 
 where the next-state weights f_a spread each successor belief over its
 enclosing cell's vertices with the same bilinear weights the Bellman
-backups use. Minimizing sum_p V(p) subject to all constraints reproduces the
-discretized optimal values, so an external LP solver can cross-check the
-solver from the file alone. Solving is deliberately out of scope
-here; this module only builds kernels, writes the model, and parses the
-emitted subset back for verification.
+backups use. The kernels are the solver's own transition stencils
+(solver._Stencils.transitions), the ones its policy evaluations read, and
+g_a comes from the expected-reward table of the Q grids
+(dynamics.expected_rewards). Minimizing sum_p V(p) subject to all
+constraints reproduces the discretized optimal values, so an external LP
+solver can cross-check the solver from the file alone. Solving is
+deliberately out of scope here; this module only builds kernels, writes
+the model, and parses the emitted subset back for verification.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .dynamics import ACTION_PRIORITY, Action, propagate_array
-from .solver import _locate
+from .dynamics import ACTION_PRIORITY, Action, expected_rewards
+from .solver import _Stencils
 
 __all__ = [
     "TransitionKernel",
@@ -57,10 +60,6 @@ class TransitionKernel:
     cols: np.ndarray
     probs: np.ndarray
 
-    def row(self, p):
-        lo, hi = self.indptr[p], self.indptr[p + 1]
-        return self.cols[lo:hi], self.probs[lo:hi]
-
     def to_sparse(self):
         size = self.n * self.n
         return sparse.csr_matrix(
@@ -68,94 +67,38 @@ class TransitionKernel:
         )
 
 
-def _branches(grid, ch, action):
-    """Every point's successor beliefs and branch probabilities for one action.
-
-    Returns (sx, sy, prob), each of shape (n*n, branches): flat points in
-    row-major order, branches in a fixed order per action.
-    """
-    n = grid.n
-    x = grid.points
-    tx = propagate_array(x, ch)
-    l0, l1 = ch.lambda0, ch.lambda1
-    p1, p2 = np.repeat(x, n), np.tile(x, n)
-    t1, t2 = np.repeat(tx, n), np.tile(tx, n)
-    if action is Action.BALANCED:
-        sx = (l0, l1, l1, l0)
-        sy = (l0, l1, l0, l1)
-        prob = ((1.0 - p1) * (1.0 - p2), p1 * p2, p1 * (1.0 - p2), (1.0 - p1) * p2)
-    elif action is Action.BET1:
-        sx, sy, prob = (l1, l0), (t2, t2), (p1, 1.0 - p1)
-    elif action is Action.BET2:
-        sx, sy, prob = (t1, t1), (l1, l0), (p2, 1.0 - p2)
-    else:
-        sx, sy, prob = (t1,), (t2,), (1.0,)
-    return tuple(
-        np.stack([np.broadcast_to(c, (n * n,)) for c in cols], axis=1)
-        for cols in (sx, sy, prob)
-    )
-
-
-def build_kernel(grid, ch, action):
-    """Bilinear spread of the action's successor beliefs onto the lattice.
-
-    Each point emits its candidates branch by branch, then x-vertex, then
-    y-vertex, with weight prob * wx * wy. Zero weights are dropped, so a
-    successor that happens to sit on a lattice point occupies one slot, and
-    candidates landing on the same lattice point are summed left to right in
-    emission order.
-    """
-    n = grid.n
+def _kernel(st, action):
+    """The action's rows from the solver's stencils, all n*n points at once."""
+    n = st.points.size
     size = n * n
-    sx, sy, prob = _branches(grid, ch, action)
-    ix, fx = _locate(grid.points, sx)
-    iy, fy = _locate(grid.points, sy)
-    # Candidates indexed (point, branch, x-vertex, y-vertex), so raveling
-    # gives emission order.
-    wx = np.stack([1.0 - fx, fx], axis=-1)[:, :, :, None]
-    wy = np.stack([1.0 - fy, fy], axis=-1)[:, :, None, :]
-    vx = np.stack([ix, ix + 1], axis=-1)[:, :, :, None]
-    vy = np.stack([iy, iy + 1], axis=-1)[:, :, None, :]
-    w = (prob[:, :, None, None] * wx * wy).ravel()
-    row = np.repeat(np.arange(size, dtype=np.int64), w.size // size)
-    key = row * size + (vx * n + vy).ravel()
-    keep = w != 0.0
-    order = np.argsort(key[keep], kind="stable")
-    key, w = key[keep][order], w[keep][order]
-
-    first = np.empty(key.size, dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    probs = np.zeros(int(first.sum()))
-    np.add.at(probs, np.cumsum(first) - 1, w)
-    key = key[first]
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // size, minlength=size), out=indptr[1:])
-
+    indptr, cols, probs = st.transitions(np.arange(size), ACTION_PRIORITY.index(action))
     totals = np.add.reduceat(probs, indptr[:-1])
     bad = np.flatnonzero(np.abs(totals - 1.0) > _ROW_SUM_TOL)
     if bad.size:
         p = int(bad[0])
         raise AssertionError(f"kernel row {p} for {action.value} sums to {float(totals[p])!r}")
-    return TransitionKernel(action, n, indptr, key % size, probs)
+    return TransitionKernel(action, n, indptr, cols, probs)
+
+
+def build_kernel(grid, ch, action):
+    """Bilinear spread of the action's successor beliefs onto the lattice.
+
+    The rows are the solver's own transition stencils (see
+    solver._Stencils.transitions), so the exported model and the policy
+    evaluations read one encoding of the discretized dynamics.
+    """
+    return _kernel(_Stencils(grid, ch), action)
 
 
 def build_all_kernels(grid, ch):
-    return {a: build_kernel(grid, ch, a) for a in ACTION_PRIORITY}
+    st = _Stencils(grid, ch)
+    return {a: _kernel(st, a) for a in ACTION_PRIORITY}
 
 
 def reward_grid(grid, econ, action):
     """Immediate rewards of one action at every lattice point, as an n x n grid."""
-    x = grid.points
-    p1 = x[:, None]
-    p2 = x[None, :]
-    if action is Action.BET1:
-        return (econ.rh + econ.ch) * p1 - econ.ch + 0.0 * p2
-    if action is Action.BET2:
-        return (econ.rh + econ.ch) * p2 - econ.ch + 0.0 * p1
-    if action is Action.BALANCED:
-        return (p1 + p2) * (econ.rl + econ.cl) - 2.0 * econ.cl
-    return np.zeros((grid.n, grid.n))
+    p1, p2 = np.meshgrid(grid.points, grid.points, indexing="ij")
+    return expected_rewards(p1, p2, econ)[ACTION_PRIORITY.index(action)]
 
 
 def variable_name(n, flat):

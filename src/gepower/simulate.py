@@ -28,9 +28,11 @@ import numpy as np
 
 from .dynamics import (
     ACTION_PRIORITY,
+    USES_CHANNEL,
     Action,
     Belief,
     ParameterError,
+    expected_rewards,
     propagate,
     propagate_array,
 )
@@ -39,7 +41,6 @@ from .policy import PolicyField
 __all__ = [
     "BASELINES",
     "SimConfig",
-    "EpisodeTrace",
     "TraceBatch",
     "SimSummary",
     "ObservationMismatch",
@@ -52,14 +53,6 @@ __all__ = [
 ]
 
 BASELINES = ("myopic", "always-balanced", "always-conservative", "random-uniform")
-
-# Which channels an action powers (and therefore observes).
-USES_CHANNEL = {
-    Action.BALANCED: (True, True),
-    Action.BET1: (True, False),
-    Action.BET2: (False, True),
-    Action.CONSERVATIVE: (False, False),
-}
 
 
 # Episodes stepped at a time: one block's uniforms are ~10 MB at horizon 200.
@@ -124,29 +117,14 @@ def update_belief(b, a, obs, ch):
 
 
 @dataclass(frozen=True, eq=False)
-class EpisodeTrace:
-    """Per-slot record of one episode."""
-
-    states: np.ndarray     # (horizon, 2) true good/bad states
-    beliefs: np.ndarray    # (horizon, 2) belief before acting
-    actions: np.ndarray    # (horizon,) indices into ACTION_PRIORITY
-    rewards: np.ndarray    # (horizon,) realized bits
-    cum_disc: np.ndarray   # (horizon,) running discounted total
-
-
-@dataclass(frozen=True, eq=False)
 class TraceBatch:
-    states: np.ndarray
-    beliefs: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    cum_disc: np.ndarray
+    """Per-slot records of all episodes, episode index first."""
 
-    def episode(self, k):
-        return EpisodeTrace(
-            self.states[k], self.beliefs[k], self.actions[k],
-            self.rewards[k], self.cum_disc[k],
-        )
+    states: np.ndarray     # (episodes, horizon, 2) true good/bad states
+    beliefs: np.ndarray    # (episodes, horizon, 2) belief before acting
+    actions: np.ndarray    # (episodes, horizon) indices into ACTION_PRIORITY
+    rewards: np.ndarray    # (episodes, horizon) realized bits
+    cum_disc: np.ndarray   # (episodes, horizon) running discounted total
 
 
 @dataclass(frozen=True)
@@ -236,17 +214,8 @@ def _action_rule(policy, tab, econ):
         return lambda c1, c2, u: np.minimum((u * 4).astype(np.intp), 3)
     if policy == "myopic":
         def myopic(c1, c2, u):
-            b1, b2 = tab[0][c1], tab[1][c2]
             # Columns in priority order, so argmax tie-breaks like `primary`.
-            g = np.stack(
-                [
-                    (b1 + b2) * (econ.rl + econ.cl) - 2.0 * econ.cl,
-                    b1 * (econ.rh + econ.ch) - econ.ch,
-                    b2 * (econ.rh + econ.ch) - econ.ch,
-                    np.zeros(b1.size),
-                ],
-                axis=1,
-            )
+            g = np.stack(expected_rewards(tab[0][c1], tab[1][c2], econ), axis=1)
             return g.argmax(axis=1)
         return myopic
     raise ParameterError(f"unknown policy {policy!r}; baselines: {', '.join(BASELINES)}")

@@ -21,11 +21,13 @@ from scipy import sparse
 
 from .dynamics import (
     ACTION_PRIORITY,
+    USES_CHANNEL,
     Action,
     ChannelParams,
     Discount,
     EconParams,
     ParameterError,
+    expected_rewards,
     propagate,
     propagate_array,
 )
@@ -42,7 +44,6 @@ __all__ = [
     "action_value_grids",
     "bellman_backup",
     "solve",
-    "value_bounds",
     "save_value_field",
     "load_value_field",
 ]
@@ -258,17 +259,15 @@ def action_value_grids(v, ch, econ, discount):
 
     p1 = x[:, None]
     p2 = x[None, :]
+    g_bb, g_b1, g_b2, _ = expected_rewards(p1, p2, econ)
 
-    q_bb = (p1 + p2) * (econ.rl + econ.cl) - 2.0 * econ.cl + beta * (
+    q_bb = g_bb + beta * (
         (((1.0 - p1) * (1.0 - p2)) * v00 + (p1 * p2) * v11)
         + ((p1 * (1.0 - p2)) * v10 + ((1.0 - p1) * p2) * v01)
     )
-    q_b1 = (econ.rh + econ.ch) * p1 - econ.ch + beta * (
-        p1 * row[1][None, :] + (1.0 - p1) * row[0][None, :]
-    )
-    q_b2 = (econ.rh + econ.ch) * p2 - econ.ch + beta * (
-        p2 * col[:, 1][:, None] + (1.0 - p2) * col[:, 0][:, None]
-    )
+    q_b1 = g_b1 + beta * (p1 * row[1][None, :] + (1.0 - p1) * row[0][None, :])
+    q_b2 = g_b2 + beta * (p2 * col[:, 1][:, None] + (1.0 - p2) * col[:, 0][:, None])
+    # Resting earns nothing; adding a zero reward could only flip -0.0.
     q_br = beta * rest
 
     return {
@@ -330,20 +329,46 @@ def _improve(v, incumbent, ch, econ, discount):
     return policy, best
 
 
+# A point's 16 transition candidates in emission order: branch pair (x
+# branch, y branch) as 00, 11, 10, 01, then x-vertex, then y-vertex. Slot
+# 2 * branch + vertex picks one of a coordinate's four stencil slots.
+_PAIRS = ((0, 0), (1, 1), (1, 0), (0, 1))
+_SLOT_X = np.array([2 * bx + vx for bx, _ in _PAIRS for vx in (0, 1) for _ in (0, 1)])
+_SLOT_Y = np.array([2 * by + vy for _, by in _PAIRS for _ in (0, 1) for vy in (0, 1)])
+
+# Per action index: whether it observes the first and the second channel.
+_OBSERVES = np.array([USES_CHANNEL[a] for a in ACTION_PRIORITY], dtype=np.intp)
+
+
 class _Stencils:
     """Per-coordinate interpolation stencils of the successor beliefs.
 
-    An observed coordinate moves to lambda1 with probability p and to
-    lambda0 otherwise: four lattice slots `obs` with weights from `obs_frac`.
-    An unobserved one drifts to T(x_i): slots lo[i] and lo[i] + 1 with
-    weights 1 - frac[i] and frac[i].
+    An observed coordinate branches to lambda0 with probability 1 - p and
+    to lambda1 with probability p, each spread over the lattice slots `obs`
+    of its cell. An unobserved one drifts to T(x_i): slots lo[i] and
+    lo[i] + 1 with weights 1 - frac[i] and frac[i], plus a branch of
+    probability zero. `slots` holds the (probability, lattice index,
+    weight) tables of these four slots, indexed [observed, lattice index,
+    slot] with observed 0 for a drifting coordinate.
     """
 
     def __init__(self, grid, ch):
-        self.points = grid.points
-        idx, self.obs_frac = _locate(self.points, np.array([ch.lambda0, ch.lambda1]))
+        self.points = p = grid.points
+        n = p.size
+        idx, (f0, f1) = _locate(p, np.array([ch.lambda0, ch.lambda1]))
         self.obs = np.array([idx[0], idx[0] + 1, idx[1], idx[1] + 1])
-        self.lo, self.frac = _locate(self.points, propagate_array(self.points, ch))
+        self.lo, f = _locate(p, propagate_array(p, ch))
+        drift = (
+            np.broadcast_to([1.0, 1.0, 0.0, 0.0], (n, 4)),
+            self.lo[:, None] + np.array([0, 1, 0, 1]),
+            np.stack([1.0 - f, f, 1.0 - f, f], 1),
+        )
+        observed = (
+            np.stack([1.0 - p, 1.0 - p, p, p], 1),
+            np.broadcast_to(self.obs, (n, 4)),
+            np.broadcast_to([1.0 - f0, f0, 1.0 - f1, f1], (n, 4)),
+        )
+        self.slots = [np.stack(rows) for rows in zip(drift, observed)]
 
     def drift_image(self, used):
         """Lattice indices read by the drift stencils of the flagged indices."""
@@ -364,17 +389,44 @@ class _Stencils:
                 mask[np.ix_(t + a, t + b)] |= hit
         return mask
 
-    def axis(self, idx, observed):
-        """Four (index, weight) slots per point along one coordinate."""
-        p = self.points[idx][:, None]
-        f0, f1 = self.obs_frac
-        obs_w = np.hstack([(1.0 - p) * (1.0 - f0), (1.0 - p) * f0, p * (1.0 - f1), p * f1])
-        f = self.frac[idx]
-        zero = np.zeros_like(f)
-        drift_w = np.stack([1.0 - f, f, zero, zero], axis=1)
-        drift_i = self.lo[idx][:, None] + np.array([0, 1, 0, 1])
-        observed = observed[:, None]
-        return np.where(observed, self.obs, drift_i), np.where(observed, obs_w, drift_w)
+    def transitions(self, flat, k):
+        """Transition rows of the flat lattice points under action indices k.
+
+        k holds one index into ACTION_PRIORITY per point, or one for all.
+        Each point emits its 16 candidates (see _PAIRS) with weight
+        ((prob1 * prob2) * wx) * wy; zero weights are dropped, and
+        candidates landing on one lattice point are summed in emission
+        order. Returns CSR arrays (indptr, cols, probs) whose columns are
+        flat lattice indices, increasing within a row.
+        """
+        n = self.points.size
+        size = n * n
+        i, j = np.divmod(flat, n)
+        sx, sy = _OBSERVES[k].T
+        # Per-candidate tables of both coordinates; they are 2n rows each.
+        (px, ix, wx), (py, iy, wy) = (
+            [t[:, :, c] for t in self.slots] for c in (_SLOT_X, _SLOT_Y)
+        )
+        w = px[sx, i] * py[sy, j]
+        w *= wx[sx, i]
+        w *= wy[sy, j]
+        keep = w != 0.0
+        rows = np.nonzero(keep)[0]
+        key = ix[sx, i] * n
+        key += iy[sy, j]
+        key = key[keep] + rows * size
+        # The sort is stable, so candidates on one point stay in emission
+        # order.
+        order = np.argsort(key, kind="stable")
+        key, w = key[order], w[keep][order]
+        head = np.empty(key.size, dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        probs = np.zeros(int(head.sum()))
+        np.add.at(probs, np.cumsum(head) - 1, w)
+        indptr = np.zeros(flat.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[head], minlength=flat.size), out=indptr[1:])
+        return indptr, key[head] - rows[head] * size, probs
 
 
 def _support(policy, st):
@@ -394,17 +446,9 @@ def _support(policy, st):
 
 def _restricted_kernel(support, policy, st):
     """P_policy restricted to its closed support, as a CSR matrix."""
-    n = st.points.size
+    indptr, cols, probs = st.transitions(support, policy.ravel()[support])
     m = support.size
-    i, j = np.divmod(support, n)
-    k = policy.ravel()[support]
-    both = k == _K[Action.BALANCED]
-    i1, w1 = st.axis(i, both | (k == _K[Action.BET1]))
-    i2, w2 = st.axis(j, both | (k == _K[Action.BET2]))
-    cols = np.searchsorted(support, (i1[:, :, None] * n + i2[:, None, :]).ravel())
-    probs = (w1[:, :, None] * w2[:, None, :]).ravel()
-    rows = np.repeat(np.arange(m), 16)
-    return sparse.csr_matrix((probs, (rows, cols)), shape=(m, m))
+    return sparse.csr_matrix((probs, np.searchsorted(support, cols), indptr), shape=(m, m))
 
 
 def _evaluate(kernel, gain, beta, max_steps):
@@ -490,13 +534,6 @@ def _certify(v, iteration, steps, cfg, ch, econ):
         raise RuntimeError(f"solved field has negative values (min {nxt.values.min():.3e})")
     beta = cfg.discount.beta
     return SolveResult(nxt, iteration, residual, beta / (1.0 - beta) * residual, steps)
-
-
-def value_bounds(econ, discount):
-    """Coarse analytic bounds from the extreme per-slot rewards."""
-    worst = -2.0 * econ.cl
-    best = max(econ.rh, 2.0 * econ.rl)
-    return worst / (1.0 - discount.beta), best / (1.0 - discount.beta)
 
 
 _LAYOUT_NOTE = (

@@ -13,7 +13,7 @@ from gepower import (
     propagate,
     propagate_n,
 )
-from gepower.dynamics import propagate_array
+from gepower.dynamics import ACTION_PRIORITY, expected_rewards, propagate_array
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -160,3 +160,18 @@ class TestImmediateReward:
                 for a in (Action.BALANCED, Action.BET2, Action.CONSERVATIVE)
             )
             assert g1 < others
+
+    @given(p1=_prob, p2=_prob)
+    def test_vectorised_table_equals_scalar_definition(self, p1, p2):
+        # expected_rewards serves the Q grids, the LP and the myopic
+        # baseline; immediate_reward stays the independent definition.
+        got = expected_rewards(np.array([p1]), np.array([p2]), ECON)
+        for a, g in zip(ACTION_PRIORITY, got):
+            assert g.shape == (1,)
+            assert g[0] == immediate_reward(Belief(p1, p2), a, ECON)
+
+    def test_table_broadcasts(self):
+        x = np.linspace(0.0, 1.0, 5)
+        got = expected_rewards(x[:, None], x[None, :], ECON)
+        assert [g.shape for g in got] == [(5, 5), (5, 1), (1, 5), (5, 5)]
+        assert not got[3].any()

@@ -23,6 +23,12 @@ ECON = EconParams(3.0, 2.0, 1.2, 0.8)
 DISC = Discount(0.9)
 
 
+def _row(kernel, p):
+    """Successor columns and probabilities of flat lattice point p."""
+    lo, hi = kernel.indptr[p], kernel.indptr[p + 1]
+    return kernel.cols[lo:hi], kernel.probs[lo:hi]
+
+
 class TestKernels:
     @pytest.mark.parametrize("action", list(Action))
     def test_rows_are_distributions(self, action):
@@ -30,7 +36,7 @@ class TestKernels:
         kernel = build_kernel(grid, CH, action)
         size = grid.n ** 2
         for p in range(size):
-            cols, probs = kernel.row(p)
+            cols, probs = _row(kernel, p)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert (probs > 0.0).all()
             assert (np.diff(cols) > 0).all()
@@ -55,7 +61,7 @@ class TestKernels:
         grid = BeliefGrid(11)
         kernel = build_kernel(grid, CH, Action.CONSERVATIVE)
         # p = (0, 0) propagates to (0.1, 0.1), on-lattice for n=11
-        cols, probs = kernel.row(0)
+        cols, probs = _row(kernel, 0)
         assert len(cols) == 1
         assert probs[0] == 1.0
         assert cols[0] == 1 * grid.n + 1
@@ -64,7 +70,7 @@ class TestKernels:
         grid = BeliefGrid(11)
         kernel = build_kernel(grid, CH, Action.BALANCED)
         p = grid.n ** 2 - 1   # belief (1, 1)
-        cols, probs = kernel.row(p)
+        cols, probs = _row(kernel, p)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
         # single successor (0.9, 0.9), on-lattice
         assert list(cols) == [9 * grid.n + 9]
@@ -89,8 +95,14 @@ class TestKernels:
 
 
 class TestKernelOracle:
-    @pytest.mark.parametrize("lam", [(0.1, 0.9), (0.13, 0.77), (0.0, 0.6)])
-    @pytest.mark.parametrize("n", [2, 11, 22, 37])
+    # (0.3, 0.35) puts lambda0 and lambda1 in one lattice cell, so up to
+    # four balanced candidates land on one point and the summation order
+    # shows; (0.25, 1.0) puts lambda1 = T(1) on the last lattice point,
+    # where the clipped cell search leaves a zero-weight vertex to drop.
+    @pytest.mark.parametrize(
+        "lam", [(0.1, 0.9), (0.13, 0.77), (0.0, 0.6), (0.3, 0.35), (0.25, 1.0)]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 5, 11, 22, 37])
     def test_matches_dict_accumulation_loop(self, n, lam):
         grid = BeliefGrid(n)
         ch = ChannelParams(*lam)
@@ -157,7 +169,7 @@ class TestExport:
                 assert con.name == f"{a.value}_{p // n}_{p % n}"
                 assert con.sense == ">="
                 assert con.rhs == rewards[a][p]
-                cols, probs = kernels[a].row(p)
+                cols, probs = _row(kernels[a], p)
                 expect = {p: 1.0}
                 for y, f in zip(cols, probs):
                     y = int(y)

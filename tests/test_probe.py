@@ -100,14 +100,17 @@ class TestPinnedBytes:
     # sha256 of the files written before the bisections went through the
     # probe; structure.json carries th1, th2, rho1 and rho2 and the
     # contiguity list, solve_report.json the diagonal thresholds, and
-    # sweep.csv both kinds of diagonal.
+    # sweep.csv both kinds of diagonal. The n=22 solves were re-pinned when
+    # the solver's transition weights took the LP kernels' association
+    # ((prob1 * prob2) * wx) * wy: lambda is off the lattice there, so
+    # evaluation_steps and the th*_residual trailing digits moved.
     @pytest.mark.parametrize(
         "extra, structure, report",
         [
-            ([], "e9ecb658a9b496338b4915d9ed147d6b4c1fbd2d9936157f854f3fd2e504f327",
-             "27ecf7d6294f44f30da413a13cc7974b7c559fa01269db897634ab04e1387a3a"),
-            (["--rh", "3.7"], "ae244d126d7882c55d17895fc08affba597aca9c4f5f20a82d01e8ea4ad97dda",
-             "37640e944b3c2bf1ea9e8888a11d71302a4809b16b281b33826bb3d265f00d00"),
+            ([], "a1d379d1185a441449869c8cf80aa36c11b64f0d228a8e4d7447202d140703b8",
+             "a03a98d506c40b583704967dd7cf5678e452f73d88d21af2eb0dc7832b1ad719"),
+            (["--rh", "3.7"], "67f8b0cdb9867b29ca180bf8dd9909231b6d11be037c13efe36bdd9df38c9d2b",
+             "0a54f3fdcf2113bda05011d7f24f83410c60551ff97a0fe3bc0b64081cd42ec4"),
         ],
         ids=["one-threshold", "two-threshold"],
     )

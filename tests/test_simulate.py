@@ -159,10 +159,9 @@ class TestRunEpisodes:
             ECON.rl - ECON.cl,
         }
         for e in range(50):
-            tr = batch.episode(e)
             for t in range(30):
-                r = tr.rewards[t]
-                a = tr.actions[t]
+                r = batch.rewards[e, t]
+                a = batch.actions[e, t]
                 if a == rest:
                     assert r == 0.0
                 elif a in (b1, b2):

@@ -27,7 +27,6 @@ from gepower.solver import (
     _Stencils,
     _support,
     action_value_grids,
-    value_bounds,
 )
 
 from horizon_oracle import HorizonOracle
@@ -36,6 +35,13 @@ from loop_oracles import q_balanced, q_bet1, q_bet2, q_conservative
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
 DISC = Discount(0.9)
+
+
+def _value_bounds(econ, discount):
+    """Coarse analytic bounds from the extreme per-slot rewards."""
+    worst = -2.0 * econ.cl
+    best = max(econ.rh, 2.0 * econ.rl)
+    return worst / (1.0 - discount.beta), best / (1.0 - discount.beta)
 
 
 def _iterate_backups(grid, discount, tol):
@@ -279,7 +285,7 @@ class TestSolve:
         assert np.max(np.abs(v - v.T)) == 0.0
 
     def test_values_nonnegative_and_bounded(self, solved_a):
-        lo, hi = value_bounds(ECON, DISC)
+        lo, hi = _value_bounds(ECON, DISC)
         v = solved_a.field.values
         assert v.min() >= 0.0
         assert v.max() <= hi
@@ -347,8 +353,8 @@ class TestSolve:
 
 class TestPolicyEvaluation:
     def test_support_is_closed_and_kernel_matches_lattice_kernels(self):
-        # Against the per-point loop kernels of the LP export, for a random
-        # policy on a grid where lambda0 and lambda1 fall between points.
+        # Against the LP export's kernels, for a random policy on a grid
+        # where lambda0 and lambda1 fall between points.
         grid = BeliefGrid(22)
         policy = np.random.default_rng(2).integers(0, 4, size=(22, 22)).astype(np.int8)
         st = _Stencils(grid, CH)
@@ -358,7 +364,22 @@ class TestPolicyEvaluation:
         outside = np.setdiff1d(np.arange(22 * 22), support)
         assert not rows[:, outside].any()
         restricted = _restricted_kernel(support, policy, st).toarray()
-        np.testing.assert_allclose(restricted, rows[support][:, support], rtol=0, atol=1e-15)
+        assert np.array_equal(restricted, rows[support][:, support])
+
+    @pytest.mark.parametrize("lam", [(0.1, 0.9), (0.3, 0.35)])
+    @pytest.mark.parametrize("n", [2, 11, 22, 37])
+    def test_constant_policy_kernel_is_the_lp_kernel(self, n, lam):
+        grid = BeliefGrid(n)
+        ch = ChannelParams(*lam)
+        st = _Stencils(grid, ch)
+        everywhere = np.arange(n * n)
+        for k, action in enumerate(ACTION_PRIORITY):
+            policy = np.full((n, n), k, dtype=np.int8)
+            got = _restricted_kernel(everywhere, policy, st)
+            ref = build_kernel(grid, ch, action)
+            assert np.array_equal(got.indptr, ref.indptr), action
+            assert np.array_equal(got.indices, ref.cols), action
+            assert np.array_equal(got.data, ref.probs), action
 
 
 class TestSerialization:

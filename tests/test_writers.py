@@ -109,7 +109,12 @@ class TestValueWriter:
 
 
 class TestPinnedBytes:
-    """sha256 of the n=7 econ A files, from the per-point writers."""
+    """sha256 of the n=7 econ A files, from the per-point writers.
+
+    lambda = (0.1, 0.9) falls between the n=7 lattice points, so value.json
+    also pins the solver's transition weights ((prob1 * prob2) * wx) * wy;
+    re-pinned when the solver took that association from the LP kernels.
+    """
 
     @pytest.fixture(scope="class")
     def solved_7(self):
@@ -119,7 +124,7 @@ class TestPinnedBytes:
         path = tmp_path / "value.json"
         save_value_field(path, solved_7, CH, ECON_A, DISC)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "f1d8930076f87ecf922182d0b0c1acd863aad417603c682cd63420cc3d73eb13"
+            "c2ef678371d405413d71b35129ff6259b603bfd5f0caeb36ffd51122c70d134c"
         )
 
     def test_policy_ppm(self, solved_7, tmp_path):
