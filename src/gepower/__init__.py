@@ -18,14 +18,12 @@ from .dynamics import (
     ParameterError,
     immediate_reward,
     propagate,
-    propagate_n,
 )
-from .lpmodel import TransitionKernel, build_all_kernels, build_kernel, export_lp, parse_lp
+from .lpmodel import build_all_kernels, export_lp, parse_lp
 from .policy import (
     DiagonalStructure,
     EdgeThresholds,
     PolicyField,
-    RegionMap,
     StructureReport,
     analyze_structure,
     check_connectivity,
@@ -39,12 +37,9 @@ from .policy import (
 )
 from .simulate import (
     BASELINES,
-    ObservationMismatch,
     SimConfig,
     SimSummary,
     run_episodes,
-    step_channels,
-    update_belief,
 )
 from .solver import (
     BeliefGrid,

@@ -204,10 +204,7 @@ def cmd_sweep(args):
             result = solve(
                 SolverConfig(discount, point["tol"], int(point["max_iter"])), ch, econ, grid
             )
-        except ParameterError as exc:
-            print(f"skipping {args.param}={value:g}: {exc}", file=sys.stderr)
-            continue
-        except NonConvergence as exc:
+        except (ParameterError, NonConvergence) as exc:
             print(f"skipping {args.param}={value:g}: {exc}", file=sys.stderr)
             continue
         policy = extract_policy(result.field, ch, econ, discount)

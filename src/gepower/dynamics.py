@@ -23,7 +23,6 @@ __all__ = [
     "ACTION_PRIORITY",
     "propagate",
     "propagate_array",
-    "propagate_n",
     "immediate_reward",
     "expected_rewards",
 ]
@@ -178,25 +177,6 @@ def propagate_array(p, ch):
     out[p == 0.0] = ch.lambda0
     out[p == 1.0] = ch.lambda1
     return out
-
-
-def propagate_n(p, n, ch):
-    """n-fold belief propagation in closed form.
-
-    Agrees with composing propagate n times to rounding accuracy and
-    converges to the stationary belief as n grows.
-    """
-    if n < 0:
-        raise ValueError(f"n >= 0 violated: n={n!r}")
-    if n == 0:
-        return float(p)
-    a = ch.alpha
-    if a >= 1.0:
-        # lambda0=0, lambda1=1: beliefs never move.
-        return float(p)
-    an = a ** n
-    out = ch.stationary_belief * (1.0 - an) + an * p
-    return min(max(out, 0.0), 1.0)
 
 
 def immediate_reward(b, a, econ):

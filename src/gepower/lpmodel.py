@@ -7,10 +7,10 @@ carries the constraint
 
 where the next-state weights f_a spread each successor belief over its
 enclosing cell's vertices with the same bilinear weights the Bellman
-backups use. The kernels are the solver's own transition stencils
-(solver._Stencils.transitions), the ones its policy evaluations read, and
-g_a comes from the expected-reward table of the Q grids
-(dynamics.expected_rewards). Minimizing sum_p V(p) subject to all
+backups use. The kernels are scipy CSR matrices of the solver's own
+transition stencils (solver._Stencils.transitions), the ones its policy
+evaluations read, and g_a comes from the expected-reward table of the Q
+grids (dynamics.expected_rewards). Minimizing sum_p V(p) subject to all
 constraints reproduces the discretized optimal values, so an external LP
 solver can cross-check the solver from the file alone. Solving is
 deliberately out of scope here; this module only builds kernels, writes
@@ -25,14 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .dynamics import ACTION_PRIORITY, Action, expected_rewards
+from .dynamics import ACTION_PRIORITY, expected_rewards
 from .solver import _Stencils
 
 __all__ = [
-    "TransitionKernel",
     "LpConstraint",
     "LpModel",
-    "build_kernel",
     "build_all_kernels",
     "reward_grid",
     "export_lp",
@@ -45,54 +43,27 @@ _ROW_SUM_TOL = 1e-12
 _TERMS_PER_LINE = 6
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionKernel:
-    """Sparse next-state distribution over lattice points for one action.
-
-    CSR-style storage: row p (flat, row-major) holds successors
-    cols[indptr[p]:indptr[p+1]] with probabilities probs[...]. Rows sum to
-    one and column indices are strictly increasing within a row.
-    """
-
-    action: Action
-    n: int
-    indptr: np.ndarray
-    cols: np.ndarray
-    probs: np.ndarray
-
-    def to_sparse(self):
-        size = self.n * self.n
-        return sparse.csr_matrix(
-            (self.probs, self.cols, self.indptr), shape=(size, size)
-        )
-
-
-def _kernel(st, action):
-    """The action's rows from the solver's stencils, all n*n points at once."""
-    n = st.points.size
-    size = n * n
-    indptr, cols, probs = st.transitions(np.arange(size), ACTION_PRIORITY.index(action))
-    totals = np.add.reduceat(probs, indptr[:-1])
-    bad = np.flatnonzero(np.abs(totals - 1.0) > _ROW_SUM_TOL)
-    if bad.size:
-        p = int(bad[0])
-        raise AssertionError(f"kernel row {p} for {action.value} sums to {float(totals[p])!r}")
-    return TransitionKernel(action, n, indptr, cols, probs)
-
-
-def build_kernel(grid, ch, action):
-    """Bilinear spread of the action's successor beliefs onto the lattice.
+def build_all_kernels(grid, ch):
+    """Per action, the bilinear spread of its successor beliefs onto the
+    lattice: an (n*n, n*n) CSR matrix over flat row-major lattice indices.
 
     The rows are the solver's own transition stencils (see
     solver._Stencils.transitions), so the exported model and the policy
     evaluations read one encoding of the discretized dynamics.
     """
-    return _kernel(_Stencils(grid, ch), action)
-
-
-def build_all_kernels(grid, ch):
     st = _Stencils(grid, ch)
-    return {a: _kernel(st, a) for a in ACTION_PRIORITY}
+    size = grid.n * grid.n
+    flat = np.arange(size)
+    kernels = {}
+    for k, action in enumerate(ACTION_PRIORITY):
+        indptr, cols, probs = st.transitions(flat, k)
+        totals = np.add.reduceat(probs, indptr[:-1])
+        bad = np.flatnonzero(np.abs(totals - 1.0) > _ROW_SUM_TOL)
+        if bad.size:
+            p = int(bad[0])
+            raise AssertionError(f"kernel row {p} for {action.value} sums to {float(totals[p])!r}")
+        kernels[action] = sparse.csr_matrix((probs, cols, indptr), shape=(size, size))
+    return kernels
 
 
 def reward_grid(grid, econ, action):
@@ -117,30 +88,6 @@ def _write_terms(fh, head, terms, per_line=_TERMS_PER_LINE):
         fh.write(" " + " ".join(chunks[start:start + per_line]) + "\n")
 
 
-def _constraint_rows(kernel, beta):
-    """CSR rows (indptr, cols, coefs) of I - beta * K, zeros dropped.
-
-    The diagonal is 1.0 - beta*f (1.0 where the kernel has no self loop)
-    and every other entry 0.0 - beta*f, the sums the per-row definition
-    V(p) - beta * sum_y f(p, y) V(y) gives.
-    """
-    size = kernel.n * kernel.n
-    rows = np.repeat(np.arange(size), np.diff(kernel.indptr))
-    diag = kernel.cols == rows
-    coefs = np.where(diag, 1.0, 0.0) - beta * kernel.probs
-    lone = np.ones(size, dtype=bool)
-    lone[rows[diag]] = False
-    extra = np.flatnonzero(lone)
-    rows = np.concatenate([rows, extra])
-    cols = np.concatenate([kernel.cols, extra])
-    coefs = np.concatenate([coefs, np.ones(extra.size)])
-    keep = coefs != 0.0
-    order = np.lexsort((cols[keep], rows[keep]))
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=size), out=indptr[1:])
-    return indptr, cols[keep][order], coefs[keep][order]
-
-
 def _line_ends(indptr):
     """Per CSR entry: whether a term line ends after it."""
     nnz = int(indptr[-1])
@@ -161,10 +108,14 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
     n = grid.n
     size = n * n
     beta = discount.beta
-    rows = [_constraint_rows(kernels[a], beta) for a in ACTION_PRIORITY]
-    ends = [_line_ends(indptr) for indptr, _, _ in rows]
+    # Constraint rows I - beta * K: the diagonal is 1.0 - beta*f (1.0 where
+    # the kernel has no self loop), every other entry 0.0 - beta*f, and
+    # scipy drops the entries that come out zero.
+    eye = sparse.identity(size, format="csr")
+    rows = [eye - beta * kernels[a] for a in ACTION_PRIORITY]
+    ends = [_line_ends(m.indptr) for m in rows]
     rewards = [reward_grid(grid, econ, a).ravel() for a in ACTION_PRIORITY]
-    distinct = np.unique(np.concatenate([coefs for _, _, coefs in rows] + rewards))
+    distinct = np.unique(np.concatenate([m.data for m in rows] + rewards))
     text = {c: _fmt(c) for c in distinct.tolist()}
     names = [variable_name(n, p) for p in range(size)]
     labels = [a.value for a in ACTION_PRIORITY]
@@ -183,7 +134,8 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
         for i in range(n):
             first, stop = i * n, (i + 1) * n
             blocks = []
-            for (indptr, cols, coefs), end, g in zip(rows, ends, rewards):
+            for m, end, g in zip(rows, ends, rewards):
+                indptr, cols, coefs = m.indptr, m.indices, m.data
                 lo, hi = indptr[first], indptr[stop]
                 terms = [
                     f" {text[c]} {names[y]}\n" if e else f" {text[c]} {names[y]}"
@@ -310,6 +262,6 @@ def feasibility_gap(values_flat, kernels, econ, discount, grid):
     worst = -np.inf
     for a in ACTION_PRIORITY:
         g = reward_grid(grid, econ, a).ravel()
-        q = g + discount.beta * (kernels[a].to_sparse() @ values_flat)
+        q = g + discount.beta * (kernels[a] @ values_flat)
         worst = max(worst, float(np.max(q - values_flat)))
     return worst

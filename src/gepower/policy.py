@@ -12,7 +12,7 @@ one- or two-threshold structure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -22,7 +22,6 @@ from .solver import _tensor_interp, action_value_grids, q_probe
 
 __all__ = [
     "PolicyField",
-    "RegionMap",
     "ContiguityViolation",
     "ConnectivityReport",
     "EdgeThresholds",
@@ -109,29 +108,18 @@ def extract_policy(v, ch, econ, discount, tie_tol=None):
     return PolicyField(v.grid, best, primary, float(tie_tol))
 
 
-@dataclass(frozen=True, eq=False)
-class RegionMap:
-    """Per-action decision regions and their normalized areas.
+def region_map(p):
+    """Normalized area of every action's decision region.
 
     Ties are split fractionally: a point carrying k tied actions adds 1/k
     to each of their areas, so the areas sum to one.
     """
-
-    masks: dict
-    areas: dict
-
-
-def region_map(p):
     share = 1.0 / p.best.sum(axis=2)
     total = float(p.grid.n * p.grid.n)
-    masks = {}
-    areas = {}
-    for k, a in enumerate(ACTION_PRIORITY):
-        mask = p.best[:, :, k].copy()
-        mask.setflags(write=False)
-        masks[a] = mask
-        areas[a] = float((share * p.best[:, :, k]).sum() / total)
-    return RegionMap(masks, areas)
+    return {
+        a: float((share * p.best[:, :, k]).sum() / total)
+        for k, a in enumerate(ACTION_PRIORITY)
+    }
 
 
 @dataclass(frozen=True)
@@ -234,7 +222,11 @@ def delta_funcs(v, p, ch):
     return float(d0), float(d1)
 
 
-def _bisect(f, lo, hi, xtol=1e-10):
+# Bracket width at which every threshold bisection stops.
+_XTOL = 1e-10
+
+
+def _bisect(f, lo, hi):
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -243,7 +235,7 @@ def _bisect(f, lo, hi, xtol=1e-10):
         return hi
     if (flo < 0.0) == (fhi < 0.0):
         return None
-    while hi - lo > xtol:
+    while hi - lo > _XTOL:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -283,10 +275,10 @@ class EdgeThresholds:
     notes: tuple
 
 
-def edge_thresholds(v, ch, econ, discount, xtol=1e-10):
+def edge_thresholds(v, ch, econ, discount):
     notes = []
     q = q_probe(v, ch, econ, discount)
-    th1 = _bisect(_q_gap(q, Action.BET2, Action.CONSERVATIVE, 0.0), 0.0, 1.0, xtol)
+    th1 = _bisect(_q_gap(q, Action.BET2, Action.CONSERVATIVE, 0.0), 0.0, 1.0)
     th1_res = None
     if th1 is None:
         notes.append("edge p1=0 has no conservative/bet2 crossing")
@@ -294,7 +286,7 @@ def edge_thresholds(v, ch, econ, discount, xtol=1e-10):
         d0, _ = delta_funcs(v, th1, ch)
         th1_res = th1 * (econ.rh + econ.ch) - econ.ch + discount.beta * d0
 
-    th2 = _bisect(_q_gap(q, Action.BALANCED, Action.BET1, 1.0), 0.0, 1.0, xtol)
+    th2 = _bisect(_q_gap(q, Action.BALANCED, Action.BET1, 1.0), 0.0, 1.0)
     th2_res = None
     if th2 is None:
         notes.append("edge p1=1 has no bet1/balanced crossing")
@@ -344,7 +336,7 @@ def _run_compress(labels):
     return " ".join(f"{name}*{count}" for name, count in runs)
 
 
-def diagonal_structure(v, policy, ch, econ, discount, xtol=1e-10):
+def diagonal_structure(v, policy, ch, econ, discount):
     """Classify the diagonal action sequence and bisect its thresholds.
 
     Conservative-then-balanced yields one threshold (the rest/balanced
@@ -380,14 +372,14 @@ def diagonal_structure(v, policy, ch, econ, discount, xtol=1e-10):
             bal, bet1, _, rest = q(y, y)
             margins.append(bet1 - max(bal, rest))
         y_star = float(x[np.flatnonzero(strict_bet)[int(np.argmax(margins))]])
-        rho1 = _bisect(_q_gap(q, Action.BET1, Action.CONSERVATIVE), 0.0, y_star, xtol)
-        rho2 = _bisect(_q_gap(q, Action.BET1, Action.BALANCED), y_star, 1.0, xtol)
+        rho1 = _bisect(_q_gap(q, Action.BET1, Action.CONSERVATIVE), 0.0, y_star)
+        rho2 = _bisect(_q_gap(q, Action.BET1, Action.BALANCED), y_star, 1.0)
         if ordered and rho1 is not None and rho2 is not None and 0.0 < rho1 < rho2 < 1.0:
             return DiagonalStructure(TWO_THRESHOLD, float(rho1), float(rho2), seq)
         return DiagonalStructure(OTHER, rho1, rho2, seq)
 
     ordered = _is_prefix(in_rest) and _is_suffix(in_bal)
-    rho1 = _bisect(_q_gap(q, Action.BALANCED, Action.CONSERVATIVE), 0.0, 1.0, xtol)
+    rho1 = _bisect(_q_gap(q, Action.BALANCED, Action.CONSERVATIVE), 0.0, 1.0)
     if ordered and rho1 is not None and 0.0 < rho1 < 1.0:
         return DiagonalStructure(ONE_THRESHOLD, float(rho1), None, seq)
     return DiagonalStructure(OTHER, rho1, None, seq)
@@ -405,27 +397,25 @@ class StructureReport:
     contiguity_violations: list
     connectivity: dict
     bet_dominance: list
-    flags: dict = field(default=None)
 
-    def __post_init__(self):
-        if self.flags is None:
-            connected = all(
-                r.components == 1 and r.anchor_present
-                for r in self.connectivity.values()
-            )
-            flags = {
-                "corners_ok": all(c["ok"] for c in self.corners.values()),
-                "symmetry_ok": not self.symmetry_violations,
-                "contiguity_ok": not self.contiguity_violations,
-                "connectivity_ok": connected,
-                "bet_dominance_ok": not self.bet_dominance,
-            }
-            object.__setattr__(self, "flags", flags)
+    @property
+    def flags(self):
+        connected = all(
+            r.components == 1 and r.anchor_present
+            for r in self.connectivity.values()
+        )
+        return {
+            "corners_ok": all(c["ok"] for c in self.corners.values()),
+            "symmetry_ok": not self.symmetry_violations,
+            "contiguity_ok": not self.contiguity_violations,
+            "connectivity_ok": connected,
+            "bet_dominance_ok": not self.bet_dominance,
+        }
 
 
 def analyze_structure(v, policy, ch, econ, discount):
     """Run every structural check against a converged field and its policy."""
-    regions = region_map(policy)
+    areas = region_map(policy)
     n = v.grid.n
 
     corners = {}
@@ -447,7 +437,7 @@ def analyze_structure(v, policy, ch, econ, discount):
         corners=corners,
         edges=edge_thresholds(v, ch, econ, discount),
         diagonal=diagonal_structure(v, policy, ch, econ, discount),
-        areas={a.value: regions.areas[a] for a in ACTION_PRIORITY},
+        areas={a.value: areas[a] for a in ACTION_PRIORITY},
         symmetry_violations=check_symmetry(policy),
         contiguity_violations=check_contiguity(policy),
         connectivity=check_connectivity(policy),

@@ -33,7 +33,6 @@ from .dynamics import (
     Belief,
     ParameterError,
     expected_rewards,
-    propagate,
     propagate_array,
 )
 from .policy import PolicyField
@@ -43,9 +42,6 @@ __all__ = [
     "SimConfig",
     "TraceBatch",
     "SimSummary",
-    "ObservationMismatch",
-    "step_channels",
-    "update_belief",
     "run_episodes",
     "summary_to_dict",
     "save_summary",
@@ -59,23 +55,14 @@ BASELINES = ("myopic", "always-balanced", "always-conservative", "random-uniform
 EPISODE_BLOCK = 2048
 
 
-class ObservationMismatch(ValueError):
-    """Observations must exist exactly for the channels the action used."""
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """Episode count, horizon, master seed, and the common starting point.
-
-    initial_states overrides the default draw of the true states from the
-    initial belief; it exists for debugging, not for estimation.
-    """
+    """Episode count, horizon, master seed, and the common starting point."""
 
     episodes: int
     horizon: int
     seed: int
     initial_belief: Belief
-    initial_states: tuple | None = None
 
     def __post_init__(self):
         if self.episodes < 1:
@@ -84,36 +71,6 @@ class SimConfig:
             raise ParameterError(f"horizon >= 1 violated: {self.horizon!r}")
         if self.seed < 0:
             raise ParameterError(f"seed >= 0 violated: {self.seed!r}")
-        if self.initial_states is not None:
-            g1, g2 = self.initial_states
-            if g1 not in (0, 1) or g2 not in (0, 1):
-                raise ParameterError("initial_states entries must be 0 or 1")
-
-
-def step_channels(states, ch, rng):
-    """Advance both true states one slot, independently per channel."""
-    out = []
-    for g in states:
-        p_good = ch.lambda1 if g else ch.lambda0
-        out.append(int(rng.random() < p_good))
-    return tuple(out)
-
-
-def update_belief(b, a, obs, ch):
-    """Next-slot belief from what action a revealed.
-
-    obs is a pair; entry i must be the revealed state (0/1) when the action
-    used channel i and None when it did not.
-    """
-    used = USES_CHANNEL[a]
-    for k in (0, 1):
-        if used[k] and obs[k] is None:
-            raise ObservationMismatch(f"channel {k + 1} was used but not observed")
-        if not used[k] and obs[k] is not None:
-            raise ObservationMismatch(f"channel {k + 1} was not used but has an observation")
-    p1 = (ch.lambda1 if obs[0] else ch.lambda0) if used[0] else propagate(b.p1, ch)
-    p2 = (ch.lambda1 if obs[1] else ch.lambda0) if used[1] else propagate(b.p2, ch)
-    return Belief(p1, p2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,12 +211,8 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     for lo in range(0, E, EPISODE_BLOCK):
         hi = min(lo + EPISODE_BLOCK, E)
         u = _episode_uniforms(cfg.seed, hi - lo, H, first=lo)
-        if cfg.initial_states is None:
-            g1 = (u[:, 0] < b0.p1).astype(np.intp)
-            g2 = (u[:, 1] < b0.p2).astype(np.intp)
-        else:
-            g1 = np.full(hi - lo, cfg.initial_states[0], dtype=np.intp)
-            g2 = np.full(hi - lo, cfg.initial_states[1], dtype=np.intp)
+        g1 = (u[:, 0] < b0.p1).astype(np.intp)
+        g2 = (u[:, 1] < b0.p2).astype(np.intp)
         c1 = np.full(hi - lo, start, dtype=np.intp)
         c2 = np.full(hi - lo, start, dtype=np.intp)
         acc = total[lo:hi]

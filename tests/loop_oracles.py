@@ -14,10 +14,10 @@ import json
 import math
 
 import numpy as np
+from scipy import sparse
 
 from gepower import Action
 from gepower.dynamics import ACTION_PRIORITY, Belief, propagate, propagate_array
-from gepower.lpmodel import TransitionKernel
 from gepower.policy import _PPM_COLORS, ContiguityViolation, PolicyField
 from gepower.simulate import SimSummary, TraceBatch, _episode_uniforms
 from gepower.solver import _LAYOUT_NOTE, _locate, _tensor_interp, interpolate
@@ -55,7 +55,8 @@ def _successors(grid, ch, action):
 
 
 def loop_kernel(grid, ch, action):
-    """build_kernel as one dict accumulation per lattice point."""
+    """The action's build_all_kernels matrix as one dict accumulation per
+    lattice point."""
     n = grid.n
     indptr = np.zeros(n * n + 1, dtype=np.int64)
     all_cols = []
@@ -78,12 +79,13 @@ def loop_kernel(grid, ch, action):
         all_cols.extend(cols)
         all_probs.extend(acc[c] for c in cols)
         indptr[p + 1] = len(all_cols)
-    return TransitionKernel(
-        action,
-        n,
-        indptr,
-        np.asarray(all_cols, dtype=np.int64),
-        np.asarray(all_probs, dtype=np.float64),
+    return sparse.csr_matrix(
+        (
+            np.asarray(all_probs, dtype=np.float64),
+            np.asarray(all_cols, dtype=np.int64),
+            indptr,
+        ),
+        shape=(n * n, n * n),
     )
 
 
@@ -120,10 +122,7 @@ def loop_episodes(policy, cfg, ch, econ, discount, value_scale=None):
     u = _episode_uniforms(cfg.seed, E, H)
 
     b0 = cfg.initial_belief
-    if cfg.initial_states is None:
-        states = (u[:, 0:2] < np.array([b0.p1, b0.p2])).astype(np.int8)
-    else:
-        states = np.tile(np.array(cfg.initial_states, dtype=np.int8), (E, 1))
+    states = (u[:, 0:2] < np.array([b0.p1, b0.p2])).astype(np.int8)
     beliefs = np.tile(np.array([b0.p1, b0.p2]), (E, 1))
 
     total = np.zeros(E)

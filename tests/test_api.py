@@ -10,21 +10,19 @@ from gepower import dynamics, lpmodel, policy, simulate, solver
 PACKAGE = {
     "ACTION_PRIORITY", "Action", "BASELINES", "Belief", "BeliefGrid", "ChannelParams",
     "DiagonalStructure", "Discount", "EconParams", "EdgeThresholds", "NonConvergence",
-    "ObservationMismatch", "ParameterError", "PolicyField", "RegionMap", "SimConfig",
-    "SimSummary", "SolveResult", "SolverConfig", "StructureReport", "TransitionKernel",
-    "ValueField", "analyze_structure", "bellman_backup", "build_all_kernels", "build_kernel",
-    "check_connectivity", "check_contiguity", "check_symmetry", "delta_funcs",
-    "diagonal_structure", "edge_thresholds", "export_lp", "extract_policy",
+    "ParameterError", "PolicyField", "SimConfig", "SimSummary", "SolveResult",
+    "SolverConfig", "StructureReport", "ValueField", "analyze_structure", "bellman_backup",
+    "build_all_kernels", "check_connectivity", "check_contiguity", "check_symmetry",
+    "delta_funcs", "diagonal_structure", "edge_thresholds", "export_lp", "extract_policy",
     "immediate_reward", "interpolate", "load_value_field", "parse_lp", "propagate",
-    "propagate_n", "region_map", "run_episodes", "save_value_field", "solve",
-    "step_channels", "update_belief",
+    "region_map", "run_episodes", "save_value_field", "solve",
 }
 
 MODULES = {
     dynamics: {
         "ParameterError", "ChannelParams", "EconParams", "Discount", "Belief", "Action",
-        "ACTION_PRIORITY", "propagate", "propagate_array", "propagate_n",
-        "immediate_reward", "expected_rewards",
+        "ACTION_PRIORITY", "propagate", "propagate_array", "immediate_reward",
+        "expected_rewards",
     },
     solver: {
         "BeliefGrid", "ValueField", "SolverConfig", "SolveResult", "NonConvergence",
@@ -32,11 +30,11 @@ MODULES = {
         "solve", "save_value_field", "load_value_field",
     },
     lpmodel: {
-        "TransitionKernel", "LpConstraint", "LpModel", "build_kernel", "build_all_kernels",
-        "reward_grid", "export_lp", "parse_lp", "feasibility_gap", "variable_name",
+        "LpConstraint", "LpModel", "build_all_kernels", "reward_grid", "export_lp",
+        "parse_lp", "feasibility_gap", "variable_name",
     },
     policy: {
-        "PolicyField", "RegionMap", "ContiguityViolation", "ConnectivityReport",
+        "PolicyField", "ContiguityViolation", "ConnectivityReport",
         "EdgeThresholds", "DiagonalStructure", "StructureReport", "ANCHOR_CORNERS",
         "extract_policy", "region_map", "check_contiguity", "check_symmetry",
         "check_connectivity", "bet_dominance_violations", "delta_funcs", "edge_thresholds",
@@ -44,9 +42,8 @@ MODULES = {
         "save_structure_report", "export_policy_csv", "export_policy_ppm",
     },
     simulate: {
-        "BASELINES", "SimConfig", "TraceBatch", "SimSummary", "ObservationMismatch",
-        "step_channels", "update_belief", "run_episodes", "summary_to_dict", "save_summary",
-        "write_traces_csv",
+        "BASELINES", "SimConfig", "TraceBatch", "SimSummary", "run_episodes",
+        "summary_to_dict", "save_summary", "write_traces_csv",
     },
 }
 

@@ -11,7 +11,6 @@ from gepower import (
     ParameterError,
     immediate_reward,
     propagate,
-    propagate_n,
 )
 from gepower.dynamics import ACTION_PRIORITY, expected_rewards, propagate_array
 
@@ -100,6 +99,22 @@ class TestPropagate:
         out = propagate_array(p, CH)
         for k, v in enumerate(p):
             assert out[k] == propagate(float(v), CH)
+
+
+def propagate_n(p, n, ch):
+    """n-fold belief propagation in closed form, an oracle for iterated
+    propagate: pi + alpha^n (p - pi), with pi the stationary belief."""
+    if n < 0:
+        raise ValueError(f"n >= 0 violated: n={n!r}")
+    if n == 0:
+        return float(p)
+    a = ch.alpha
+    if a >= 1.0:
+        # lambda0=0, lambda1=1: beliefs never move.
+        return float(p)
+    an = a ** n
+    out = ch.stationary_belief * (1.0 - an) + an * p
+    return min(max(out, 0.0), 1.0)
 
 
 class TestPropagateN:

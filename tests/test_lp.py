@@ -11,7 +11,6 @@ from gepower import (
     Discount,
     EconParams,
     build_all_kernels,
-    build_kernel,
     export_lp,
     parse_lp,
 )
@@ -26,14 +25,14 @@ DISC = Discount(0.9)
 def _row(kernel, p):
     """Successor columns and probabilities of flat lattice point p."""
     lo, hi = kernel.indptr[p], kernel.indptr[p + 1]
-    return kernel.cols[lo:hi], kernel.probs[lo:hi]
+    return kernel.indices[lo:hi], kernel.data[lo:hi]
 
 
 class TestKernels:
     @pytest.mark.parametrize("action", list(Action))
     def test_rows_are_distributions(self, action):
         grid = BeliefGrid(21)
-        kernel = build_kernel(grid, CH, action)
+        kernel = build_all_kernels(grid, CH)[action]
         size = grid.n ** 2
         for p in range(size):
             cols, probs = _row(kernel, p)
@@ -49,8 +48,9 @@ class TestKernels:
             Action.BET2: 8,
             Action.CONSERVATIVE: 4,
         }
+        kernels = build_all_kernels(grid, CH)
         for action, cap in limits.items():
-            kernel = build_kernel(grid, CH, action)
+            kernel = kernels[action]
             widths = np.diff(kernel.indptr)
             assert widths.max() <= cap
 
@@ -59,7 +59,7 @@ class TestKernels:
         # lattice point whose propagated belief is also on-lattice has a
         # one-point row
         grid = BeliefGrid(11)
-        kernel = build_kernel(grid, CH, Action.CONSERVATIVE)
+        kernel = build_all_kernels(grid, CH)[Action.CONSERVATIVE]
         # p = (0, 0) propagates to (0.1, 0.1), on-lattice for n=11
         cols, probs = _row(kernel, 0)
         assert len(cols) == 1
@@ -68,7 +68,7 @@ class TestKernels:
 
     def test_balanced_from_certainty_hits_one_successor(self):
         grid = BeliefGrid(11)
-        kernel = build_kernel(grid, CH, Action.BALANCED)
+        kernel = build_all_kernels(grid, CH)[Action.BALANCED]
         p = grid.n ** 2 - 1   # belief (1, 1)
         cols, probs = _row(kernel, p)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
@@ -84,10 +84,10 @@ class TestKernels:
         v = solved_a_51.field
         flat = v.values.ravel()
         grids = action_value_grids(v, CH, ECON, DISC)
+        kernels = build_all_kernels(grid, CH)
         for action in Action:
-            kernel = build_kernel(grid, CH, action)
             q_kernel = reward_grid(grid, ECON, action).ravel() + DISC.beta * (
-                kernel.to_sparse() @ flat
+                kernels[action] @ flat
             )
             np.testing.assert_allclose(
                 q_kernel, grids[action].ravel(), rtol=1e-12, atol=1e-12
@@ -106,10 +106,12 @@ class TestKernelOracle:
     def test_matches_dict_accumulation_loop(self, n, lam):
         grid = BeliefGrid(n)
         ch = ChannelParams(*lam)
+        kernels = build_all_kernels(grid, ch)
         for action in ACTION_PRIORITY:
-            got = build_kernel(grid, ch, action)
+            got = kernels[action]
             ref = loop_kernel(grid, ch, action)
-            for name in ("indptr", "cols", "probs"):
+            assert got.shape == ref.shape == (n * n, n * n), action
+            for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(ref, name)
                 assert a.dtype == b.dtype, (action, name)
                 assert np.array_equal(a, b), (action, name)
@@ -123,8 +125,9 @@ class TestExport:
         [
             (7, (0.1, 0.9), "4f11fc27941f72fb9830f221fc24efd77ef2d68ca23ec2edd0991fffba9915f8"),
             (22, (0.13, 0.77), "9a37b34397ed06bb3405d398c243c6643bc7783f341d592affc6897e68ab0378"),
+            (5, (0.3, 0.35), "76fc5f727ebb9fdcc9d4d559f368ad18c389b54b4f7e9039647e493929609446"),
         ],
-        ids=["n7", "n22-off-lattice"],
+        ids=["n7", "n22-off-lattice", "n5-one-cell"],
     )
     def test_pinned_bytes(self, tmp_path, n, lam, digest):
         grid = BeliefGrid(n)
@@ -152,10 +155,15 @@ class TestExport:
         export_lp(p2, grid, kernels, ECON, DISC)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_round_trip_reproduces_coefficients_exactly(self, tmp_path):
+    # (0.3, 0.35) sends both observed branches into neighbouring cells
+    # that share a vertex, so candidates on one point are summed; (0.25,
+    # 1.0) puts lambda1 on the last lattice point, leaving a zero-weight
+    # vertex to drop.
+    @pytest.mark.parametrize("lam", [(0.1, 0.9), (0.3, 0.35), (0.25, 1.0)])
+    def test_round_trip_reproduces_coefficients_exactly(self, tmp_path, lam):
         grid = BeliefGrid(7)
         n = grid.n
-        kernels = build_all_kernels(grid, CH)
+        kernels = build_all_kernels(grid, ChannelParams(*lam))
         path = tmp_path / "model.lp"
         export_lp(path, grid, kernels, ECON, DISC)
         model = parse_lp(path)

@@ -78,25 +78,23 @@ class TestExtractPolicy:
 
 class TestRegionMap:
     def test_areas_sum_to_one(self, policy_a):
-        regions = region_map(policy_a)
-        assert sum(regions.areas.values()) == pytest.approx(1.0, abs=1e-12)
+        areas = region_map(policy_a)
+        assert sum(areas.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_four_regions_present(self, policy_a):
-        regions = region_map(policy_a)
+        areas = region_map(policy_a)
         for a in Action:
-            assert regions.areas[a] > 0.0
+            assert areas[a] > 0.0
 
     def test_bet_regions_have_equal_area(self, policy_a):
-        regions = region_map(policy_a)
-        assert regions.areas[Action.BET1] == pytest.approx(
-            regions.areas[Action.BET2], abs=1e-12
-        )
+        areas = region_map(policy_a)
+        assert areas[Action.BET1] == pytest.approx(areas[Action.BET2], abs=1e-12)
 
     def test_single_action_field(self):
         primary = np.full((5, 5), _IDX[Action.CONSERVATIVE], dtype=np.int8)
-        regions = region_map(_policy_from_primary(primary))
-        assert regions.areas[Action.CONSERVATIVE] == 1.0
-        assert regions.areas[Action.BALANCED] == 0.0
+        areas = region_map(_policy_from_primary(primary))
+        assert areas[Action.CONSERVATIVE] == 1.0
+        assert areas[Action.BALANCED] == 0.0
 
     def test_tie_counted_fractionally(self):
         n = 3
@@ -104,9 +102,9 @@ class TestRegionMap:
         best[:, :, _IDX[Action.CONSERVATIVE]] = True
         best[0, 0, :] = True  # four-way tie at one point
         primary = best.argmax(axis=2).astype(np.int8)
-        regions = region_map(PolicyField(BeliefGrid(n), best, primary, 0.0))
-        assert regions.areas[Action.BALANCED] == pytest.approx(0.25 / 9)
-        assert sum(regions.areas.values()) == pytest.approx(1.0, abs=1e-12)
+        areas = region_map(PolicyField(BeliefGrid(n), best, primary, 0.0))
+        assert areas[Action.BALANCED] == pytest.approx(0.25 / 9)
+        assert sum(areas.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDetectors:

@@ -11,12 +11,9 @@ from gepower import (
     ChannelParams,
     Discount,
     EconParams,
-    ObservationMismatch,
     SimConfig,
     immediate_reward,
     run_episodes,
-    step_channels,
-    update_belief,
 )
 from gepower.dynamics import ACTION_PRIORITY, ParameterError
 from gepower.simulate import (
@@ -33,14 +30,6 @@ DISC = Discount(0.9)
 
 
 class TestStepChannels:
-    def test_absorbing_limits(self):
-        rng = np.random.default_rng(0)
-        sticky = ChannelParams(0.3, 1.0)
-        assert step_channels((1, 1), sticky, rng) == (1, 1)
-        dead = ChannelParams(0.0, 0.4)
-        for _ in range(20):
-            assert step_channels((0, 0), dead, rng)[0] == 0
-
     def test_empirical_transition_frequencies(self):
         # one long vectorized draw per originating state; 3-sigma binomial bands
         rng = np.random.default_rng(123)
@@ -50,41 +39,6 @@ class TestStepChannels:
         for hat, p in ((from_good.mean(), CH.lambda1), (from_bad.mean(), CH.lambda0)):
             sigma = math.sqrt(p * (1 - p) / steps)
             assert abs(hat - p) <= 3 * sigma
-
-    def test_scalar_interface_frequencies(self):
-        rng = np.random.default_rng(7)
-        n = 20000
-        good = 0
-        for _ in range(n):
-            good += step_channels((1, 0), CH, rng)[0]
-        sigma = math.sqrt(CH.lambda1 * (1 - CH.lambda1) / n)
-        assert abs(good / n - CH.lambda1) <= 4 * sigma
-
-
-class TestUpdateBelief:
-    def test_balanced_updates_both(self):
-        b = update_belief(Belief(0.4, 0.6), Action.BALANCED, (1, 1), CH)
-        assert (b.p1, b.p2) == (0.9, 0.9)
-        b = update_belief(Belief(0.4, 0.6), Action.BALANCED, (0, 1), CH)
-        assert (b.p1, b.p2) == (0.1, 0.9)
-
-    def test_conservative_propagates_both(self):
-        b = update_belief(Belief(0.5, 0.0), Action.CONSERVATIVE, (None, None), CH)
-        assert b.p1 == pytest.approx(0.5)
-        assert b.p2 == 0.1
-
-    def test_bet1_mixes_observation_and_propagation(self):
-        b = update_belief(Belief(0.4, 0.5), Action.BET1, (0, None), CH)
-        assert b.p1 == 0.1
-        assert b.p2 == pytest.approx(0.5)
-
-    def test_mismatched_observations_rejected(self):
-        with pytest.raises(ObservationMismatch):
-            update_belief(Belief(0.4, 0.5), Action.BET1, (None, None), CH)
-        with pytest.raises(ObservationMismatch):
-            update_belief(Belief(0.4, 0.5), Action.BET1, (1, 1), CH)
-        with pytest.raises(ObservationMismatch):
-            update_belief(Belief(0.4, 0.5), Action.CONSERVATIVE, (1, None), CH)
 
 
 class TestRunEpisodes:
@@ -169,17 +123,6 @@ class TestRunEpisodes:
                 else:
                     assert r in half
 
-    def test_fixed_initial_states(self):
-        cfg = SimConfig(
-            episodes=64,
-            horizon=3,
-            seed=2,
-            initial_belief=Belief(0.5, 0.5),
-            initial_states=(1, 1),
-        )
-        _, batch = run_episodes("always-balanced", cfg, CH, ECON, DISC, collect_traces=True)
-        assert (batch.states[:, 0, :] == 1).all()
-
     def test_unknown_baseline_rejected(self):
         cfg = SimConfig(episodes=10, horizon=5, seed=0, initial_belief=Belief(0.5, 0.5))
         with pytest.raises(ParameterError, match="unknown policy"):
@@ -230,16 +173,6 @@ class TestLoopOracle:
             got, want = getattr(batch, field), getattr(ref_batch, field)
             assert got.dtype == want.dtype, field
             np.testing.assert_array_equal(got, want, err_msg=field)
-
-    def test_fixed_initial_states_match_loop(self):
-        cfg = SimConfig(
-            episodes=300, horizon=15, seed=4, initial_belief=Belief(0.2, 0.9),
-            initial_states=(0, 1),
-        )
-        summary, batch = run_episodes("myopic", cfg, CH, ECON, DISC, collect_traces=True)
-        ref_summary, ref_batch = loop_episodes("myopic", cfg, CH, ECON, DISC)
-        assert summary == ref_summary
-        np.testing.assert_array_equal(batch.cum_disc, ref_batch.cum_disc)
 
     @pytest.mark.parametrize("k", [100, EPISODE_BLOCK + 5])
     def test_prefix_of_larger_run(self, k, policy_a):

@@ -21,7 +21,7 @@ from gepower import (
     solve,
 )
 from gepower.dynamics import ACTION_PRIORITY
-from gepower.lpmodel import build_kernel
+from gepower.lpmodel import build_all_kernels
 from gepower.solver import (
     _restricted_kernel,
     _Stencils,
@@ -359,7 +359,7 @@ class TestPolicyEvaluation:
         policy = np.random.default_rng(2).integers(0, 4, size=(22, 22)).astype(np.int8)
         st = _Stencils(grid, CH)
         support = _support(policy, st)
-        full = {a: build_kernel(grid, CH, a).to_sparse().toarray() for a in ACTION_PRIORITY}
+        full = {a: k.toarray() for a, k in build_all_kernels(grid, CH).items()}
         rows = np.stack([full[ACTION_PRIORITY[k]][p] for p, k in enumerate(policy.ravel())])
         outside = np.setdiff1d(np.arange(22 * 22), support)
         assert not rows[:, outside].any()
@@ -373,13 +373,14 @@ class TestPolicyEvaluation:
         ch = ChannelParams(*lam)
         st = _Stencils(grid, ch)
         everywhere = np.arange(n * n)
+        kernels = build_all_kernels(grid, ch)
         for k, action in enumerate(ACTION_PRIORITY):
             policy = np.full((n, n), k, dtype=np.int8)
             got = _restricted_kernel(everywhere, policy, st)
-            ref = build_kernel(grid, ch, action)
+            ref = kernels[action]
             assert np.array_equal(got.indptr, ref.indptr), action
-            assert np.array_equal(got.indices, ref.cols), action
-            assert np.array_equal(got.data, ref.probs), action
+            assert np.array_equal(got.indices, ref.indices), action
+            assert np.array_equal(got.data, ref.data), action
 
 
 class TestSerialization:
