@@ -54,6 +54,7 @@ DEFAULTS = {
     "seed": 0,
     "episodes": 10000,
     "horizon": 200,
+    "out": ".",
 }
 
 SWEEP_PARAMS = (
@@ -70,17 +71,22 @@ def _add_param_flags(sp):
         help="cap on policy improvements before the solve fails with exit 3",
     )
     sp.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
-    sp.add_argument("--out", type=str, default=".", help="output directory")
+    sp.add_argument(
+        "--out", type=str, default=None, help="output directory; default the config's out, else ."
+    )
 
 
 def _coerce(key, value):
     """A config-file value as the type of its default, or ParameterError."""
     kind = type(DEFAULTS[key])
-    try:
-        out = kind(value)
-        ok = not isinstance(value, bool) and (kind is float or out == float(value))
-    except (TypeError, ValueError, OverflowError):
-        ok = False
+    if kind is str:
+        ok, out = isinstance(value, str), value
+    else:
+        try:
+            out = kind(value)
+            ok = not isinstance(value, bool) and (kind is float or out == float(value))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
     if not ok:
         raise ParameterError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
     return out
@@ -89,14 +95,14 @@ def _coerce(key, value):
 def _merge_config(args):
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ParameterError("config file must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULTS) - {"out"}
+        unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update({k: _coerce(k, v) for k, v in loaded.items() if k in DEFAULTS})
+        cfg.update({k: _coerce(k, v) for k, v in loaded.items()})
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
@@ -111,8 +117,8 @@ def _params(cfg):
     return ch, econ, discount
 
 
-def _outdir(args):
-    out = Path(args.out)
+def _outdir(path):
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -122,7 +128,7 @@ def cmd_solve(args):
     ch, econ, discount = _params(cfg)
     grid = BeliefGrid(int(cfg["grid"]))
     result = solve(SolverConfig(discount, cfg["tol"], int(cfg["max_iter"])), ch, econ, grid)
-    out = _outdir(args)
+    out = _outdir(cfg["out"])
     save_value_field(out / "value.json", result, ch, econ, discount)
     policy = extract_policy(result.field, ch, econ, discount)
     diag = diagonal_structure(result.field, policy, ch, econ, discount)
@@ -151,7 +157,7 @@ def cmd_solve(args):
 
 def cmd_analyze(args):
     result, ch, econ, discount = load_value_field(args.value_file)
-    out = _outdir(args)
+    out = _outdir(args.out)
     policy = extract_policy(result.field, ch, econ, discount, args.tie_tol)
     export_policy_csv(policy, out / "policy.csv")
     export_policy_ppm(policy, out / "policy.ppm")
@@ -194,7 +200,7 @@ def cmd_sweep(args):
     points = args.points
     if points is None:
         points = 8 if args.param.startswith("lambda") else 10
-    out = _outdir(args)
+    out = _outdir(cfg["out"])
     rows = []
     for value in _sweep_values(args.start, args.stop, points):
         point = _sweep_point_config(cfg, args.param, value)
@@ -262,7 +268,7 @@ def cmd_simulate(args):
         seed=int(cfg["seed"]),
         initial_belief=Belief(args.p1, args.p2),
     )
-    out = _outdir(args)
+    out = _outdir(cfg["out"])
     if args.dump_traces:
         summary, batch = run_episodes(
             policy, sim_cfg, ch, econ, discount, value_scale, collect_traces=True
@@ -283,7 +289,7 @@ def cmd_export_lp(args):
     ch, econ, discount = _params(cfg)
     grid = BeliefGrid(int(cfg["grid"]))
     kernels = build_all_kernels(grid, ch)
-    out = _outdir(args)
+    out = _outdir(cfg["out"])
     export_lp(out / "model.lp", grid, kernels, econ, discount, out / "model_meta.json")
     n_constraints = grid.n * grid.n * 4
     print(f"wrote model.lp ({grid.n * grid.n} variables, {n_constraints} constraints)")
@@ -351,6 +357,9 @@ def main(argv=None):
             f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}",
             file=sys.stderr,
         )
+        return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"parse error: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
         return EXIT_IO
     except ValueFileError as exc:
         print(f"bad value file: {exc}", file=sys.stderr)

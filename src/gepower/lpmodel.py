@@ -32,7 +32,6 @@ __all__ = [
     "LpConstraint",
     "LpModel",
     "build_all_kernels",
-    "reward_grid",
     "export_lp",
     "parse_lp",
     "feasibility_gap",
@@ -64,12 +63,6 @@ def build_all_kernels(grid, ch):
             raise AssertionError(f"kernel row {p} for {action.value} sums to {float(totals[p])!r}")
         kernels[action] = sparse.csr_matrix((probs, cols, indptr), shape=(size, size))
     return kernels
-
-
-def reward_grid(grid, econ, action):
-    """Immediate rewards of one action at every lattice point, as an n x n grid."""
-    p1, p2 = np.meshgrid(grid.points, grid.points, indexing="ij")
-    return expected_rewards(p1, p2, econ)[ACTION_PRIORITY.index(action)]
 
 
 def variable_name(n, flat):
@@ -114,7 +107,8 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
     eye = sparse.identity(size, format="csr")
     rows = [eye - beta * kernels[a] for a in ACTION_PRIORITY]
     ends = [_line_ends(m.indptr) for m in rows]
-    rewards = [reward_grid(grid, econ, a).ravel() for a in ACTION_PRIORITY]
+    lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
+    rewards = [g.ravel() for g in expected_rewards(*lattice, econ)]
     distinct = np.unique(np.concatenate([m.data for m in rows] + rewards))
     text = {c: _fmt(c) for c in distinct.tolist()}
     names = [variable_name(n, p) for p in range(size)]
@@ -259,9 +253,9 @@ def feasibility_gap(values_flat, kernels, econ, discount, grid):
     anything above solver tolerance means the vector is not feasible for the
     exported model.
     """
+    lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
     worst = -np.inf
-    for a in ACTION_PRIORITY:
-        g = reward_grid(grid, econ, a).ravel()
-        q = g + discount.beta * (kernels[a] @ values_flat)
+    for a, g in zip(ACTION_PRIORITY, expected_rewards(*lattice, econ)):
+        q = g.ravel() + discount.beta * (kernels[a] @ values_flat)
         worst = max(worst, float(np.max(q - values_flat)))
     return worst

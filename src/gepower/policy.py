@@ -12,12 +12,13 @@ one- or two-threshold structure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .dynamics import ACTION_PRIORITY, Action, propagate
+from .dynamics import ACTION_PRIORITY, Action, ParameterError, propagate
 from .solver import _tensor_interp, action_value_grids, q_probe
 
 __all__ = [
@@ -95,8 +96,11 @@ def extract_policy(v, ch, econ, discount, tie_tol=None):
 
     tie_tol defaults to 1e-8 of the field's value range: the diagonal ties
     the two bet actions exactly in theory, and the tolerance keeps that a
-    testable statement on the grid.
+    testable statement on the grid. A given tie_tol must be finite and
+    non-negative, or every point could lose its best action.
     """
+    if tie_tol is not None and not 0.0 <= tie_tol < math.inf:
+        raise ParameterError(f"0 <= tie_tol < inf violated: tie_tol={tie_tol!r}")
     q = action_value_grids(v, ch, econ, discount)
     stack = np.stack([q[a] for a in ACTION_PRIORITY])
     if tie_tol is None:

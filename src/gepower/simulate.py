@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -260,17 +260,9 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
 
 
 def summary_to_dict(s):
-    return {
-        "policy": s.policy,
-        "episodes": s.episodes,
-        "horizon": s.horizon,
-        "seed": s.seed,
-        "mean": s.mean,
-        "se": s.se,
-        "action_freq": {a.value: f for a, f in s.action_freq.items()},
-        "truncation_bound": s.truncation_bound,
-        "truncation_ok": s.truncation_ok,
-    }
+    doc = asdict(s)
+    doc["action_freq"] = {a.value: f for a, f in s.action_freq.items()}
+    return doc
 
 
 def save_summary(s, path):

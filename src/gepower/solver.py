@@ -294,8 +294,6 @@ def bellman_backup(v, ch, econ, discount):
 # cycle.
 _TIE_MARGIN = 2.0 ** -44
 
-_K = {a: k for k, a in enumerate(ACTION_PRIORITY)}
-
 
 def _select(q, policy):
     """Per lattice point, the Q value of the action indexed by policy."""
@@ -344,50 +342,39 @@ class _Stencils:
     """Per-coordinate interpolation stencils of the successor beliefs.
 
     An observed coordinate branches to lambda0 with probability 1 - p and
-    to lambda1 with probability p, each spread over the lattice slots `obs`
-    of its cell. An unobserved one drifts to T(x_i): slots lo[i] and
-    lo[i] + 1 with weights 1 - frac[i] and frac[i], plus a branch of
-    probability zero. `slots` holds the (probability, lattice index,
-    weight) tables of these four slots, indexed [observed, lattice index,
-    slot] with observed 0 for a drifting coordinate.
+    to lambda1 with probability p, each spread over the two lattice slots
+    of its cell. An unobserved one drifts to T(x_i): the two slots of its
+    cell with weights 1 - frac and frac, plus a branch of probability zero.
+    `slots` holds the (probability, lattice index, weight) tables of these
+    four slots, indexed [observed, lattice index, slot] with observed 0 for
+    a drifting coordinate. `reach[observed]` is the n x n 0/1 CSR matrix
+    whose row i marks the lattice indices of i's four slots, whatever their
+    probability or weight.
     """
 
     def __init__(self, grid, ch):
         self.points = p = grid.points
         n = p.size
         idx, (f0, f1) = _locate(p, np.array([ch.lambda0, ch.lambda1]))
-        self.obs = np.array([idx[0], idx[0] + 1, idx[1], idx[1] + 1])
-        self.lo, f = _locate(p, propagate_array(p, ch))
+        obs = np.array([idx[0], idx[0] + 1, idx[1], idx[1] + 1])
+        lo, f = _locate(p, propagate_array(p, ch))
         drift = (
             np.broadcast_to([1.0, 1.0, 0.0, 0.0], (n, 4)),
-            self.lo[:, None] + np.array([0, 1, 0, 1]),
+            lo[:, None] + np.array([0, 1, 0, 1]),
             np.stack([1.0 - f, f, 1.0 - f, f], 1),
         )
         observed = (
             np.stack([1.0 - p, 1.0 - p, p, p], 1),
-            np.broadcast_to(self.obs, (n, 4)),
+            np.broadcast_to(obs, (n, 4)),
             np.broadcast_to([1.0 - f0, f0, 1.0 - f1, f1], (n, 4)),
         )
         self.slots = [np.stack(rows) for rows in zip(drift, observed)]
-
-    def drift_image(self, used):
-        """Lattice indices read by the drift stencils of the flagged indices."""
-        k = self.lo[used]
-        return np.union1d(k, k + 1)
-
-    def rest_image(self, rest):
-        """Mask of the lattice points read by the resting points in rest."""
-        # The drift map is monotone, so indices sharing a stencil form
-        # contiguous runs: OR each run along both axes, then mark both slots.
-        t, starts = np.unique(self.lo, return_index=True)
-        hit = np.logical_or.reduceat(
-            np.logical_or.reduceat(rest, starts, axis=0), starts, axis=1
-        )
-        mask = np.zeros_like(rest)
-        for a in (0, 1):
-            for b in (0, 1):
-                mask[np.ix_(t + a, t + b)] |= hit
-        return mask
+        self.reach = [
+            sparse.csr_matrix(
+                (np.ones(4 * n), cols.ravel(), np.arange(0, 4 * n + 1, 4)), shape=(n, n)
+            )
+            for cols in self.slots[1]
+        ]
 
     def transitions(self, flat, k):
         """Transition rows of the flat lattice points under action indices k.
@@ -432,15 +419,16 @@ class _Stencils:
 def _support(policy, st):
     """Sorted flat indices of the lattice points that P_policy reads.
 
-    Every successor of every point lies in this set, so it is closed under
-    the policy's transitions and the policy's values on it determine the
-    values everywhere.
+    The nonzero pattern of the sum over action indices k of
+    reach[sx]^T [policy == k] reach[sy], where (sx, sy) says which
+    coordinates k observes: every slot pair of every point's stencil. Every
+    successor of every point lies in this set, so it is closed under the
+    policy's transitions and the policy's values on it determine the values
+    everywhere.
     """
-    mask = st.rest_image(policy == _K[Action.CONSERVATIVE])
-    if (policy == _K[Action.BALANCED]).any():
-        mask[np.ix_(st.obs, st.obs)] = True
-    mask[np.ix_(st.obs, st.drift_image((policy == _K[Action.BET1]).any(axis=0)))] = True
-    mask[np.ix_(st.drift_image((policy == _K[Action.BET2]).any(axis=1)), st.obs)] = True
+    mask = sum(
+        st.reach[sx].T @ (policy == k) @ st.reach[sy] for k, (sx, sy) in enumerate(_OBSERVES)
+    )
     return np.flatnonzero(mask)
 
 
@@ -574,13 +562,13 @@ def load_value_field(path):
     Returns (SolveResult, ChannelParams, EconParams, Discount). Any content
     that does not describe a valid solved field raises ValueFileError.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         return _parse_value_doc(doc)
     except KeyError as exc:
         raise ValueFileError(f"value file {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueFileError(f"value file {path}: {exc}") from exc
 
 

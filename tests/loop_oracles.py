@@ -1,12 +1,13 @@
-"""Scalar and per-slot reference loops for the vectorised kernels, the
-table-driven Monte Carlo, the table-driven artifact writers, the scalar
-Q probe and the vectorised contiguity check.
+"""Scalar and per-slot reference loops for the vectorised kernels and
+policy supports, the table-driven Monte Carlo, the table-driven artifact
+writers, the scalar Q probe and the vectorised contiguity check.
 
 These are the straightforward formulations: one dict per kernel row, a
-Monte Carlo step that carries float beliefs and recomputes every reward,
-writers that format every point or slot on its own, one Q function per
-action built on one-point numpy interpolation, and a per-line hole search.
-Tests require the production code to match them bit for bit.
+mask marked per successor vertex pair, a Monte Carlo step that carries
+float beliefs and recomputes every reward, writers that format every point
+or slot on its own, one Q function per action built on one-point numpy
+interpolation, and a per-line hole search. Tests require the production
+code to match them bit for bit.
 """
 
 import csv
@@ -88,6 +89,30 @@ def loop_kernel(grid, ch, action):
         shape=(n * n, n * n),
     )
 
+
+
+def loop_support(policy, grid, ch):
+    """Sorted flat indices of the lattice points that the policy's
+    transitions read: for each point, every vertex pair of the cells of its
+    chosen action's successor beliefs, whatever the branch probability or
+    vertex weight."""
+    n = grid.n
+    vertices = {}
+    mask = np.zeros((n, n), dtype=bool)
+    chosen = policy.ravel()
+    for k, action in enumerate(ACTION_PRIORITY):
+        for p, succ in enumerate(_successors(grid, ch, action)):
+            if chosen[p] != k:
+                continue
+            for pair, _ in succ:
+                for b in pair:
+                    if b not in vertices:
+                        vertices[b] = [i for i, _ in _vertex_weights(grid.points, b)]
+                xs, ys = (vertices[b] for b in pair)
+                for i in xs:
+                    for j in ys:
+                        mask[i, j] = True
+    return np.flatnonzero(mask)
 
 def _select_actions(policy, beliefs, econ, u_act):
     if isinstance(policy, PolicyField):

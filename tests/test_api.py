@@ -30,8 +30,8 @@ MODULES = {
         "solve", "save_value_field", "load_value_field",
     },
     lpmodel: {
-        "LpConstraint", "LpModel", "build_all_kernels", "reward_grid", "export_lp",
-        "parse_lp", "feasibility_gap", "variable_name",
+        "LpConstraint", "LpModel", "build_all_kernels", "export_lp", "parse_lp",
+        "feasibility_gap", "variable_name",
     },
     policy: {
         "PolicyField", "ContiguityViolation", "ConnectivityReport",

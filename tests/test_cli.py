@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gepower
 from gepower.cli import (
@@ -61,6 +63,22 @@ class TestSolveCommand:
         assert value["n"] == 15
         assert value["rh"] == 3.0   # flag wins over config
 
+    def test_config_out_key_honoured_and_flag_wins(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": "wanted", "grid": 5}))
+        assert main(["solve", "--config", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "wanted" / "value.json").exists()
+        assert not (tmp_path / "value.json").exists()
+        assert main(["solve", "--config", str(cfg), "--out", "flag"]) == EXIT_OK
+        assert (tmp_path / "flag" / "value.json").exists()
+
+    def test_config_not_utf8_is_a_format_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"grid": 11, "out": "\xff"}')
+        assert main(["solve", "--out", str(tmp_path), "--config", str(cfg)]) == EXIT_IO
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gird": 15}))
@@ -103,6 +121,7 @@ class TestSolveCommand:
             ('{"grid": 11, "tol": null}', EXIT_VALIDATION),
             ('{"grid": 11.5}', EXIT_VALIDATION),
             ('{"grid": true}', EXIT_VALIDATION),
+            ('{"grid": 11, "out": 5}', EXIT_VALIDATION),
             ("11", EXIT_VALIDATION),
         ],
     )
@@ -140,6 +159,8 @@ def _malformed(doc, name):
         doc["values"] = [[0.0, 1.0], [2.0]]
     elif name == "n-not-integer":
         doc["n"] = "five"
+    elif name == "n-infinite":
+        doc["n"] = math.inf
     elif name == "missing-key":
         del doc["beta"]
     elif name == "invalid-parameters":
@@ -191,13 +212,32 @@ class TestAnalyzeCommand:
         "name",
         [
             "values-not-numbers", "null-value", "nan-value", "ragged-values",
-            "n-not-integer", "missing-key", "invalid-parameters", "not-an-object",
+            "n-not-integer", "n-infinite", "missing-key", "invalid-parameters",
+            "not-an-object",
         ],
     )
     def test_malformed_value_file_is_a_format_error(self, value_file, tmp_path, name):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_malformed(json.loads(value_file.read_text()), name)))
         assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "pattern, replacement",
+        [(rb'"iterations": \d+', b'"iterations": 1e400'), (rb'"layout": "', b'"layout": "\xff')],
+        ids=["iterations-1e400", "not-utf8"],
+    )
+    def test_unreadable_value_file_is_a_format_error(
+        self, value_file, tmp_path, pattern, replacement
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(re.sub(pattern, replacement, value_file.read_bytes(), count=1))
+        assert bad.read_bytes() != value_file.read_bytes()
+        assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_IO
+
+    @pytest.mark.parametrize("tie_tol", ["nan", "-1", "inf"])
+    def test_bad_tie_tol_is_a_configuration_error(self, value_file, tmp_path, tie_tol):
+        code = main(["analyze", str(value_file), "--tie-tol", tie_tol, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
 
     def test_missing_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_IO
@@ -325,3 +365,77 @@ def test_no_numpy_scalar_reprs_in_outputs(tmp_path):
     assert {p.parent.name for p in files} == {"solve", "analyze", "sweep", "simulate", "export-lp"}
     for path in files:
         assert b"np." not in path.read_bytes(), path.name
+
+
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_VALIDATION, EXIT_NONCONVERGENCE, EXIT_VIOLATIONS, EXIT_IO}
+
+# Replacement values: wrong types, non-finite numbers and small numbers. No
+# large integer: as a grid size it would be a valid but enormous solve.
+ODD_VALUES = st.sampled_from(
+    [None, True, "abc", "", [], {}, [1.0], -1, 0, 2, 0.5, 2.5, math.inf, -math.inf, math.nan]
+)
+
+SMALL_CONFIG = {
+    "lambda0": 0.1, "lambda1": 0.9, "beta": 0.5, "rh": 3.0, "rl": 2.0, "ch": 1.2, "cl": 0.8,
+    "grid": 3, "tol": 1e-6, "max_iter": 50, "seed": 0, "episodes": 10, "horizon": 5,
+    "out": "unused",
+}
+
+
+def _edits(keys):
+    """Up to three edits of a JSON object: drop a key, or give it an odd value."""
+    edit = st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(keys), st.none()),
+        st.tuples(st.just("set"), st.sampled_from(keys), ODD_VALUES),
+    )
+    return st.lists(edit, max_size=3)
+
+
+def _mutated_bytes(doc, edits, cut):
+    """doc with the edits applied, as JSON bytes; a 0xff byte, which is not
+    UTF-8, goes in at position cut unless cut is None."""
+    for kind, key, value in edits:
+        if kind == "drop":
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    data = json.dumps(doc).encode()
+    if cut is not None:
+        cut %= len(data) + 1
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def small_value_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    assert main(["solve", "--grid", "3", "--out", str(out)]) == EXIT_OK
+    return out / "value.json"
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(
+    edits=_edits(
+        ["n", "lambda0", "lambda1", "rh", "rl", "ch", "cl", "beta", "iterations", "residual",
+         "values"]
+    ),
+    count=st.none() | st.integers(0, 12),
+    cut=st.none() | st.integers(0, 400),
+)
+def test_mutated_value_file_exits_with_a_documented_code(small_value_file, edits, count, cut):
+    doc = json.loads(small_value_file.read_text())
+    if count is not None:
+        doc["values"] = (doc["values"] * 2)[:count]
+    bad = small_value_file.with_name("mutated.json")
+    bad.write_bytes(_mutated_bytes(doc, edits, cut))
+    out = small_value_file.with_name("analysis")
+    assert main(["analyze", str(bad), "--out", str(out)]) in DOCUMENTED_EXITS
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(edits=_edits(sorted(SMALL_CONFIG)), cut=st.none() | st.integers(0, 300))
+def test_mutated_config_exits_with_a_documented_code(small_value_file, edits, cut):
+    cfg = small_value_file.with_name("mutated_cfg.json")
+    cfg.write_bytes(_mutated_bytes(dict(SMALL_CONFIG), edits, cut))
+    out = small_value_file.with_name("solve")
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) in DOCUMENTED_EXITS

@@ -14,8 +14,8 @@ from gepower import (
     export_lp,
     parse_lp,
 )
-from gepower.dynamics import ACTION_PRIORITY
-from gepower.lpmodel import feasibility_gap, reward_grid, variable_name
+from gepower.dynamics import ACTION_PRIORITY, expected_rewards
+from gepower.lpmodel import feasibility_gap, variable_name
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -85,10 +85,9 @@ class TestKernels:
         flat = v.values.ravel()
         grids = action_value_grids(v, CH, ECON, DISC)
         kernels = build_all_kernels(grid, CH)
-        for action in Action:
-            q_kernel = reward_grid(grid, ECON, action).ravel() + DISC.beta * (
-                kernels[action] @ flat
-            )
+        rewards = expected_rewards(*np.meshgrid(grid.points, grid.points, indexing="ij"), ECON)
+        for action, g in zip(ACTION_PRIORITY, rewards):
+            q_kernel = g.ravel() + DISC.beta * (kernels[action] @ flat)
             np.testing.assert_allclose(
                 q_kernel, grids[action].ravel(), rtol=1e-12, atol=1e-12
             )
@@ -168,7 +167,8 @@ class TestExport:
         export_lp(path, grid, kernels, ECON, DISC)
         model = parse_lp(path)
 
-        rewards = {a: reward_grid(grid, ECON, a).ravel() for a in ACTION_PRIORITY}
+        lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
+        rewards = {a: g.ravel() for a, g in zip(ACTION_PRIORITY, expected_rewards(*lattice, ECON))}
         k = 0
         for p in range(n * n):
             for a in ACTION_PRIORITY:
@@ -202,9 +202,8 @@ class TestExport:
             assert coef == 1.0
             p = int(name.split("_")[1]) * grid.n + int(name.split("_")[2])
             best[p] = max(best[p], con.rhs)
-        expect = np.maximum.reduce(
-            [reward_grid(grid, ECON, a).ravel() for a in ACTION_PRIORITY]
-        )
+        lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
+        expect = np.maximum.reduce([g.ravel() for g in expected_rewards(*lattice, ECON)])
         np.testing.assert_allclose(best, expect, atol=1e-15)
 
 

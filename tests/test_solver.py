@@ -30,7 +30,7 @@ from gepower.solver import (
 )
 
 from horizon_oracle import HorizonOracle
-from loop_oracles import q_balanced, q_bet1, q_bet2, q_conservative
+from loop_oracles import loop_support, q_balanced, q_bet1, q_bet2, q_conservative
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -351,20 +351,47 @@ class TestSolve:
             )
 
 
+# Channels with lambda between lattice points, two close lambdas, lambda1 = 1
+# and lambda0 = 0 (the last two put a cell vertex of weight zero in the
+# observed stencil).
+SUPPORT_LAMBDAS = [(0.1, 0.9), (0.3, 0.35), (0.25, 1.0), (0.0, 0.6)]
+
+
 class TestPolicyEvaluation:
-    def test_support_is_closed_and_kernel_matches_lattice_kernels(self):
-        # Against the LP export's kernels, for a random policy on a grid
-        # where lambda0 and lambda1 fall between points.
+    @pytest.mark.parametrize("lam", SUPPORT_LAMBDAS)
+    def test_support_is_closed_and_kernel_matches_lattice_kernels(self, lam):
+        # Against the LP export's kernels, for a random policy.
         grid = BeliefGrid(22)
+        ch = ChannelParams(*lam)
         policy = np.random.default_rng(2).integers(0, 4, size=(22, 22)).astype(np.int8)
-        st = _Stencils(grid, CH)
+        st = _Stencils(grid, ch)
         support = _support(policy, st)
-        full = {a: k.toarray() for a, k in build_all_kernels(grid, CH).items()}
+        full = {a: k.toarray() for a, k in build_all_kernels(grid, ch).items()}
         rows = np.stack([full[ACTION_PRIORITY[k]][p] for p, k in enumerate(policy.ravel())])
         outside = np.setdiff1d(np.arange(22 * 22), support)
         assert not rows[:, outside].any()
         restricted = _restricted_kernel(support, policy, st).toarray()
         assert np.array_equal(restricted, rows[support][:, support])
+
+    @pytest.mark.parametrize("lam", SUPPORT_LAMBDAS)
+    @pytest.mark.parametrize("n", [2, 3, 5, 22, 37])
+    def test_support_is_the_loop_support(self, n, lam, monkeypatch):
+        grid = BeliefGrid(n)
+        ch = ChannelParams(*lam)
+        visited = []
+
+        def record(policy, st):
+            visited.append(policy.copy())
+            return _support(policy, st)
+
+        monkeypatch.setattr("gepower.solver._support", record)
+        solve(SolverConfig(DISC), ch, ECON, grid)
+        assert visited
+        policies = visited + [np.random.default_rng(n).integers(0, 4, (n, n)).astype(np.int8)]
+        policies += [np.full((n, n), k, dtype=np.int8) for k in range(4)]
+        st = _Stencils(grid, ch)
+        for policy in policies:
+            assert np.array_equal(_support(policy, st), loop_support(policy, grid, ch))
 
     @pytest.mark.parametrize("lam", [(0.1, 0.9), (0.3, 0.35)])
     @pytest.mark.parametrize("n", [2, 11, 22, 37])
