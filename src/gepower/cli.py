@@ -200,6 +200,8 @@ def cmd_sweep(args):
     points = args.points
     if points is None:
         points = 8 if args.param.startswith("lambda") else 10
+    if points < 1:
+        raise ParameterError(f"sweep --points >= 1 violated: {points}")
     out = _outdir(cfg["out"])
     rows = []
     for value in _sweep_values(args.start, args.stop, points):
@@ -367,6 +369,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("invalid configuration: out of memory: the belief grid is too large", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .dynamics import ACTION_PRIORITY, Action, ParameterError, propagate
-from .solver import _tensor_interp, action_value_grids, q_probe
+from .solver import _axis, _gather, action_value_grids, q_probe
 
 __all__ = [
     "PolicyField",
@@ -218,9 +218,9 @@ def delta_funcs(v, p, ch):
     they vanish exactly at p = 0 and p = 1.
     """
     tp = propagate(p, ch)
-    lam = np.array([ch.lambda0, ch.lambda1])
-    c = _tensor_interp(v.values, v.grid.points, lam, lam)
-    e = _tensor_interp(v.values, v.grid.points, lam, np.array([tp]))[:, 0]
+    lam = _axis(v.grid.points, np.array([ch.lambda0, ch.lambda1]))
+    c = _gather(v.values, lam, lam)
+    e = _gather(v.values, lam, _axis(v.grid.points, np.array([tp])))[:, 0]
     d0 = ((1.0 - p) * c[0, 0] + p * c[0, 1]) - e[0]
     d1 = ((1.0 - p) * c[1, 0] + p * c[1, 1]) - e[1]
     return float(d0), float(d1)

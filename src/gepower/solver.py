@@ -2,8 +2,11 @@
 
 The square [0,1]^2 of per-channel beliefs is covered by a uniform lattice,
 with bilinear interpolation supplying values at off-lattice continuation
-beliefs. The fixed point of the four-action Bellman operator is computed by
-Howard policy iteration (Howard 1960; Puterman 1994, ch. 6): each policy is
+beliefs. Their located stencils (the lambda pair and the drift images
+T(x_i)) and the expected-reward table are built once per grid and
+parameter set and shared by every Q grid and transition row of a solve.
+The fixed point of the four-action Bellman operator is computed by Howard
+policy iteration (Howard 1960; Puterman 1994, ch. 6): each policy is
 evaluated on the small closed set of lattice points its transitions read,
 and one final Bellman backup certifies the field with its residual. The
 backup is written so that a symmetric field stays bit-exactly symmetric,
@@ -13,8 +16,10 @@ which the downstream mirror checks depend on.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -73,10 +78,12 @@ class BeliefGrid:
 
     n: int
     points: np.ndarray = field(init=False, repr=False, compare=False)
+    # Largest n whose n x n float64 field numpy can address.
+    _MAX_N = math.isqrt(np.iinfo(np.intp).max // 8)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ParameterError(f"grid size n >= 2 violated: n={self.n!r}")
+        if not isinstance(self.n, int) or not 2 <= self.n <= self._MAX_N:
+            raise ParameterError(f"grid size 2 <= n <= {self._MAX_N} violated: n={self.n!r}")
         pts = np.arange(self.n, dtype=np.float64) / (self.n - 1)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -141,31 +148,28 @@ class SolveResult:
     evaluation_steps: int = 0
 
 
-def _locate(points, q):
-    # Cell index plus intra-cell coordinate. The fraction is normalized by
-    # the actual cell width so lattice queries come out exactly 0 or 1 and
-    # reproduce stored values bit for bit.
+def _axis(points, q):
+    # Located coordinates: the lower and upper vertex of each one's cell and
+    # their weights (1 - f, f). The fraction f is normalized by the actual
+    # cell width so lattice queries come out exactly 0 or 1 and reproduce
+    # stored values bit for bit.
     q = np.asarray(q, dtype=np.float64)
-    idx = np.searchsorted(points, q, side="right") - 1
-    idx = np.clip(idx, 0, points.size - 2)
+    idx = np.clip(np.searchsorted(points, q, side="right") - 1, 0, points.size - 2)
     frac = (q - points[idx]) / (points[idx + 1] - points[idx])
-    return idx, frac
+    return np.stack([idx, idx + 1]), np.stack([1.0 - frac, frac])
 
 
-def _tensor_interp(values, points, qx, qy):
-    # Bilinear interpolation on the tensor product qx x qy. The four corner
-    # terms are summed diagonal pair first: on a symmetric field this makes
-    # transposed queries agree bit for bit (addition commutes, it only fails
-    # to associate), which the mirror-symmetry guarantees rely on.
-    ix, fx = _locate(points, np.asarray(qx, dtype=np.float64))
-    iy, fy = _locate(points, np.asarray(qy, dtype=np.float64))
-    wx = ((1.0 - fx)[:, None], fx[:, None])
-    wy = ((1.0 - fy)[None, :], fy[None, :])
+def _gather(values, ax, ay):
+    # Bilinear interpolation on the tensor product of two located axes. The
+    # four corner terms are summed diagonal pair first: on a symmetric field
+    # this makes transposed queries agree bit for bit (addition commutes, it
+    # only fails to associate), which the mirror-symmetry guarantees rely on.
+    (cx, wx), (cy, wy) = ax, ay
 
     def term(a, b):
         # (wx * wy) * v, accumulated in place to hold few grid-sized temporaries
-        t = wx[a] * wy[b]
-        t *= values[np.ix_(ix + a, iy + b)]
+        t = wx[a][:, None] * wy[b]
+        t *= values[cx[a]][:, cy[b]]
         return t
 
     out = term(0, 0)
@@ -176,10 +180,30 @@ def _tensor_interp(values, points, qx, qy):
     return out
 
 
+@lru_cache(maxsize=4)
+def _axes(grid, ch):
+    """Located successor coordinates (lam, drift, both), read-only: the pair
+    (lambda0, lambda1), the drift images T(x_i), and the two in that order."""
+    p = grid.points
+    cells, w = _axis(p, np.concatenate([[ch.lambda0, ch.lambda1], propagate_array(p, ch)]))
+    cells.setflags(write=False)
+    w.setflags(write=False)
+    return (cells[:, :2], w[:, :2]), (cells[:, 2:], w[:, 2:]), (cells, w)
+
+
+@lru_cache(maxsize=4)
+def _reward_table(grid, econ):
+    """Read-only expected rewards of balanced, bet1 and bet2, (p1 column, p2 row)."""
+    table = expected_rewards(grid.points[:, None], grid.points[None, :], econ)[:3]
+    for g in table:
+        g.setflags(write=False)
+    return table
+
+
 def interpolate(v, b):
     """Bilinearly interpolated field value at an arbitrary belief."""
-    out = _tensor_interp(v.values, v.grid.points, np.array([b.p1]), np.array([b.p2]))
-    return float(out[0, 0])
+    ax, ay = (_axis(v.grid.points, np.array([p])) for p in (b.p1, b.p2))
+    return float(_gather(v.values, ax, ay)[0, 0])
 
 
 def q_probe(v, ch, econ, discount):
@@ -187,8 +211,8 @@ def q_probe(v, ch, econ, discount):
 
     Returns probe(p1, p2), which gives the four action values at the belief
     (p1, p2) as Python floats in ACTION_PRIORITY order. It repeats the
-    arithmetic of action_value_grids one point at a time: _locate's cell
-    search, _tensor_interp's summation order and the Q expressions'
+    arithmetic of action_value_grids one point at a time: _axis's cell
+    search, _gather's summation order and the Q expressions'
     association, so it agrees with the grids bit for bit on the lattice.
     Field rows are converted to lists only when a probe first reads them.
     """
@@ -243,23 +267,23 @@ def action_value_grids(v, ch, econ, discount):
     """Q grid for every action, evaluated against the frozen field v.
 
     Returns a dict ordered like ACTION_PRIORITY. The bet grids are exact
-    transposes of each other whenever v is symmetric; see _tensor_interp.
+    transposes of each other whenever v is symmetric; see _gather.
     """
     x = v.grid.points
     vals = v.values
     beta = discount.beta
-    tx = propagate_array(x, ch)
-    lam = np.array([ch.lambda0, ch.lambda1])
+    lam, drift, both = _axes(v.grid, ch)
 
-    c = _tensor_interp(vals, x, lam, lam)
+    # Columns 0 and 1 of both gathers read the lambda pair, the rest T(x_j).
+    c = _gather(vals, lam, both)
     v00, v01, v10, v11 = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
-    row = _tensor_interp(vals, x, lam, tx)   # row[k, j] = V(lambda_k, T(x_j))
-    col = _tensor_interp(vals, x, tx, lam)   # col[i, k] = V(T(x_i), lambda_k)
-    rest = _tensor_interp(vals, x, tx, tx)   # rest[i, j] = V(T(x_i), T(x_j))
+    row = c[:, 2:]   # row[k, j] = V(lambda_k, T(x_j))
+    col = _gather(vals, drift, both)   # col[i, k] = V(T(x_i), lambda_k) for k < 2
+    rest = col[:, 2:]   # rest[i, j] = V(T(x_i), T(x_j))
 
     p1 = x[:, None]
     p2 = x[None, :]
-    g_bb, g_b1, g_b2, _ = expected_rewards(p1, p2, econ)
+    g_bb, g_b1, g_b2 = _reward_table(v.grid, econ)
 
     q_bb = g_bb + beta * (
         (((1.0 - p1) * (1.0 - p2)) * v00 + (p1 * p2) * v11)
@@ -355,18 +379,12 @@ class _Stencils:
     def __init__(self, grid, ch):
         self.points = p = grid.points
         n = p.size
-        idx, (f0, f1) = _locate(p, np.array([ch.lambda0, ch.lambda1]))
-        obs = np.array([idx[0], idx[0] + 1, idx[1], idx[1] + 1])
-        lo, f = _locate(p, propagate_array(p, ch))
-        drift = (
-            np.broadcast_to([1.0, 1.0, 0.0, 0.0], (n, 4)),
-            lo[:, None] + np.array([0, 1, 0, 1]),
-            np.stack([1.0 - f, f, 1.0 - f, f], 1),
-        )
+        (obs, wo), (cells, w), _ = _axes(grid, ch)
+        drift = np.broadcast_to([1.0, 1.0, 0.0, 0.0], (n, 4)), np.tile(cells.T, 2), np.tile(w.T, 2)
         observed = (
             np.stack([1.0 - p, 1.0 - p, p, p], 1),
-            np.broadcast_to(obs, (n, 4)),
-            np.broadcast_to([1.0 - f0, f0, 1.0 - f1, f1], (n, 4)),
+            np.broadcast_to(obs.T.ravel(), (n, 4)),
+            np.broadcast_to(wo.T.ravel(), (n, 4)),
         )
         self.slots = [np.stack(rows) for rows in zip(drift, observed)]
         self.reach = [
@@ -573,12 +591,14 @@ def load_value_field(path):
 
 
 def _parse_value_doc(doc):
-    n = int(doc["n"])
+    counts = doc["n"], doc["iterations"]
+    if any(isinstance(c, bool) or not isinstance(c, (int, float)) or c != int(c) for c in counts):
+        raise ValueFileError(f"n and iterations must be integral numbers, got {counts}")
+    n, iterations = map(int, counts)
     ch = ChannelParams(doc["lambda0"], doc["lambda1"])
     econ = EconParams(doc["rh"], doc["rl"], doc["ch"], doc["cl"])
     discount = Discount(doc["beta"])
     values = np.asarray(doc["values"], dtype=np.float64)
-    iterations = int(doc["iterations"])
     residual = float(doc["residual"])
     if values.size != n * n:
         raise ValueFileError(f"expected {n * n} values, found {values.size}")

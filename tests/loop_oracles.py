@@ -1,13 +1,15 @@
 """Scalar and per-slot reference loops for the vectorised kernels and
 policy supports, the table-driven Monte Carlo, the table-driven artifact
-writers, the scalar Q probe and the vectorised contiguity check.
+writers, the memoised Q grids, the scalar Q probe and the vectorised
+contiguity check.
 
 These are the straightforward formulations: one dict per kernel row, a
 mask marked per successor vertex pair, a Monte Carlo step that carries
 float beliefs and recomputes every reward, writers that format every point
-or slot on its own, one Q function per action built on one-point numpy
-interpolation, and a per-line hole search. Tests require the production
-code to match them bit for bit.
+or slot on its own, Q grids that locate every coordinate and rebuild the
+reward table on each call, one Q function per action built on one-point
+numpy interpolation, and a per-line hole search. Tests require the
+production code to match them bit for bit.
 """
 
 import csv
@@ -18,10 +20,25 @@ import numpy as np
 from scipy import sparse
 
 from gepower import Action
-from gepower.dynamics import ACTION_PRIORITY, Belief, propagate, propagate_array
+from gepower.dynamics import (
+    ACTION_PRIORITY,
+    Belief,
+    expected_rewards,
+    propagate,
+    propagate_array,
+)
 from gepower.policy import _PPM_COLORS, ContiguityViolation, PolicyField
 from gepower.simulate import SimSummary, TraceBatch, _episode_uniforms
-from gepower.solver import _LAYOUT_NOTE, _locate, _tensor_interp, interpolate
+from gepower.solver import _LAYOUT_NOTE, interpolate
+
+
+def _locate(points, q):
+    """Cell index plus intra-cell coordinate, normalized by the cell width."""
+    q = np.asarray(q, dtype=np.float64)
+    idx = np.searchsorted(points, q, side="right") - 1
+    idx = np.clip(idx, 0, points.size - 2)
+    frac = (q - points[idx]) / (points[idx + 1] - points[idx])
+    return idx, frac
 
 
 def _vertex_weights(points, coord):
@@ -313,6 +330,60 @@ def loop_traces_csv(batch, path):
                         repr(float(batch.cum_disc[e, t])),
                     ]
                 )
+
+
+def _tensor_interp(values, points, qx, qy):
+    """Bilinear interpolation on the tensor product qx x qy, locating both
+    axes on every call; corner terms summed diagonal pair first."""
+    ix, fx = _locate(points, np.asarray(qx, dtype=np.float64))
+    iy, fy = _locate(points, np.asarray(qy, dtype=np.float64))
+    wx = ((1.0 - fx)[:, None], fx[:, None])
+    wy = ((1.0 - fy)[None, :], fy[None, :])
+
+    def term(a, b):
+        t = wx[a] * wy[b]
+        t *= values[np.ix_(ix + a, iy + b)]
+        return t
+
+    out = term(0, 0)
+    out += term(1, 1)
+    cross = term(0, 1)
+    cross += term(1, 0)
+    out += cross
+    return out
+
+
+def loop_action_value_grids(v, ch, econ, discount):
+    """action_value_grids with every axis located, every block gathered on
+    its own and the reward table rebuilt on each call."""
+    x = v.grid.points
+    vals = v.values
+    beta = discount.beta
+    tx = propagate_array(x, ch)
+    lam = np.array([ch.lambda0, ch.lambda1])
+
+    c = _tensor_interp(vals, x, lam, lam)
+    v00, v01, v10, v11 = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
+    row = _tensor_interp(vals, x, lam, tx)
+    col = _tensor_interp(vals, x, tx, lam)
+    rest = _tensor_interp(vals, x, tx, tx)
+
+    p1 = x[:, None]
+    p2 = x[None, :]
+    g_bb, g_b1, g_b2, _ = expected_rewards(p1, p2, econ)
+
+    q_bb = g_bb + beta * (
+        (((1.0 - p1) * (1.0 - p2)) * v00 + (p1 * p2) * v11)
+        + ((p1 * (1.0 - p2)) * v10 + ((1.0 - p1) * p2) * v01)
+    )
+    q_b1 = g_b1 + beta * (p1 * row[1][None, :] + (1.0 - p1) * row[0][None, :])
+    q_b2 = g_b2 + beta * (p2 * col[:, 1][:, None] + (1.0 - p2) * col[:, 0][:, None])
+    return {
+        Action.BALANCED: q_bb,
+        Action.BET1: q_b1,
+        Action.BET2: q_b2,
+        Action.CONSERVATIVE: beta * rest,
+    }
 
 
 def _corner_values(v, ch):

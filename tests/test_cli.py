@@ -133,6 +133,29 @@ class TestSolveCommand:
             report = json.loads((tmp_path / "solve_report.json").read_text())
             assert report["grid"] == 11 and report["tol"] == 1e-6
 
+    # Rejected by BeliefGrid before any array is allocated: an n x n float64
+    # field of either size is not addressable.
+    @pytest.mark.parametrize("grid", [10**308, 2**32], ids=["1e308", "2^32"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unaddressable_grid_is_a_configuration_error(self, tmp_path, capsys, grid, via):
+        if via == "flag":
+            args = ["--grid", str(grid)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"grid": %s}' % ("1e308" if grid == 10**308 else grid))
+            args = ["--config", str(cfg)]
+        assert main(["solve", "--out", str(tmp_path)] + args) == EXIT_VALIDATION
+        assert "grid size" in capsys.readouterr().err
+        assert not (tmp_path / "value.json").exists()
+
+    def test_memory_error_is_a_configuration_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(gepower.cli, "solve", exhausted)
+        assert main(_solve_args(tmp_path)) == EXIT_VALIDATION
+        assert "grid" in capsys.readouterr().err
+
 
 def test_solve_does_not_import_sparse_linalg(tmp_path):
     # scipy.sparse.linalg costs start-up time and resident memory on every run
@@ -167,6 +190,19 @@ def _malformed(doc, name):
         doc["lambda0"] = 0.95
     elif name == "not-an-object":
         doc = [doc]
+    return doc
+
+
+def counted_value_doc(key, count):
+    """A value document whose n or iterations is count. The zero field has
+    as many values as int() of a numeric n would accept, so only the count
+    itself is wrong."""
+    n = int(float(count)) if key == "n" else 3
+    doc = {
+        "n": n, "lambda0": 0.1, "lambda1": 0.9, "rh": 3.0, "rl": 2.0, "ch": 1.2, "cl": 0.8,
+        "beta": 0.9, "iterations": 1, "residual": 0.0, "values": [0.0] * (n * n),
+    }
+    doc[key] = count
     return doc
 
 
@@ -234,6 +270,17 @@ class TestAnalyzeCommand:
         assert bad.read_bytes() != value_file.read_bytes()
         assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_IO
 
+    @pytest.mark.parametrize("key", ["n", "iterations"])
+    @pytest.mark.parametrize("count", [2.7, 3.9, True, "3"], ids=str)
+    def test_non_integral_count_is_a_format_error(self, tmp_path, capsys, key, count):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(counted_value_doc(key, count)))
+        assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_IO
+        assert "integral" in capsys.readouterr().err
+        assert main(["simulate", str(bad), "--episodes", "4", "--horizon", "3",
+                     "--out", str(tmp_path)]) == EXIT_IO
+        assert not (tmp_path / "sim_summary.json").exists()
+
     @pytest.mark.parametrize("tie_tol", ["nan", "-1", "inf"])
     def test_bad_tie_tol_is_a_configuration_error(self, value_file, tmp_path, tie_tol):
         code = main(["analyze", str(value_file), "--tie-tol", tie_tol, "--out", str(tmp_path)])
@@ -270,6 +317,16 @@ class TestSweepCommand:
         ]
         assert len(rows) == 1 + 1   # only lambda0=0.8 is valid
         assert "skipping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_is_a_configuration_error(self, tmp_path, capsys, points):
+        code = main(
+            ["sweep", "--param", "lambda0", "--start", "0.1", "--stop", "0.5",
+             "--points", points, "--grid", "11", "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_VALIDATION
+        assert "--points" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_lambda1_sweep_notes_fixed_lambda0(self, tmp_path):
         main(
@@ -369,10 +426,12 @@ def test_no_numpy_scalar_reprs_in_outputs(tmp_path):
 
 DOCUMENTED_EXITS = {EXIT_OK, EXIT_VALIDATION, EXIT_NONCONVERGENCE, EXIT_VIOLATIONS, EXIT_IO}
 
-# Replacement values: wrong types, non-finite numbers and small numbers. No
-# large integer: as a grid size it would be a valid but enormous solve.
+# Replacement values: wrong types, non-finite numbers, small numbers and
+# numbers beyond the grid cap. No other large integer: as a grid size it
+# would be a valid but enormous solve.
 ODD_VALUES = st.sampled_from(
-    [None, True, "abc", "", [], {}, [1.0], -1, 0, 2, 0.5, 2.5, math.inf, -math.inf, math.nan]
+    [None, True, "abc", "", [], {}, [1.0], -1, 0, 2, 0.5, 2.5, math.inf, -math.inf, math.nan,
+     2**32, 1e308]
 )
 
 SMALL_CONFIG = {

@@ -126,3 +126,12 @@ class TestPinnedBytes:
         assert _digest(tmp_path / "sweep.csv") == (
             "70f33123620cd4679901462176652a21f33039868002e304854ef7c41d9e3747"
         )
+
+    def test_sweep_changing_the_channel(self, tmp_path):
+        # Every point has its own channel, so Q grids read from stencils
+        # memoised under the wrong parameters would change these bytes.
+        main(["sweep", "--grid", "41", "--param", "lambda0", "--start", "0.1",
+              "--stop", "0.7", "--points", "4", "--out", str(tmp_path)])
+        assert _digest(tmp_path / "sweep.csv") == (
+            "170cd7522d4454efd1c7f32391af2726174a03b31da3b135c9098a6c8e687ff5"
+        )

@@ -11,6 +11,7 @@ from gepower import (
     Discount,
     EconParams,
     NonConvergence,
+    ParameterError,
     SolverConfig,
     ValueField,
     bellman_backup,
@@ -23,14 +24,25 @@ from gepower import (
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.lpmodel import build_all_kernels
 from gepower.solver import (
+    ValueFileError,
+    _axes,
+    _parse_value_doc,
     _restricted_kernel,
+    _reward_table,
     _Stencils,
     _support,
     action_value_grids,
 )
 
 from horizon_oracle import HorizonOracle
-from loop_oracles import loop_support, q_balanced, q_bet1, q_bet2, q_conservative
+from loop_oracles import (
+    loop_action_value_grids,
+    loop_support,
+    q_balanced,
+    q_bet1,
+    q_bet2,
+    q_conservative,
+)
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -188,6 +200,69 @@ class TestActionValues:
                 assert grids[Action.CONSERVATIVE][i, j] == pytest.approx(
                     q_conservative(v, b, CH, DISC), rel=1e-13, abs=1e-13
                 )
+
+
+PLAN_LAMBDAS = [(0.1, 0.9), (0.13, 0.77), (0.3, 0.35), (0.0, 0.6), (0.25, 1.0)]
+
+
+def _assert_grids_equal(got, expect):
+    assert list(got) == list(expect) == list(ACTION_PRIORITY)
+    for a in ACTION_PRIORITY:
+        assert np.array_equal(got[a], expect[a]), a
+
+
+class TestMemoisedPlan:
+    """action_value_grids reads located axes and a reward table memoised per
+    (grid, channel, econ); it must give the oracle's grids bit for bit."""
+
+    @pytest.mark.parametrize("beta", [0.9, 0.99])
+    @pytest.mark.parametrize("lam", PLAN_LAMBDAS, ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 7, 22, 101])
+    def test_grids_match_the_oracle(self, n, lam, beta):
+        ch = ChannelParams(*lam)
+        discount = Discount(beta)
+        grid = BeliefGrid(n)
+        raw = np.random.default_rng(n).uniform(-1.0, 5.0, size=(n, n))
+        fields = {
+            "solved": solve(SolverConfig(discount), ch, ECON, grid).field,
+            "random": ValueField(grid, raw),
+            "random-symmetric": ValueField(grid, (raw + raw.T) / 2.0),
+        }
+        for name, v in fields.items():
+            got = action_value_grids(v, ch, ECON, discount)
+            _assert_grids_equal(got, loop_action_value_grids(v, ch, ECON, discount))
+
+    def test_alternating_parameters_match_fresh_builds(self):
+        grid = BeliefGrid(13)
+        v = ValueField(grid, np.random.default_rng(4).uniform(size=(13, 13)))
+        sets = [
+            (ChannelParams(0.1, 0.9), EconParams(3.0, 2.0, 1.2, 0.8)),
+            (ChannelParams(0.3, 0.35), EconParams(3.7, 2.0, 1.2, 0.8)),
+        ]
+        fresh = []
+        for ch, econ in sets:
+            _axes.cache_clear()
+            _reward_table.cache_clear()
+            fresh.append(
+                (action_value_grids(v, ch, econ, DISC), bellman_backup(v, ch, econ, DISC).values)
+            )
+        for k in [0, 1, 0, 1, 1, 0]:
+            ch, econ = sets[k]
+            grids, backup = fresh[k]
+            _assert_grids_equal(action_value_grids(v, ch, econ, DISC), grids)
+            _assert_grids_equal(action_value_grids(v, ch, econ, DISC),
+                                loop_action_value_grids(v, ch, econ, DISC))
+            assert np.array_equal(bellman_backup(v, ch, econ, DISC).values, backup)
+
+    def test_plan_arrays_are_read_only(self):
+        grid = BeliefGrid(9)
+        arrays = [a for axis in _axes(grid, CH) for a in axis]
+        arrays += list(_reward_table(grid, ECON))
+        assert len(arrays) == 9
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.5
 
 
 class TestBellmanBackup:
@@ -426,3 +501,35 @@ class TestSerialization:
         save_value_field(p1, solved_a_51, CH, ECON, DISC)
         save_value_field(p2, solved_a_51, CH, ECON, DISC)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("key", ["n", "iterations"])
+    @pytest.mark.parametrize("count", [2.7, 3.9, True, "3"], ids=str)
+    def test_non_integral_count_rejected(self, key, count):
+        # int() would read 2.7 as 2, 3.9 and "3" as 3 and true as 1; the zero
+        # field is sized so that only the count itself is wrong.
+        n = int(float(count)) if key == "n" else 3
+        doc = {
+            "n": n, "lambda0": 0.1, "lambda1": 0.9, "rh": 3.0, "rl": 2.0, "ch": 1.2,
+            "cl": 0.8, "beta": 0.9, "iterations": 1, "residual": 0.0, "values": [0.0] * (n * n),
+        }
+        if n >= 2:
+            assert _parse_value_doc(dict(doc))[0].field.grid.n == n
+        doc[key] = count
+        with pytest.raises(ValueFileError, match="integral"):
+            _parse_value_doc(doc)
+
+    def test_integral_float_count_accepted(self):
+        doc = {
+            "n": 3.0, "lambda0": 0.1, "lambda1": 0.9, "rh": 3.0, "rl": 2.0, "ch": 1.2,
+            "cl": 0.8, "beta": 0.9, "iterations": 4.0, "residual": 0.0, "values": [0.0] * 9,
+        }
+        result = _parse_value_doc(doc)[0]
+        assert result.field.grid.n == 3 and result.iterations == 4
+        assert type(result.iterations) is int
+
+
+@pytest.mark.parametrize("n", [10**308, 2**32, 2**30], ids=["1e308", "2^32", "2^30"])
+def test_unaddressable_grid_rejected(n):
+    # An n x n float64 field needs 8 n^2 bytes, which must fit in np.intp.
+    with pytest.raises(ParameterError, match="grid size"):
+        BeliefGrid(n)
