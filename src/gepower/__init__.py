@@ -19,7 +19,7 @@ from .dynamics import (
     immediate_reward,
     propagate,
 )
-from .lpmodel import build_all_kernels, export_lp, parse_lp
+from .lpmodel import build_all_kernels, export_lp
 from .policy import (
     DiagonalStructure,
     EdgeThresholds,

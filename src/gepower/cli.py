@@ -12,14 +12,16 @@ import json
 import sys
 from pathlib import Path
 
-from .dynamics import Belief, ChannelParams, Discount, EconParams, ParameterError
+from .dynamics import ACTION_PRIORITY, Belief, ChannelParams, Discount, EconParams, ParameterError
 from .lpmodel import build_all_kernels, export_lp
 from .policy import (
     analyze_structure,
     diagonal_structure,
+    edge_thresholds,
     extract_policy,
     export_policy_csv,
     export_policy_ppm,
+    region_map,
     report_has_violations,
     save_structure_report,
 )
@@ -57,9 +59,10 @@ DEFAULTS = {
     "out": ".",
 }
 
-SWEEP_PARAMS = (
-    "lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl", "rh_over_rl", "ch_over_cl",
-)
+# The model's parameters; a value file carries its own.
+MODEL_KEYS = ("lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl")
+
+SWEEP_PARAMS = MODEL_KEYS + ("rh_over_rl", "ch_over_cl")
 
 
 def _add_param_flags(sp):
@@ -141,7 +144,7 @@ def cmd_solve(args):
         "bound": result.bound,
         "tol": cfg["tol"],
         "grid": grid.n,
-        "params": {k: cfg[k] for k in ("lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl")},
+        "params": {k: cfg[k] for k in MODEL_KEYS},
         "diagonal": {"kind": diag.kind, "rho1": diag.rho1, "rho2": diag.rho2},
     }
     with open(out / "solve_report.json", "w") as fh:
@@ -216,28 +219,19 @@ def cmd_sweep(args):
             print(f"skipping {args.param}={value:g}: {exc}", file=sys.stderr)
             continue
         policy = extract_policy(result.field, ch, econ, discount)
-        report = analyze_structure(result.field, policy, ch, econ, discount)
-        areas = report.areas
+        areas = region_map(policy)
+        diag = diagonal_structure(result.field, policy, ch, econ, discount)
+        edges = edge_thresholds(result.field, ch, econ, discount)
         rows.append(
-            (
-                value,
-                areas["balanced"],
-                areas["bet1"],
-                areas["bet2"],
-                areas["conservative"],
-                report.diagonal.kind,
-                report.diagonal.rho1,
-                report.diagonal.rho2,
-                report.edges.th1,
-                report.edges.th2,
-            )
+            (value, *(areas[a] for a in ACTION_PRIORITY), diag.kind, diag.rho1, diag.rho2,
+             edges.th1, edges.th2)
         )
     path = out / "sweep.csv"
     with open(path, "w") as fh:
         fh.write(f"# sweep of {args.param}, {args.start:g} to {args.stop:g}, {points} points\n")
         fixed = {
             k: cfg[k]
-            for k in ("lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl", "grid", "tol")
+            for k in MODEL_KEYS + ("grid", "tol")
             if k != args.param
         }
         fh.write("# fixed: " + " ".join(f"{k}={v:g}" for k, v in fixed.items()) + "\n")
@@ -255,6 +249,12 @@ def cmd_sweep(args):
 def cmd_simulate(args):
     if (args.value_file is None) == (args.baseline is None):
         raise ParameterError("exactly one of VALUE_FILE or --baseline is required")
+    if args.value_file is not None:
+        given = [f"--{k}" for k in MODEL_KEYS if getattr(args, k) is not None]
+        if given:
+            raise ParameterError(
+                f"{' '.join(given)} cannot be used with VALUE_FILE, whose model is fixed"
+            )
     cfg = _merge_config(args)
     value_scale = None
     if args.value_file is not None:

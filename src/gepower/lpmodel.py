@@ -13,14 +13,13 @@ evaluations read, and g_a comes from the expected-reward table of the Q
 grids (dynamics.expected_rewards). Minimizing sum_p V(p) subject to all
 constraints reproduces the discretized optimal values, so an external LP
 solver can cross-check the solver from the file alone. Solving is
-deliberately out of scope here; this module only builds kernels, writes
-the model, and parses the emitted subset back for verification.
+deliberately out of scope here; this module only builds kernels and writes
+the model.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -29,12 +28,8 @@ from .dynamics import ACTION_PRIORITY, expected_rewards
 from .solver import _Stencils
 
 __all__ = [
-    "LpConstraint",
-    "LpModel",
     "build_all_kernels",
     "export_lp",
-    "parse_lp",
-    "feasibility_gap",
     "variable_name",
 ]
 
@@ -171,91 +166,3 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")
-
-
-@dataclass(frozen=True)
-class LpConstraint:
-    name: str
-    coeffs: dict
-    sense: str
-    rhs: float
-
-
-@dataclass(frozen=True, eq=False)
-class LpModel:
-    objective: dict
-    constraints: list
-    free_variables: tuple
-
-
-def parse_lp(path):
-    """Parser for the subset this module emits; used to verify round-trips."""
-    objective = {}
-    constraints = []
-    free_vars = []
-    section = None
-    current_name = None
-    current_terms = None
-
-    def flush_terms(tokens, target):
-        k = 0
-        while k < len(tokens):
-            target[tokens[k + 1]] = target.get(tokens[k + 1], 0.0) + float(tokens[k])
-            k += 2
-
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("\\"):
-                continue
-            lowered = line.lower()
-            if lowered == "minimize":
-                section = "objective"
-                continue
-            if lowered == "subject to":
-                section = "constraints"
-                continue
-            if lowered == "bounds":
-                section = "bounds"
-                continue
-            if lowered == "end":
-                break
-            if section == "objective":
-                if line.endswith(":"):
-                    continue
-                flush_terms(line.split(), objective)
-            elif section == "constraints":
-                if line.endswith(":"):
-                    current_name = line[:-1]
-                    current_terms = {}
-                elif line.startswith(">=") or line.startswith("<="):
-                    sense = line[:2]
-                    rhs = float(line[2:])
-                    constraints.append(
-                        LpConstraint(current_name, current_terms, sense, rhs)
-                    )
-                    current_name = None
-                    current_terms = None
-                else:
-                    flush_terms(line.split(), current_terms)
-            elif section == "bounds":
-                parts = line.split()
-                if len(parts) == 2 and parts[1].lower() == "free":
-                    free_vars.append(parts[0])
-
-    return LpModel(objective, constraints, tuple(free_vars))
-
-
-def feasibility_gap(values_flat, kernels, econ, discount, grid):
-    """Worst constraint violation of a candidate value vector.
-
-    Returns max over points and actions of g_a(p) + beta * f_a(p,.) V - V(p);
-    anything above solver tolerance means the vector is not feasible for the
-    exported model.
-    """
-    lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
-    worst = -np.inf
-    for a, g in zip(ACTION_PRIORITY, expected_rewards(*lattice, econ)):
-        q = g.ravel() + discount.beta * (kernels[a] @ values_flat)
-        worst = max(worst, float(np.max(q - values_flat)))
-    return worst

@@ -5,12 +5,13 @@ only what its actions reveal and tracks beliefs with the same propagation
 the solver assumes, so empirical discounted returns can be held against the
 value function.
 
-Randomness: one Philox counter-based generator is keyed by the master seed
-(through SeedSequence), and episode k reads the stream whose counter is
-(0, 0, k, 0), with the block count running in word 0. An episode's draws
-therefore depend only on (seed, k), which makes summaries reproducible bit
-for bit and lets different policies share identical channel paths for
-paired comparisons.
+Randomness: one np.random.default_rng(seed) stream per run (seeds of any
+size work through SeedSequence), read as rows of 2 + 3H uniforms, one row
+per episode in episode order. Row k depends only on (seed, H, k), so a run
+is the prefix of any longer run with the same seed and horizon, summaries
+are reproducible bit for bit, and different policies share identical
+channel paths for paired comparisons. Row layout: two initial-state draws,
+then per slot one action draw and two transition draws.
 
 Stepping: every belief a channel can hold is T^k of its last observation or
 of its initial belief, so beliefs are carried as integer codes and each slot
@@ -95,29 +96,6 @@ class SimSummary:
     action_freq: dict
     truncation_bound: float
     truncation_ok: bool
-
-
-def _episode_uniforms(seed, episodes, horizon, first=0):
-    """Uniforms of episodes first, ..., first + episodes - 1, one row each.
-
-    Episode k reads a Philox stream keyed by the master seed (through
-    SeedSequence, so seeds of any size work) with k in counter word 2; the
-    row therefore depends only on (seed, k). Fixed layout per row: two
-    initial-state draws, then per slot one action draw and two transition
-    draws, so the channel path does not depend on the policy.
-    """
-    bits = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
-    gen = np.random.Generator(bits)
-    # A snapshot of the fresh generator (counter zero, buffer empty); only
-    # counter word 2 changes between episodes.
-    state = bits.state
-    counter = state["state"]["counter"]
-    out = np.empty((episodes, 2 + 3 * horizon))
-    for k in range(episodes):
-        counter[2] = first + k
-        bits.state = state
-        gen.random(out=out[k])
-    return out
 
 
 def _belief_codes(cfg, ch):
@@ -208,9 +186,10 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
         tr_rewards = np.empty((E, H))
         tr_cum = np.empty((E, H))
 
+    gen = np.random.default_rng(cfg.seed)
     for lo in range(0, E, EPISODE_BLOCK):
         hi = min(lo + EPISODE_BLOCK, E)
-        u = _episode_uniforms(cfg.seed, hi - lo, H, first=lo)
+        u = gen.random((hi - lo, 2 + 3 * H))
         g1 = (u[:, 0] < b0.p1).astype(np.intp)
         g2 = (u[:, 1] < b0.p2).astype(np.intp)
         c1 = np.full(hi - lo, start, dtype=np.intp)

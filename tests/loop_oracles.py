@@ -28,7 +28,7 @@ from gepower.dynamics import (
     propagate_array,
 )
 from gepower.policy import _PPM_COLORS, ContiguityViolation, PolicyField
-from gepower.simulate import SimSummary, TraceBatch, _episode_uniforms
+from gepower.simulate import SimSummary, TraceBatch
 from gepower.solver import _LAYOUT_NOTE, interpolate
 
 
@@ -161,7 +161,9 @@ def loop_episodes(policy, cfg, ch, econ, discount, value_scale=None):
     beliefs; returns (SimSummary, TraceBatch)."""
     E, H = cfg.episodes, cfg.horizon
     beta = discount.beta
-    u = _episode_uniforms(cfg.seed, E, H)
+    # Row k of one stream: two initial-state draws, then per slot one action
+    # draw and two transition draws.
+    u = np.random.default_rng(cfg.seed).random((E, 2 + 3 * H))
 
     b0 = cfg.initial_belief
     states = (u[:, 0:2] < np.array([b0.p1, b0.p2])).astype(np.int8)

@@ -38,7 +38,7 @@ from gepower import (
     solve,
 )
 from gepower.dynamics import ACTION_PRIORITY
-from gepower.lpmodel import export_lp, feasibility_gap, parse_lp, variable_name
+from gepower.lpmodel import export_lp, variable_name
 from gepower.policy import (
     bet_dominance_violations,
     check_connectivity,
@@ -50,6 +50,7 @@ from gepower.solver import action_value_grids
 
 from horizon_oracle import HorizonOracle
 from loop_oracles import q_bet1
+from lp_oracles import feasibility_gap, parse_lp
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)

@@ -14,7 +14,7 @@ PACKAGE = {
     "SolverConfig", "StructureReport", "ValueField", "analyze_structure", "bellman_backup",
     "build_all_kernels", "check_connectivity", "check_contiguity", "check_symmetry",
     "delta_funcs", "diagonal_structure", "edge_thresholds", "export_lp", "extract_policy",
-    "immediate_reward", "interpolate", "load_value_field", "parse_lp", "propagate",
+    "immediate_reward", "interpolate", "load_value_field", "propagate",
     "region_map", "run_episodes", "save_value_field", "solve",
 }
 
@@ -30,8 +30,7 @@ MODULES = {
         "solve", "save_value_field", "load_value_field",
     },
     lpmodel: {
-        "LpConstraint", "LpModel", "build_all_kernels", "export_lp", "parse_lp",
-        "feasibility_gap", "variable_name",
+        "build_all_kernels", "export_lp", "variable_name",
     },
     policy: {
         "PolicyField", "ContiguityViolation", "ConnectivityReport",

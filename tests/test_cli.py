@@ -373,6 +373,20 @@ class TestSimulateCommand:
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path)]) == EXIT_VALIDATION
 
+    def test_value_file_rejects_model_flags(self, tmp_path, capsys):
+        # the model comes from the value file; a model flag would be ignored
+        out = tmp_path / "solve"
+        assert main(_solve_args(out)) == EXIT_OK
+        base = ["simulate", str(out / "value.json"), "--episodes", "5", "--horizon", "3",
+                "--out", str(tmp_path / "sim")]
+        capsys.readouterr()
+        flags = ["--beta", "0.5", "--lambda0", "0.4", "--rh", "3.9"]
+        assert main(base + flags) == EXIT_VALIDATION
+        assert "--lambda0 --beta --rh cannot be used with VALUE_FILE" in capsys.readouterr().err
+        for name in ("lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl"):
+            assert main(base + [f"--{name}", "0.5"]) == EXIT_VALIDATION, name
+        assert not (tmp_path / "sim").exists()
+
     def test_identical_seed_identical_bytes(self, tmp_path):
         args = ["simulate", "--baseline", "myopic", "--episodes", "40", "--horizon", "8",
                 "--seed", "12"]

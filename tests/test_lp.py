@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from loop_oracles import loop_kernel
+from lp_oracles import feasibility_gap, parse_lp
 
 from gepower import (
     Action,
@@ -12,10 +13,9 @@ from gepower import (
     EconParams,
     build_all_kernels,
     export_lp,
-    parse_lp,
 )
 from gepower.dynamics import ACTION_PRIORITY, expected_rewards
-from gepower.lpmodel import feasibility_gap, variable_name
+from gepower.lpmodel import variable_name
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -21,7 +22,6 @@ from gepower.simulate import (
     save_summary,
     summary_to_dict,
     write_traces_csv,
-    _episode_uniforms,
 )
 
 CH = ChannelParams(0.1, 0.9)
@@ -138,9 +138,16 @@ class TestRunEpisodes:
 
 class TestEpisodeStreams:
     def test_stream_depends_only_on_seed_and_index(self):
-        u_big = _episode_uniforms(99, 8, 10)
-        u_small = _episode_uniforms(99, 3, 10)
-        np.testing.assert_array_equal(u_big[:3], u_small)
+        # episode k reads row k of one stream, so with the same seed and
+        # horizon the first episodes of a longer run are the shorter run
+        def run(episodes):
+            cfg = SimConfig(episodes=episodes, horizon=10, seed=99,
+                            initial_belief=Belief(0.5, 0.5))
+            return run_episodes("random-uniform", cfg, CH, ECON, DISC, collect_traces=True)[1]
+
+        big, small = run(8), run(3)
+        np.testing.assert_array_equal(big.states[:3], small.states)
+        np.testing.assert_array_equal(big.actions[:3], small.actions)
 
     def test_channel_paths_shared_across_policies(self):
         # identical seeds give identical hidden channel trajectories no
@@ -211,6 +218,36 @@ class TestLargeSeed:
             assert doc["seed"] == seed
             means.append(doc["mean"])
         assert means[0] != means[1]
+
+
+class TestPinnedSummaries:
+    """sha256 of sim_summary.json for two small CLI runs, so that any change
+    of the random stream or of the stepping shows."""
+
+    RUN = ["--episodes", "300", "--horizon", "20", "--seed", "5"]
+    DIGESTS = {
+        "grid-policy": "1f1e42720a6ef9f815600eed29ccc10889166d7aae4557461f1cd9d92785a7f4",
+        "random-uniform": "2e3096d3dfd72c0fe06000f9df164e4adc04199fa89e8a2f0e4f247d3e56973c",
+    }
+
+    @staticmethod
+    def _digest(path):
+        return hashlib.sha256((path / "sim_summary.json").read_bytes()).hexdigest()
+
+    def test_grid_policy(self, tmp_path):
+        from gepower.cli import EXIT_OK, main
+
+        assert main(["solve", "--grid", "11", "--out", str(tmp_path)]) == EXIT_OK
+        source = [str(tmp_path / "value.json")]
+        assert main(["simulate"] + source + self.RUN + ["--out", str(tmp_path)]) == EXIT_OK
+        assert self._digest(tmp_path) == self.DIGESTS["grid-policy"]
+
+    def test_random_uniform(self, tmp_path):
+        from gepower.cli import EXIT_OK, main
+
+        source = ["--baseline", "random-uniform"]
+        assert main(["simulate"] + source + self.RUN + ["--out", str(tmp_path)]) == EXIT_OK
+        assert self._digest(tmp_path) == self.DIGESTS["random-uniform"]
 
 
 class TestSummaryOutput:
