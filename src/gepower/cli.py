@@ -250,10 +250,11 @@ def cmd_simulate(args):
     if (args.value_file is None) == (args.baseline is None):
         raise ParameterError("exactly one of VALUE_FILE or --baseline is required")
     if args.value_file is not None:
-        given = [f"--{k}" for k in MODEL_KEYS if getattr(args, k) is not None]
+        given = [f"--{k.replace('_', '-')}" for k in MODEL_KEYS + ("grid", "tol", "max_iter")
+                 if getattr(args, k) is not None]
         if given:
             raise ParameterError(
-                f"{' '.join(given)} cannot be used with VALUE_FILE, whose model is fixed"
+                f"{' '.join(given)} cannot be used with VALUE_FILE, whose model and solve are fixed"
             )
     cfg = _merge_config(args)
     value_scale = None

@@ -14,9 +14,11 @@ channel paths for paired comparisons. Row layout: two initial-state draws,
 then per slot one action draw and two transition draws.
 
 Stepping: every belief a channel can hold is T^k of its last observation or
-of its initial belief, so beliefs are carried as integer codes and each slot
-is a handful of table lookups. Episodes run in blocks of EPISODE_BLOCK,
-which bounds the uniforms held at once; no result depends on the blocking.
+of its initial belief, so beliefs are carried as integer codes, and each
+deterministic policy is one int8 table over the (3(H+1))^2 code pairs, built
+once per run: 0.36 MB at H=200, under one block's uniforms until H ~ 5460.
+Episodes run in blocks of EPISODE_BLOCK, which bounds the uniforms held at
+once; no result depends on the blocking.
 """
 
 from __future__ import annotations
@@ -135,24 +137,25 @@ def _reward_table(econ):
     return r
 
 
-def _action_rule(policy, tab, econ):
-    """The policy as a function (c1, c2, u_act) -> action indices."""
+def _action_table(policy, tab, econ):
+    """table[c1, c2], the action index at each belief-code pair; None for random-uniform."""
+    C = tab.shape[1]
     if isinstance(policy, PolicyField):
         idx = np.rint(tab * (policy.grid.n - 1)).astype(np.intp)
-        primary = policy.primary.astype(np.intp)
-        return lambda c1, c2, u: primary[idx[0][c1], idx[1][c2]]
+        return policy.primary.astype(np.int8)[np.ix_(idx[0], idx[1])]
     fixed = {"always-balanced": Action.BALANCED, "always-conservative": Action.CONSERVATIVE}
     if policy in fixed:
-        k = ACTION_PRIORITY.index(fixed[policy])
-        return lambda c1, c2, u: np.full(c1.size, k, dtype=np.intp)
+        return np.full((C, C), ACTION_PRIORITY.index(fixed[policy]), dtype=np.int8)
     if policy == "random-uniform":
-        return lambda c1, c2, u: np.minimum((u * 4).astype(np.intp), 3)
+        return None
     if policy == "myopic":
-        def myopic(c1, c2, u):
-            # Columns in priority order, so argmax tie-breaks like `primary`.
-            g = np.stack(expected_rewards(tab[0][c1], tab[1][c2], econ), axis=1)
-            return g.argmax(axis=1)
-        return myopic
+        # Eight rows at a time keeps the float temporaries small, and so peak
+        # RSS; actions in priority order, so argmax tie-breaks like `primary`.
+        table = np.empty((C, C), dtype=np.int8)
+        for lo in range(0, C, 8):
+            p1, p2 = np.broadcast_arrays(tab[0][lo:lo + 8, None], tab[1])
+            table[lo:lo + 8] = np.argmax(expected_rewards(p1, p2, econ), axis=0)
+        return table
     raise ParameterError(f"unknown policy {policy!r}; baselines: {', '.join(BASELINES)}")
 
 
@@ -168,7 +171,7 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     E, H = cfg.episodes, cfg.horizon
     beta = discount.beta
     tab, nxt = _belief_codes(cfg, ch)
-    act = _action_rule(policy, tab, econ)
+    table = _action_table(policy, tab, econ)
     reward = _reward_table(econ)
     lam = np.array([ch.lambda0, ch.lambda1])
     b0 = cfg.initial_belief
@@ -196,7 +199,8 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
         c2 = np.full(hi - lo, start, dtype=np.intp)
         acc = total[lo:hi]
         for t in range(H):
-            acts = act(c1, c2, u[:, 2 + 3 * t])
+            acts = (table[c1, c2] if table is not None
+                    else np.minimum((u[:, 2 + 3 * t] * 4).astype(np.intp), 3))
             counts += np.bincount(acts, minlength=len(ACTION_PRIORITY))
             rewards = reward[acts, g1, g2]
             acc += weights[t] * rewards
@@ -217,7 +221,7 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     mean = float(np.mean(total))
     se = float(np.std(total, ddof=1) / math.sqrt(E)) if E > 1 else 0.0
     if value_scale is None:
-        value_scale = max(econ.rh, 2.0 * econ.rl) / (1.0 - beta) if beta > 0.0 else max(econ.rh, 2.0 * econ.rl)
+        value_scale = max(econ.rh, 2.0 * econ.rl) / (1.0 - beta)
     bound = beta ** H * value_scale
     name = policy if isinstance(policy, str) else "grid-policy"
     summary = SimSummary(

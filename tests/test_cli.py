@@ -385,7 +385,15 @@ class TestSimulateCommand:
         assert "--lambda0 --beta --rh cannot be used with VALUE_FILE" in capsys.readouterr().err
         for name in ("lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl"):
             assert main(base + [f"--{name}", "0.5"]) == EXIT_VALIDATION, name
+        # the lattice and the solve's settings are fixed by the file too
+        for flag, value in (("--grid", "11"), ("--tol", "1e-6"), ("--max-iter", "10")):
+            assert main(base + [flag, value]) == EXIT_VALIDATION, flag
+            assert f"{flag} cannot be used with VALUE_FILE" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
+        # a baseline takes its model from the flags and ignores the solve's
+        baseline = ["simulate", "--baseline", "myopic", "--episodes", "5", "--horizon", "3",
+                    "--grid", "11", "--tol", "1e-6", "--max-iter", "10"]
+        assert main(baseline + ["--out", str(tmp_path / "b")]) == EXIT_OK
 
     def test_identical_seed_identical_bytes(self, tmp_path):
         args = ["simulate", "--baseline", "myopic", "--episodes", "40", "--horizon", "8",

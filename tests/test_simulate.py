@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from loop_oracles import loop_episodes
+from loop_oracles import _select_actions, loop_episodes
 
 from gepower import (
     Action,
@@ -19,6 +19,8 @@ from gepower import (
 from gepower.dynamics import ACTION_PRIORITY, ParameterError
 from gepower.simulate import (
     EPISODE_BLOCK,
+    _action_table,
+    _belief_codes,
     save_summary,
     summary_to_dict,
     write_traces_csv,
@@ -130,10 +132,12 @@ class TestRunEpisodes:
 
     def test_truncation_bound_reported(self):
         cfg = SimConfig(episodes=10, horizon=10, seed=0, initial_belief=Belief(0.5, 0.5))
-        s = run_episodes("always-balanced", cfg, CH, ECON, DISC)
-        scale = max(ECON.rh, 2 * ECON.rl) / (1 - DISC.beta)
-        assert s.truncation_bound == pytest.approx(DISC.beta ** 10 * scale)
-        assert not s.truncation_ok   # 0.9^10 is far above one percent
+        for beta in (0.9, 0.0):
+            s = run_episodes("always-balanced", cfg, CH, ECON, Discount(beta))
+            scale = max(ECON.rh, 2 * ECON.rl) / (1 - beta)
+            assert s.truncation_bound == pytest.approx(beta ** 10 * scale)
+            # 0.9^10 is far above one percent; at beta = 0 only the first slot counts
+            assert s.truncation_ok == (beta == 0.0)
 
 
 class TestEpisodeStreams:
@@ -192,6 +196,35 @@ class TestLoopOracle:
             np.testing.assert_array_equal(getattr(a, field)[:k], getattr(b, field), err_msg=field)
 
 
+class TestActionTable:
+    """Each policy's table at every belief-code pair, including the pairs no
+    simulated episode visits, against the per-slot oracle."""
+
+    @staticmethod
+    def _table(policy, horizon, b0):
+        cfg = SimConfig(episodes=1, horizon=horizon, seed=0, initial_belief=b0)
+        tab, _ = _belief_codes(cfg, CH)
+        return tab, _action_table(policy, tab, ECON)
+
+    @pytest.mark.parametrize("horizon", [1, 12])
+    @pytest.mark.parametrize("p1, p2", [(0.3, 0.65), (0.5, 0.5)])
+    @pytest.mark.parametrize("name", TestLoopOracle.POLICIES[:-1])
+    def test_deterministic_policy_table(self, name, p1, p2, horizon, policy_a):
+        policy = TestLoopOracle._policy(name, policy_a)
+        tab, table = self._table(policy, horizon, Belief(p1, p2))
+        codes = np.arange(tab.shape[1])
+        assert table.shape == (codes.size, codes.size) == (3 * (horizon + 1),) * 2
+        assert table.dtype == np.int8
+        c1, c2 = np.meshgrid(codes, codes, indexing="ij")
+        beliefs = np.column_stack([tab[0][c1.ravel()], tab[1][c2.ravel()]])
+        want = _select_actions(policy, beliefs, ECON, None)
+        np.testing.assert_array_equal(table.ravel(), want)
+
+    @pytest.mark.parametrize("horizon", [1, 12])
+    def test_random_uniform_has_no_table(self, horizon):
+        assert self._table("random-uniform", horizon, Belief(0.5, 0.5))[1] is None
+
+
 class TestLargeSeed:
     SEED = 2 ** 70
 
@@ -221,12 +254,14 @@ class TestLargeSeed:
 
 
 class TestPinnedSummaries:
-    """sha256 of sim_summary.json for two small CLI runs, so that any change
-    of the random stream or of the stepping shows."""
+    """sha256 of sim_summary.json for small CLI runs, so that any change of
+    the random stream or of the stepping shows."""
 
     RUN = ["--episodes", "300", "--horizon", "20", "--seed", "5"]
     DIGESTS = {
         "grid-policy": "1f1e42720a6ef9f815600eed29ccc10889166d7aae4557461f1cd9d92785a7f4",
+        "myopic": "d5dc551d427f44fa93cb786750c98fb1441b249f3995966c3e575ca8420028dc",
+        "always-balanced": "cc670de9b3dd3c0ea8b62246f0ae1b51e3fc4959696d4045c24e0452fc195785",
         "random-uniform": "2e3096d3dfd72c0fe06000f9df164e4adc04199fa89e8a2f0e4f247d3e56973c",
     }
 
@@ -242,12 +277,19 @@ class TestPinnedSummaries:
         assert main(["simulate"] + source + self.RUN + ["--out", str(tmp_path)]) == EXIT_OK
         assert self._digest(tmp_path) == self.DIGESTS["grid-policy"]
 
-    def test_random_uniform(self, tmp_path):
+    def _check_baseline(self, name, tmp_path):
         from gepower.cli import EXIT_OK, main
 
-        source = ["--baseline", "random-uniform"]
+        source = ["--baseline", name]
         assert main(["simulate"] + source + self.RUN + ["--out", str(tmp_path)]) == EXIT_OK
-        assert self._digest(tmp_path) == self.DIGESTS["random-uniform"]
+        assert self._digest(tmp_path) == self.DIGESTS[name]
+
+    def test_random_uniform(self, tmp_path):
+        self._check_baseline("random-uniform", tmp_path)
+
+    @pytest.mark.parametrize("name", ["myopic", "always-balanced"])
+    def test_table_baselines(self, name, tmp_path):
+        self._check_baseline(name, tmp_path)
 
 
 class TestSummaryOutput:
