@@ -15,10 +15,16 @@ then per slot one action draw and two transition draws.
 
 Stepping: every belief a channel can hold is T^k of its last observation or
 of its initial belief, so beliefs are carried as integer codes, and each
-deterministic policy is one int8 table over the (3(H+1))^2 code pairs, built
-once per run: 0.36 MB at H=200, under one block's uniforms until H ~ 5460.
-Episodes run in blocks of EPISODE_BLOCK, which bounds the uniforms held at
-once; no result depends on the blocking.
+deterministic policy is one int8 table over the C^2 pairs of the C = 3(H+1)
+codes, built once per run: C^2 bytes, 0.36 MB at H=200. The stream is drawn
+DRAW_CHUNK rows at a time, and each chunk is reduced at once to int8 codes:
+a channel's transition code (u < lambda0) + (u < lambda1) takes state g to
+(g + code) >> 1, the two channels' codes share one byte per slot, and
+random-uniform adds one action byte per slot. An episode so holds H bytes
+(2H for random-uniform), not its 8(2 + 3H) bytes of uniforms. Up to
+STEP_BLOCK episodes are stepped together, one slot at a time, by flat
+lookups in the action, reward and code tables. No result depends on
+DRAW_CHUNK or STEP_BLOCK.
 """
 
 from __future__ import annotations
@@ -54,7 +60,13 @@ __all__ = [
 BASELINES = ("myopic", "always-balanced", "always-conservative", "random-uniform")
 
 
-# Episodes stepped at a time: one block's uniforms are ~10 MB at horizon 200.
+# Rows of uniforms drawn at a time; each chunk is reduced to int8 codes at once.
+DRAW_CHUNK = 256
+# Episodes stepped together, one slot at a time. A block's codes (at most 2H
+# bytes an episode) and one chunk's uniforms take about half of what 2048
+# rows of uniforms take, at every horizon H.
+STEP_BLOCK = 10240
+# Episodes formatted at a time by write_traces_csv.
 EPISODE_BLOCK = 2048
 
 
@@ -100,14 +112,19 @@ class SimSummary:
     truncation_ok: bool
 
 
+# The joint state of the two channels is G = 2 * g1 + g2; these are g1 and g2.
+_PAIR_STATES = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
+
+
 def _belief_codes(cfg, ch):
     """Belief tables and transition tables over belief codes.
 
     A channel's belief is T^k of its last observation (lambda0 or lambda1)
     or of its initial belief, with k <= horizon, so code s*(H+1) + k stands
     for T^k of start s (0: lambda0, 1: lambda1, 2: initial belief).
-    Returns tab[i, code], the belief of channel i, and nxt[i, action,
-    state, code], channel i's next code.
+    Returns tab[i, code], the belief of channel i, and nxt[i, (4a + G) * C
+    + code], channel i's next code after action a in joint state G, where C
+    = 3(H+1) is the number of codes.
     """
     H = cfg.horizon
     b0 = cfg.initial_belief
@@ -118,12 +135,52 @@ def _belief_codes(cfg, ch):
         cur = propagate_array(cur, ch)
     drift = np.arange(3 * (H + 1)) + 1
     drift[H::H + 1] -= 1     # chain ends are never read; keep codes in range
-    observe = np.array([0, H + 1])[:, None]
-    used = np.array([USES_CHANNEL[a] for a in ACTION_PRIORITY])
-    nxt = np.stack(
-        [np.where(used[:, i, None, None], observe, drift) for i in (0, 1)]
-    )
-    return tab.reshape(2, -1), nxt
+    observe = (H + 1) * _PAIR_STATES[:, None, :, None]
+    used = np.array([USES_CHANNEL[a] for a in ACTION_PRIORITY]).T[:, :, None, None]
+    nxt = np.where(used, observe, drift)
+    return tab.reshape(2, -1), nxt.reshape(2, -1)
+
+
+def _transition_code(u, ch):
+    """int8 (u < lambda0) + (u < lambda1): a channel in state g moves to
+    (g + code) >> 1, which is u < lambda_g because lambda0 < lambda1."""
+    code = (u < ch.lambda0).view(np.int8)
+    code += u < ch.lambda1
+    return code
+
+
+def _pair_moves():
+    """pnext[4 * (3 * tr1 + tr2) + G]: the joint state after transition codes
+    tr1 and tr2 from joint state G."""
+    g1, g2 = _PAIR_STATES
+    tr1, tr2 = np.divmod(np.arange(9), 3)
+    nxt = 2 * ((g1 + tr1[:, None]) >> 1) + ((g2 + tr2[:, None]) >> 1)
+    return nxt.ravel()
+
+
+def _draw_block(gen, n, H, b0, ch, random_actions):
+    """The next n rows of the stream, drawn DRAW_CHUNK rows at a time and
+    reduced to int8 codes at once: the initial joint states, the joint
+    moves[t, e] = 4 * (3 * tr1 + tr2) of each slot and, for random-uniform,
+    each slot's action code 4a. Slot-major, so a slot reads a contiguous row.
+    """
+    pair = np.empty(n, dtype=np.intp)
+    moves = np.empty((H, n), dtype=np.int8)
+    acts = np.empty((H, n), dtype=np.int8) if random_actions else None
+    for lo in range(0, n, DRAW_CHUNK):
+        hi = min(lo + DRAW_CHUNK, n)
+        u = gen.random((hi - lo, 2 + 3 * H))
+        pair[lo:hi] = 2 * (u[:, 0] < b0.p1) + (u[:, 1] < b0.p2)
+        code = _transition_code(u, ch)
+        move = code[:, 3::3] * 12
+        move += code[:, 4::3] * 4
+        moves[:, lo:hi] = move.T
+        if random_actions:
+            act = (u[:, 2::3] * 4).astype(np.int8)
+            np.minimum(act, 3, out=act)
+            act <<= 2
+            acts[:, lo:hi] = act.T
+    return pair, moves, acts
 
 
 def _reward_table(econ):
@@ -164,24 +221,33 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
 
     policy is a PolicyField (actions read at the nearest lattice point) or
     one of BASELINES. Returns a SimSummary; with collect_traces also a
-    TraceBatch. Identical config means bit-identical results. Episodes run
-    in blocks of EPISODE_BLOCK; each episode's result is independent of the
-    blocking.
+    TraceBatch. Identical config means bit-identical results.
+
+    The uniforms are reduced DRAW_CHUNK rows at a time to int8 transition
+    codes, one byte per slot for both channels, plus one action byte per
+    slot for random-uniform: H bytes per episode, or 2H. STEP_BLOCK
+    episodes are then stepped together, slot by slot; see the module notes.
     """
     E, H = cfg.episodes, cfg.horizon
     beta = discount.beta
     tab, nxt = _belief_codes(cfg, ch)
+    C = tab.shape[1]
+    # Actions are carried as codes 4a, so that 4a + G indexes the reward of
+    # action a in joint state G, and (4a + G) * C + code the next code.
     table = _action_table(policy, tab, econ)
-    reward = _reward_table(econ)
-    lam = np.array([ch.lambda0, ch.lambda1])
-    b0 = cfg.initial_belief
+    if table is not None:
+        table = table.ravel()
+        table <<= 2
+    reward = _reward_table(econ).ravel()
+    pnext = _pair_moves()
+    A = len(ACTION_PRIORITY)
     start = 2 * (H + 1)
     weights = [1.0]     # beta^t by repeated products, as the running sum uses
     for _ in range(H - 1):
         weights.append(weights[-1] * beta)
 
     total = np.zeros(E)
-    counts = np.zeros(len(ACTION_PRIORITY), dtype=np.int64)
+    counts = np.zeros(A, dtype=np.int64)
     if collect_traces:
         tr_states = np.empty((E, H, 2), dtype=np.int8)
         tr_beliefs = np.empty((E, H, 2))
@@ -190,33 +256,37 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
         tr_cum = np.empty((E, H))
 
     gen = np.random.default_rng(cfg.seed)
-    for lo in range(0, E, EPISODE_BLOCK):
-        hi = min(lo + EPISODE_BLOCK, E)
-        u = gen.random((hi - lo, 2 + 3 * H))
-        g1 = (u[:, 0] < b0.p1).astype(np.intp)
-        g2 = (u[:, 1] < b0.p2).astype(np.intp)
+    for lo in range(0, E, STEP_BLOCK):
+        hi = min(lo + STEP_BLOCK, E)
+        pair, moves, draws = _draw_block(gen, hi - lo, H, cfg.initial_belief, ch,
+                                         table is None)
         c1 = np.full(hi - lo, start, dtype=np.intp)
         c2 = np.full(hi - lo, start, dtype=np.intp)
         acc = total[lo:hi]
         for t in range(H):
-            acts = (table[c1, c2] if table is not None
-                    else np.minimum((u[:, 2 + 3 * t] * 4).astype(np.intp), 3))
-            counts += np.bincount(acts, minlength=len(ACTION_PRIORITY))
-            rewards = reward[acts, g1, g2]
-            acc += weights[t] * rewards
+            if table is None:
+                acts = draws[t]
+            else:
+                j = c1 * C
+                j += c2
+                acts = table.take(j)
+            counts += np.bincount(acts, minlength=4 * A - 3)[::4]     # bins 4a
+            k = acts + pair
+            acc += (weights[t] * reward).take(k)
             if collect_traces:
-                tr_states[lo:hi, t, 0] = g1
-                tr_states[lo:hi, t, 1] = g2
-                tr_beliefs[lo:hi, t, 0] = tab[0][c1]
-                tr_beliefs[lo:hi, t, 1] = tab[1][c2]
-                tr_actions[lo:hi, t] = acts
-                tr_rewards[lo:hi, t] = rewards
+                tr_states[lo:hi, t, 0] = pair >> 1
+                tr_states[lo:hi, t, 1] = pair & 1
+                tr_beliefs[lo:hi, t, 0] = tab[0].take(c1)
+                tr_beliefs[lo:hi, t, 1] = tab[1].take(c2)
+                tr_actions[lo:hi, t] = acts >> 2
+                tr_rewards[lo:hi, t] = reward.take(k)
                 tr_cum[lo:hi, t] = acc
-            c1 = nxt[0][acts, g1, c1]
-            c2 = nxt[1][acts, g2, c2]
-            g1 = (u[:, 3 + 3 * t] < lam[g1]).astype(np.intp)
-            g2 = (u[:, 4 + 3 * t] < lam[g2]).astype(np.intp)
-        del u     # so that the next block's uniforms do not coexist with these
+            k *= C
+            c1 += k
+            c2 += k
+            c1 = nxt[0].take(c1)
+            c2 = nxt[1].take(c2)
+            pair = pnext.take(moves[t] + pair)
 
     mean = float(np.mean(total))
     se = float(np.std(total, ddof=1) / math.sqrt(E)) if E > 1 else 0.0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from gepower import (
     immediate_reward,
     run_episodes,
 )
+from gepower import simulate
 from gepower.dynamics import ACTION_PRIORITY, ParameterError
 from gepower.simulate import (
     EPISODE_BLOCK,
+    STEP_BLOCK,
     _action_table,
     _belief_codes,
+    _transition_code,
     save_summary,
     summary_to_dict,
     write_traces_csv,
@@ -169,12 +173,10 @@ class TestLoopOracle:
     def _policy(name, policy_a):
         return policy_a if name == "grid" else name
 
-    @pytest.mark.parametrize("name", POLICIES)
-    def test_matches_per_slot_loop(self, name, policy_a):
-        # more than one block, so the block seams are covered
-        policy = self._policy(name, policy_a)
+    @staticmethod
+    def _check(policy, episodes):
         cfg = SimConfig(
-            episodes=EPISODE_BLOCK + 17, horizon=20, seed=8, initial_belief=Belief(0.3, 0.65)
+            episodes=episodes, horizon=20, seed=8, initial_belief=Belief(0.3, 0.65)
         )
         summary, batch = run_episodes(policy, cfg, CH, ECON, DISC, collect_traces=True)
         ref_summary, ref_batch = loop_episodes(policy, cfg, CH, ECON, DISC)
@@ -185,6 +187,22 @@ class TestLoopOracle:
             assert got.dtype == want.dtype, field
             np.testing.assert_array_equal(got, want, err_msg=field)
 
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_matches_per_slot_loop(self, name, policy_a):
+        # many draw chunks at the real sizes
+        self._check(self._policy(name, policy_a), EPISODE_BLOCK + 17)
+
+    @pytest.mark.parametrize("chunk, block", [
+        (3, 7),     # chunk seams inside step blocks, a partial last block
+        (7, 3),     # a chunk larger than the step block
+    ])
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_matches_per_slot_loop_across_seams(self, name, chunk, block, policy_a,
+                                                monkeypatch):
+        monkeypatch.setattr(simulate, "DRAW_CHUNK", chunk)
+        monkeypatch.setattr(simulate, "STEP_BLOCK", block)
+        self._check(self._policy(name, policy_a), 17)
+
     @pytest.mark.parametrize("k", [100, EPISODE_BLOCK + 5])
     def test_prefix_of_larger_run(self, k, policy_a):
         big = SimConfig(episodes=EPISODE_BLOCK + 17, horizon=12, seed=6,
@@ -194,6 +212,42 @@ class TestLoopOracle:
         _, b = run_episodes(policy_a, small, CH, ECON, DISC, collect_traces=True)
         for field in ("states", "beliefs", "actions", "rewards", "cum_disc"):
             np.testing.assert_array_equal(getattr(a, field)[:k], getattr(b, field), err_msg=field)
+
+
+class TestTransitionCode:
+    @pytest.mark.parametrize("ch", [CH, ChannelParams(0.3, 0.35), ChannelParams(0.0, 1.0)])
+    def test_next_state_is_the_threshold_draw(self, ch):
+        # (g + code) >> 1 must equal u < lambda_g exactly, also at the
+        # thresholds themselves and the doubles next to them
+        lam = np.array([ch.lambda0, ch.lambda1])
+        u = np.concatenate([
+            lam, np.nextafter(lam, 0.0), np.nextafter(lam, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        code = _transition_code(u, ch)
+        assert code.dtype == np.int8
+        for g in (0, 1):
+            np.testing.assert_array_equal((g + code) >> 1, (u < lam[g]).astype(np.int8))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("name", ["random-uniform", "myopic"])
+    @pytest.mark.parametrize("horizon", [50, 400])
+    def test_peak_below_one_block_of_uniforms(self, horizon, name):
+        # the bound is 2048 episodes' rows of uniforms plus the action table,
+        # what stepping over whole rows held; the int8 codes of a run over two
+        # step blocks must take less at every horizon
+        cfg = SimConfig(episodes=STEP_BLOCK + 17, horizon=horizon, seed=4,
+                        initial_belief=Belief(0.5, 0.5))
+        codes = 3 * (horizon + 1)
+        bound = 2048 * (2 + 3 * horizon) * 8 + codes ** 2
+        tracemalloc.start()
+        try:
+            run_episodes(name, cfg, CH, ECON, DISC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestActionTable:
@@ -258,8 +312,11 @@ class TestPinnedSummaries:
     the random stream or of the stepping shows."""
 
     RUN = ["--episodes", "300", "--horizon", "20", "--seed", "5"]
+    # STEP_BLOCK + 17 episodes, so the run crosses a step-block seam
+    SEAM_RUN = ["--episodes", "10257", "--horizon", "20", "--seed", "5"]
     DIGESTS = {
         "grid-policy": "1f1e42720a6ef9f815600eed29ccc10889166d7aae4557461f1cd9d92785a7f4",
+        "grid-policy-seam": "f3b91548a8130d24befdcde89e07738a74fce7fb5fd8e4cb4c0b25d507405872",
         "myopic": "d5dc551d427f44fa93cb786750c98fb1441b249f3995966c3e575ca8420028dc",
         "always-balanced": "cc670de9b3dd3c0ea8b62246f0ae1b51e3fc4959696d4045c24e0452fc195785",
         "random-uniform": "2e3096d3dfd72c0fe06000f9df164e4adc04199fa89e8a2f0e4f247d3e56973c",
@@ -269,13 +326,20 @@ class TestPinnedSummaries:
     def _digest(path):
         return hashlib.sha256((path / "sim_summary.json").read_bytes()).hexdigest()
 
-    def test_grid_policy(self, tmp_path):
+    def _check_grid_policy(self, key, run, tmp_path):
         from gepower.cli import EXIT_OK, main
 
         assert main(["solve", "--grid", "11", "--out", str(tmp_path)]) == EXIT_OK
         source = [str(tmp_path / "value.json")]
-        assert main(["simulate"] + source + self.RUN + ["--out", str(tmp_path)]) == EXIT_OK
-        assert self._digest(tmp_path) == self.DIGESTS["grid-policy"]
+        assert main(["simulate"] + source + run + ["--out", str(tmp_path)]) == EXIT_OK
+        assert self._digest(tmp_path) == self.DIGESTS[key]
+
+    def test_grid_policy(self, tmp_path):
+        self._check_grid_policy("grid-policy", self.RUN, tmp_path)
+
+    def test_grid_policy_across_step_blocks(self, tmp_path):
+        assert STEP_BLOCK < int(self.SEAM_RUN[1]) < 2 * STEP_BLOCK
+        self._check_grid_policy("grid-policy-seam", self.SEAM_RUN, tmp_path)
 
     def _check_baseline(self, name, tmp_path):
         from gepower.cli import EXIT_OK, main
