@@ -207,17 +207,22 @@ def cmd_sweep(args):
         raise ParameterError(f"sweep --points >= 1 violated: {points}")
     out = _outdir(cfg["out"])
     rows = []
+    # Neighbouring points have nearly equal fields, so each solve starts
+    # from the last one that solved; a skipped point leaves it as it was.
+    solved = None
     for value in _sweep_values(args.start, args.stop, points):
         point = _sweep_point_config(cfg, args.param, value)
         try:
             ch, econ, discount = _params(point)
             grid = BeliefGrid(int(point["grid"]))
             result = solve(
-                SolverConfig(discount, point["tol"], int(point["max_iter"])), ch, econ, grid
+                SolverConfig(discount, point["tol"], int(point["max_iter"])), ch, econ, grid,
+                start=solved,
             )
         except (ParameterError, NonConvergence) as exc:
             print(f"skipping {args.param}={value:g}: {exc}", file=sys.stderr)
             continue
+        solved = result.field
         policy = extract_policy(result.field, ch, econ, discount)
         areas = region_map(policy)
         diag = diagonal_structure(result.field, policy, ch, econ, discount)

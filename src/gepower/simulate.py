@@ -14,17 +14,19 @@ channel paths for paired comparisons. Row layout: two initial-state draws,
 then per slot one action draw and two transition draws.
 
 Stepping: every belief a channel can hold is T^k of its last observation or
-of its initial belief, so beliefs are carried as integer codes, and each
-deterministic policy is one int8 table over the C^2 pairs of the C = 3(H+1)
-codes, built once per run: C^2 bytes, 0.36 MB at H=200. The stream is drawn
-DRAW_CHUNK rows at a time, and each chunk is reduced at once to int8 codes:
-a channel's transition code (u < lambda0) + (u < lambda1) takes state g to
-(g + code) >> 1, the two channels' codes share one byte per slot, and
-random-uniform adds one action byte per slot. An episode so holds H bytes
-(2H for random-uniform), not its 8(2 + 3H) bytes of uniforms. Up to
-STEP_BLOCK episodes are stepped together, one slot at a time, by flat
-lookups in the action, reward and code tables. No result depends on
-DRAW_CHUNK or STEP_BLOCK.
+of its initial belief, so beliefs are carried as integer codes, one per
+distinct belief, and each deterministic policy is one int8 table over the
+code pairs, built once per run. T^k converges to the stationary belief, so
+a channel's distinct beliefs, and with them the table, stop growing with
+H: 317 codes a channel and 0.1 MB with lambda = (0.1, 0.9) from (0.5, 0.5)
+at H = 200 and at H = 4603. The stream is drawn DRAW_CHUNK rows at a time,
+and each chunk is reduced at once to int8 codes: a channel's transition
+code (u < lambda0) + (u < lambda1) takes state g to (g + code) >> 1, the
+two channels' codes share one byte per slot, and random-uniform adds one
+action byte per slot. An episode so holds H bytes (2H for random-uniform),
+not its 8(2 + 3H) bytes of uniforms. Up to STEP_BLOCK episodes are stepped
+together, one slot at a time, by flat lookups in the action, reward and
+code tables. No result depends on DRAW_CHUNK or STEP_BLOCK.
 """
 
 from __future__ import annotations
@@ -117,28 +119,40 @@ _PAIR_STATES = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
 
 
 def _belief_codes(cfg, ch):
-    """Belief tables and transition tables over belief codes.
+    """Per channel: its beliefs by code, the transitions between codes, and
+    the code of its initial belief.
 
     A channel's belief is T^k of its last observation (lambda0 or lambda1)
-    or of its initial belief, with k <= horizon, so code s*(H+1) + k stands
-    for T^k of start s (0: lambda0, 1: lambda1, 2: initial belief).
-    Returns tab[i, code], the belief of channel i, and nxt[i, (4a + G) * C
-    + code], channel i's next code after action a in joint state G, where C
-    = 3(H+1) is the number of codes.
+    or of its initial belief, with k <= horizon. Beliefs with one bit
+    pattern share one code, so a channel has at most 3(H+1) codes; as T^k
+    converges to the stationary belief the late terms of the three chains
+    coincide, and the count stops growing with H. Returns (tab, nxt, start):
+    tab[i], channel i's distinct beliefs, indexed by code; nxt[i][(4a + G)
+    * C + code], its next code after action a in joint state G, where C =
+    tab[i].size; start[i], the code of its initial belief.
     """
     H = cfg.horizon
     b0 = cfg.initial_belief
-    tab = np.empty((2, 3, H + 1))
+    chains = np.empty((2, 3, H + 1))
     cur = np.array([[ch.lambda0, ch.lambda1, b0.p1], [ch.lambda0, ch.lambda1, b0.p2]])
     for k in range(H + 1):
-        tab[:, :, k] = cur
+        chains[:, :, k] = cur
         cur = propagate_array(cur, ch)
-    drift = np.arange(3 * (H + 1)) + 1
-    drift[H::H + 1] -= 1     # chain ends are never read; keep codes in range
-    observe = (H + 1) * _PAIR_STATES[:, None, :, None]
     used = np.array([USES_CHANNEL[a] for a in ACTION_PRIORITY]).T[:, :, None, None]
-    nxt = np.where(used, observe, drift)
-    return tab.reshape(2, -1), nxt.reshape(2, -1)
+    tab, nxt, start = [], [], []
+    for i, chain in enumerate(chains):
+        bits = np.unique(chain.view(np.uint64))
+        beliefs = bits.view(np.float64)
+        # T of a belief met at k < H is its chain's next term, so it has a
+        # code; a belief met only at k = H is never propagated.
+        drifted = propagate_array(beliefs, ch).view(np.uint64)
+        drift = np.minimum(np.searchsorted(bits, drifted), bits.size - 1)
+        drift = np.where(bits[drift] == drifted, drift, np.arange(bits.size))
+        firsts = np.searchsorted(bits, chain[:, 0].view(np.uint64))   # lambda0, lambda1, b0
+        nxt.append(np.where(used[i], firsts[_PAIR_STATES[i]][:, None], drift).ravel())
+        tab.append(beliefs)
+        start.append(int(firsts[2]))
+    return tab, nxt, start
 
 
 def _transition_code(u, ch):
@@ -196,20 +210,20 @@ def _reward_table(econ):
 
 def _action_table(policy, tab, econ):
     """table[c1, c2], the action index at each belief-code pair; None for random-uniform."""
-    C = tab.shape[1]
+    shape = tab[0].size, tab[1].size
     if isinstance(policy, PolicyField):
-        idx = np.rint(tab * (policy.grid.n - 1)).astype(np.intp)
-        return policy.primary.astype(np.int8)[np.ix_(idx[0], idx[1])]
+        idx = [np.rint(b * (policy.grid.n - 1)).astype(np.intp) for b in tab]
+        return policy.primary.astype(np.int8)[np.ix_(*idx)]
     fixed = {"always-balanced": Action.BALANCED, "always-conservative": Action.CONSERVATIVE}
     if policy in fixed:
-        return np.full((C, C), ACTION_PRIORITY.index(fixed[policy]), dtype=np.int8)
+        return np.full(shape, ACTION_PRIORITY.index(fixed[policy]), dtype=np.int8)
     if policy == "random-uniform":
         return None
     if policy == "myopic":
         # Eight rows at a time keeps the float temporaries small, and so peak
         # RSS; actions in priority order, so argmax tie-breaks like `primary`.
-        table = np.empty((C, C), dtype=np.int8)
-        for lo in range(0, C, 8):
+        table = np.empty(shape, dtype=np.int8)
+        for lo in range(0, shape[0], 8):
             p1, p2 = np.broadcast_arrays(tab[0][lo:lo + 8, None], tab[1])
             table[lo:lo + 8] = np.argmax(expected_rewards(p1, p2, econ), axis=0)
         return table
@@ -230,10 +244,10 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     """
     E, H = cfg.episodes, cfg.horizon
     beta = discount.beta
-    tab, nxt = _belief_codes(cfg, ch)
-    C = tab.shape[1]
+    tab, nxt, start = _belief_codes(cfg, ch)
+    C1, C2 = tab[0].size, tab[1].size
     # Actions are carried as codes 4a, so that 4a + G indexes the reward of
-    # action a in joint state G, and (4a + G) * C + code the next code.
+    # action a in joint state G, and (4a + G) * C_i + code the next code.
     table = _action_table(policy, tab, econ)
     if table is not None:
         table = table.ravel()
@@ -241,7 +255,6 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     reward = _reward_table(econ).ravel()
     pnext = _pair_moves()
     A = len(ACTION_PRIORITY)
-    start = 2 * (H + 1)
     weights = [1.0]     # beta^t by repeated products, as the running sum uses
     for _ in range(H - 1):
         weights.append(weights[-1] * beta)
@@ -260,14 +273,14 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
         hi = min(lo + STEP_BLOCK, E)
         pair, moves, draws = _draw_block(gen, hi - lo, H, cfg.initial_belief, ch,
                                          table is None)
-        c1 = np.full(hi - lo, start, dtype=np.intp)
-        c2 = np.full(hi - lo, start, dtype=np.intp)
+        c1 = np.full(hi - lo, start[0], dtype=np.intp)
+        c2 = np.full(hi - lo, start[1], dtype=np.intp)
         acc = total[lo:hi]
         for t in range(H):
             if table is None:
                 acts = draws[t]
             else:
-                j = c1 * C
+                j = c1 * C2
                 j += c2
                 acts = table.take(j)
             counts += np.bincount(acts, minlength=4 * A - 3)[::4]     # bins 4a
@@ -281,8 +294,8 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
                 tr_actions[lo:hi, t] = acts >> 2
                 tr_rewards[lo:hi, t] = reward.take(k)
                 tr_cum[lo:hi, t] = acc
-            k *= C
-            c1 += k
+            c1 += k * C1
+            k *= C2
             c2 += k
             c1 = nxt[0].take(c1)
             c2 = nxt[1].take(c2)

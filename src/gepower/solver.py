@@ -8,9 +8,12 @@ parameter set and shared by every Q grid and transition row of a solve.
 The fixed point of the four-action Bellman operator is computed by Howard
 policy iteration (Howard 1960; Puterman 1994, ch. 6): each policy is
 evaluated on the small closed set of lattice points its transitions read,
-and one final Bellman backup certifies the field with its residual. The
-backup is written so that a symmetric field stays bit-exactly symmetric,
-which the downstream mirror checks depend on.
+and one final Bellman backup certifies the field with its residual. A solve
+can start from a given field, such as a neighbouring parameter point's
+solution, instead of the zero field: the start picks the first policy and
+is where the first evaluation sets out from, and the certificate is the
+same. The backup is written so that a symmetric field stays bit-exactly
+symmetric, which the downstream mirror checks depend on.
 """
 
 from __future__ import annotations
@@ -491,8 +494,9 @@ def _extend(grid, support, v_support, policy, ch, econ, discount):
     return ValueField(grid, (vals + vals.T) / 2.0)
 
 
-def solve(cfg, ch, econ, grid):
-    """Howard policy iteration from the myopic policy to a repeated policy.
+def solve(cfg, ch, econ, grid, start=None):
+    """Howard policy iteration to a repeated policy, from the greedy policy
+    of `start`, or of the zero field (the myopic policy).
 
     Each improvement takes the greedy policy of the current field (see
     _improve) and evaluates it on the closed set of lattice points its
@@ -501,15 +505,21 @@ def solve(cfg, ch, econ, grid):
     certifies the field: its step is the reported residual and its output,
     exactly mirror-symmetric, is the returned field.
 
-    Raises NonConvergence when max_iter improvements are not enough or the
-    certified residual exceeds cfg.tol.
+    start, a ValueField on grid, picks the first policy and is where the
+    first evaluation sets out from: a field close to the solution saves
+    improvements and evaluation steps, and the certificate is the same
+    whatever the start. Raises ParameterError when start lies on another
+    grid, and NonConvergence when max_iter improvements are not enough or
+    the certified residual exceeds cfg.tol.
     """
     discount = cfg.discount
+    if start is not None and start.grid != grid:
+        raise ParameterError(f"start field on grid n={start.grid.n}, solve on n={grid.n}")
     st = _Stencils(grid, ch)
     # Enough Jacobi steps to contract any start by 2^-52 at rate beta; an
     # evaluation cut short by the cap still has to pass the certificate.
     max_steps = 100 + int(40.0 / (1.0 - discount.beta))
-    v = ValueField(grid, np.zeros((grid.n, grid.n)))
+    v = ValueField(grid, np.zeros((grid.n, grid.n))) if start is None else start
     policy = None
     steps = 0
     for iteration in range(1, cfg.max_iter + 1):

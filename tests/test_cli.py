@@ -318,6 +318,22 @@ class TestSweepCommand:
         assert len(rows) == 1 + 1   # only lambda0=0.8 is valid
         assert "skipping" in capsys.readouterr().err
 
+    def test_rows_after_a_skipped_first_point(self, tmp_path, capsys):
+        # lambda1 = 0.0625 is below lambda0 and skipped with no field to pass
+        # on, so the next point solves from the zero field and the rows equal
+        # those of the sweep without it
+        def rows(start, points):
+            out = tmp_path / start
+            assert main(["sweep", "--param", "lambda1", "--start", start, "--stop", "0.8125",
+                         "--points", points, "--grid", "22", "--out", str(out)]) == EXIT_OK
+            return [ln for ln in (out / "sweep.csv").read_text().splitlines()
+                    if not ln.startswith("#")]
+
+        with_invalid = rows("0.0625", "4")
+        assert "skipping lambda1=0.0625" in capsys.readouterr().err
+        assert with_invalid == rows("0.3125", "3")
+        assert len(with_invalid) == 1 + 3
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_points_below_one_is_a_configuration_error(self, tmp_path, capsys, points):
         code = main(

@@ -135,3 +135,12 @@ class TestPinnedBytes:
         assert _digest(tmp_path / "sweep.csv") == (
             "170cd7522d4454efd1c7f32391af2726174a03b31da3b135c9098a6c8e687ff5"
         )
+
+    def test_sweep_of_the_cost_ratio(self, tmp_path):
+        # pinned before sweep points started from their predecessor's field;
+        # its first point is two-threshold and the others one-threshold
+        main(["sweep", "--grid", "22", "--param", "ch_over_cl", "--start", "1.05",
+              "--stop", "1.95", "--points", "4", "--out", str(tmp_path)])
+        assert _digest(tmp_path / "sweep.csv") == (
+            "edc859aef311f4c4209fed32befec072c320a498c4d0a5593c4d0610bad5a8a7"
+        )

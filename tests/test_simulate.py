@@ -18,7 +18,7 @@ from gepower import (
     run_episodes,
 )
 from gepower import simulate
-from gepower.dynamics import ACTION_PRIORITY, ParameterError
+from gepower.dynamics import ACTION_PRIORITY, USES_CHANNEL, ParameterError, propagate
 from gepower.simulate import (
     EPISODE_BLOCK,
     STEP_BLOCK,
@@ -174,9 +174,9 @@ class TestLoopOracle:
         return policy_a if name == "grid" else name
 
     @staticmethod
-    def _check(policy, episodes):
+    def _check(policy, episodes, horizon=20):
         cfg = SimConfig(
-            episodes=episodes, horizon=20, seed=8, initial_belief=Belief(0.3, 0.65)
+            episodes=episodes, horizon=horizon, seed=8, initial_belief=Belief(0.3, 0.65)
         )
         summary, batch = run_episodes(policy, cfg, CH, ECON, DISC, collect_traces=True)
         ref_summary, ref_batch = loop_episodes(policy, cfg, CH, ECON, DISC)
@@ -191,6 +191,12 @@ class TestLoopOracle:
     def test_matches_per_slot_loop(self, name, policy_a):
         # many draw chunks at the real sizes
         self._check(self._policy(name, policy_a), EPISODE_BLOCK + 17)
+
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_matches_per_slot_loop_with_shared_codes(self, name, policy_a):
+        # past ~150 slots the late terms of the three belief chains are equal
+        # floats and share codes
+        self._check(self._policy(name, policy_a), 40, horizon=250)
 
     @pytest.mark.parametrize("chunk, block", [
         (3, 7),     # chunk seams inside step blocks, a partial last block
@@ -249,6 +255,48 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_table_does_not_grow_with_the_horizon(self):
+        # one byte per pair of the 3(H+1) chain terms would be 36 MB here
+        cfg = SimConfig(episodes=10, horizon=2000, seed=0, initial_belief=Belief(0.5, 0.5))
+        tracemalloc.start()
+        try:
+            run_episodes("always-balanced", cfg, CH, ECON, DISC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+
+class TestBeliefCodes:
+    """One code per distinct belief of each channel, against chains built
+    with the scalar propagate."""
+
+    @pytest.mark.parametrize("horizon", [1, 12, 250])
+    @pytest.mark.parametrize("p1, p2", [(0.3, 0.65), (0.5, 0.5), (0.0, 1.0)])
+    def test_codes_and_transitions(self, p1, p2, horizon):
+        cfg = SimConfig(episodes=1, horizon=horizon, seed=0, initial_belief=Belief(p1, p2))
+        tab, nxt, start = _belief_codes(cfg, CH)
+        for i, b0 in enumerate((p1, p2)):
+            chains = []
+            for b in (CH.lambda0, CH.lambda1, b0):
+                chain = [b]
+                for _ in range(horizon):
+                    chain.append(propagate(chain[-1], CH))
+                chains.append(chain)
+            assert tab[i].tolist() == sorted({b for chain in chains for b in chain})
+            code = {b: c for c, b in enumerate(tab[i].tolist())}
+            assert start[i] == code[b0]
+            C = tab[i].size
+            for k, a in enumerate(ACTION_PRIORITY):
+                for G in range(4):
+                    g = (G >> 1, G & 1)[i]
+                    row = nxt[i][(4 * k + G) * C:(4 * k + G + 1) * C]
+                    observed = (CH.lambda0, CH.lambda1)[g]
+                    # beliefs held before the last slot, the ones stepped from
+                    for b in {b for chain in chains for b in chain[:-1]}:
+                        want = observed if USES_CHANNEL[a][i] else propagate(b, CH)
+                        assert tab[i][row[code[b]]] == want
+
 
 class TestActionTable:
     """Each policy's table at every belief-code pair, including the pairs no
@@ -257,7 +305,7 @@ class TestActionTable:
     @staticmethod
     def _table(policy, horizon, b0):
         cfg = SimConfig(episodes=1, horizon=horizon, seed=0, initial_belief=b0)
-        tab, _ = _belief_codes(cfg, CH)
+        tab, _, _ = _belief_codes(cfg, CH)
         return tab, _action_table(policy, tab, ECON)
 
     @pytest.mark.parametrize("horizon", [1, 12])
@@ -266,10 +314,9 @@ class TestActionTable:
     def test_deterministic_policy_table(self, name, p1, p2, horizon, policy_a):
         policy = TestLoopOracle._policy(name, policy_a)
         tab, table = self._table(policy, horizon, Belief(p1, p2))
-        codes = np.arange(tab.shape[1])
-        assert table.shape == (codes.size, codes.size) == (3 * (horizon + 1),) * 2
+        assert table.shape == (tab[0].size, tab[1].size)
         assert table.dtype == np.int8
-        c1, c2 = np.meshgrid(codes, codes, indexing="ij")
+        c1, c2 = np.meshgrid(np.arange(tab[0].size), np.arange(tab[1].size), indexing="ij")
         beliefs = np.column_stack([tab[0][c1.ravel()], tab[1][c2.ravel()]])
         want = _select_actions(policy, beliefs, ECON, None)
         np.testing.assert_array_equal(table.ravel(), want)
@@ -354,6 +401,58 @@ class TestPinnedSummaries:
     @pytest.mark.parametrize("name", ["myopic", "always-balanced"])
     def test_table_baselines(self, name, tmp_path):
         self._check_baseline(name, tmp_path)
+
+
+class TestPinnedLongRun:
+    """sha256 of sim_summary.json and traces.csv, and the stdout line, of runs
+    long enough that the belief chains' late terms share codes; pinned
+    before they did."""
+
+    RUN = ["--episodes", "30", "--horizon", "250", "--seed", "2", "--p1", "0.3",
+           "--p2", "0.65", "--dump-traces"]
+    PINS = {
+        "grid-policy": (
+            "d6c3d9d34b1e29e39117e3b8b69cb59aac3a98fb815f9d8c65c8755e6424b4d6",
+            "39c88b9c793d76466af8e4ffe2198a279de640689ee03e0d1d36e788247d54a8",
+            "mean 17.747537 (se 2.039244), truncation bound 9.652e-11",
+        ),
+        "myopic": (
+            "f246038ba3bfe80a44f795f83d27d5e689f591cbd0f7cc7894048dc520150553",
+            "1c67dd16eaa56494d5361d7156f3337a4ef56d39e5ac4d548bf9686ca66ef13c",
+            "mean 16.430198 (se 1.734645), truncation bound 1.454e-10",
+        ),
+        "always-balanced": (
+            "7b5a4c9e31e443c4a80999d9474e0e0cddb40f291045ffddb3fac298506508c1",
+            "115cde119003a59d4c9cd80526950d511b620ba9cb16e5f595fc7b14345e26e2",
+            "mean 12.187762 (se 2.232494), truncation bound 1.454e-10",
+        ),
+        "always-conservative": (
+            "a14705bd7b646f6ffa088d77d9e163f34dad5bb151c069a40d610003f04fc2fb",
+            "251a2ec4eb4889f9673edf8f250e60c11269066ce8b816849707cea802b2d378",
+            "mean 0.000000 (se 0.000000), truncation bound 1.454e-10",
+        ),
+        "random-uniform": (
+            "8686029f72d8ae8baf0565a6b2b2c9f3d61429461508d359362a4e75a35942a0",
+            "1cbac6d7a4a0c0c2b6c4de962362e292719d4802209f6c8baa10236bd6ccfcd0",
+            "mean 7.539468 (se 1.407385), truncation bound 1.454e-10",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_files_and_stdout(self, name, tmp_path, capsys):
+        from gepower.cli import EXIT_OK, main
+
+        if name == "grid-policy":
+            assert main(["solve", "--grid", "11", "--out", str(tmp_path)]) == EXIT_OK
+            source = [str(tmp_path / "value.json")]
+        else:
+            source = ["--baseline", name]
+        capsys.readouterr()
+        assert main(["simulate"] + source + self.RUN + ["--out", str(tmp_path)]) == EXIT_OK
+        summary, traces, line = self.PINS[name]
+        assert capsys.readouterr().out == f"{name}: {line}\n"
+        for file, digest in (("sim_summary.json", summary), ("traces.csv", traces)):
+            assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
 
 
 class TestSummaryOutput:

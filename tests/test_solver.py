@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -15,12 +16,14 @@ from gepower import (
     SolverConfig,
     ValueField,
     bellman_backup,
+    extract_policy,
     immediate_reward,
     interpolate,
     load_value_field,
     save_value_field,
     solve,
 )
+from gepower.cli import main
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.lpmodel import build_all_kernels
 from gepower.solver import (
@@ -424,6 +427,59 @@ class TestSolve:
             assert f.values[i, j] == pytest.approx(
                 oracle.value(float(grid.points[i]), float(grid.points[j]), 3), abs=0.05
             )
+
+
+class TestWarmStart:
+    """solve(start=...) picks its first policy from start; its answer is the
+    cold solve's, within the two certificates."""
+
+    GRID = BeliefGrid(21)
+
+    @staticmethod
+    def _solve(ch=CH, econ=ECON, disc=DISC, start=None, grid=GRID):
+        return solve(SolverConfig(disc, 1e-9, 50), ch, econ, grid, start=start)
+
+    @pytest.mark.parametrize("ch, econ, disc", [
+        (CH, EconParams(3.3, 2.0, 1.2, 0.8), DISC),
+        (ChannelParams(0.15, 0.9), ECON, DISC),
+        (CH, ECON, Discount(0.95)),
+    ], ids=["rh", "lambda0", "beta"])
+    def test_from_a_neighbouring_point(self, ch, econ, disc):
+        neighbour = self._solve()
+        cold = self._solve(ch, econ, disc)
+        warm = self._solve(ch, econ, disc, start=neighbour.field)
+        gap = np.max(np.abs(warm.field.values - cold.field.values))
+        assert gap <= warm.bound + cold.bound + 1e-12
+        assert warm.residual <= 1e-9
+        assert np.max(np.abs(warm.field.values - warm.field.values.T)) == 0.0
+        np.testing.assert_array_equal(
+            extract_policy(warm.field, ch, econ, disc).primary,
+            extract_policy(cold.field, ch, econ, disc).primary,
+        )
+
+    def test_from_its_own_solution(self):
+        cold = self._solve()
+        warm = self._solve(start=cold.field)
+        assert warm.iterations <= 2 < cold.iterations
+        assert warm.evaluation_steps < cold.evaluation_steps
+
+    def test_start_on_another_grid_rejected(self):
+        other = self._solve(grid=BeliefGrid(11))
+        with pytest.raises(ParameterError, match="grid"):
+            self._solve(start=other.field)
+
+    def test_cold_path_bytes(self, tmp_path):
+        # sha256 of the files written before solve took a start field
+        assert main(["solve", "--grid", "15", "--beta", "0.95", "--out", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("value.json", "solve_report.json")
+        }
+        assert digests == {
+            "value.json": "146f2e51b73ed48272486dd88ceb5f6f3228c4656d6c9fc0cbadd132c80e9e7e",
+            "solve_report.json":
+                "18af3a8ef6e7e0ae4a6e6b56757f5a995a4c6f174dab64796f12194497a23492",
+        }
 
 
 # Channels with lambda between lattice points, two close lambdas, lambda1 = 1
