@@ -7,7 +7,7 @@ carries the constraint
 
 where the next-state weights f_a spread each successor belief over its
 enclosing cell's vertices with the same bilinear weights the Bellman
-backups use. The kernels are scipy CSR matrices of the solver's own
+backups use. The kernels are the CSR arrays of the solver's own
 transition stencils (solver._Stencils.transitions), the ones its policy
 evaluations read, and g_a comes from the expected-reward table of the Q
 grids (dynamics.expected_rewards). Minimizing sum_p V(p) subject to all
@@ -20,14 +20,15 @@ the model.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import ACTION_PRIORITY, expected_rewards
 from .solver import _Stencils
 
 __all__ = [
+    "Kernel",
     "build_all_kernels",
     "export_lp",
     "variable_name",
@@ -37,17 +38,26 @@ _ROW_SUM_TOL = 1e-12
 _TERMS_PER_LINE = 6
 
 
+class Kernel(NamedTuple):
+    """One action's (n*n, n*n) transition kernel over flat row-major
+    lattice indices, as CSR arrays: row p's successors are
+    cols[indptr[p]:indptr[p + 1]], increasing, with weights probs."""
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    probs: np.ndarray
+
+
 def build_all_kernels(grid, ch):
     """Per action, the bilinear spread of its successor beliefs onto the
-    lattice: an (n*n, n*n) CSR matrix over flat row-major lattice indices.
+    lattice, as a Kernel.
 
     The rows are the solver's own transition stencils (see
     solver._Stencils.transitions), so the exported model and the policy
     evaluations read one encoding of the discretized dynamics.
     """
     st = _Stencils(grid, ch)
-    size = grid.n * grid.n
-    flat = np.arange(size)
+    flat = np.arange(grid.n * grid.n)
     kernels = {}
     for k, action in enumerate(ACTION_PRIORITY):
         indptr, cols, probs = st.transitions(flat, k)
@@ -56,7 +66,7 @@ def build_all_kernels(grid, ch):
         if bad.size:
             p = int(bad[0])
             raise AssertionError(f"kernel row {p} for {action.value} sums to {float(totals[p])!r}")
-        kernels[action] = sparse.csr_matrix((probs, cols, indptr), shape=(size, size))
+        kernels[action] = Kernel(indptr, cols, probs)
     return kernels
 
 
@@ -74,6 +84,41 @@ def _write_terms(fh, head, terms, per_line=_TERMS_PER_LINE):
     fh.write(head)
     for start in range(0, len(chunks), per_line):
         fh.write(" " + " ".join(chunks[start:start + per_line]) + "\n")
+
+
+def _constraint_rows(kernel, beta):
+    """CSR arrays (indptr, cols, coefs) of the constraint rows I - beta * K.
+
+    A diagonal entry is 1.0 - beta*f, or 1.0 where the row has no self
+    loop, in its place in the row; every other entry is 0.0 - beta*f;
+    entries that come out zero are dropped.
+    """
+    indptr, cols, probs = kernel
+    size = indptr.size - 1
+    rows = np.repeat(np.arange(size), np.diff(indptr))
+    diag = cols == rows
+    loose = np.ones(size, dtype=bool)
+    loose[rows[diag]] = False
+    # A row without a self loop gains the identity's entry, placed before
+    # its columns above the diagonal: an entry moves up by the entries
+    # gained in earlier rows, plus one if it lies past its own row's.
+    gained = np.concatenate([[0], np.cumsum(loose)])
+    at = np.arange(cols.size) + gained[rows]
+    at += loose[rows] & (cols > rows)
+    eye = np.ones(cols.size + int(gained[-1]), dtype=bool)
+    eye[at] = False
+    out_cols = np.empty(eye.size, dtype=cols.dtype)
+    out_cols[at] = cols
+    out_cols[eye] = np.flatnonzero(loose)
+    coefs = np.ones(eye.size)
+    coefs[at] = diag - beta * probs
+    indptr = indptr + gained
+    keep = coefs != 0.0
+    if keep.all():
+        # The usual case for beta > 0; selecting would copy for nothing.
+        return indptr, out_cols, coefs
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    return kept[indptr], out_cols[keep], coefs[keep]
 
 
 def _line_ends(indptr):
@@ -96,15 +141,11 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
     n = grid.n
     size = n * n
     beta = discount.beta
-    # Constraint rows I - beta * K: the diagonal is 1.0 - beta*f (1.0 where
-    # the kernel has no self loop), every other entry 0.0 - beta*f, and
-    # scipy drops the entries that come out zero.
-    eye = sparse.identity(size, format="csr")
-    rows = [eye - beta * kernels[a] for a in ACTION_PRIORITY]
-    ends = [_line_ends(m.indptr) for m in rows]
+    rows = [_constraint_rows(kernels[a], beta) for a in ACTION_PRIORITY]
+    ends = [_line_ends(indptr) for indptr, _, _ in rows]
     lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
     rewards = [g.ravel() for g in expected_rewards(*lattice, econ)]
-    distinct = np.unique(np.concatenate([m.data for m in rows] + rewards))
+    distinct = np.unique(np.concatenate([coefs for _, _, coefs in rows] + rewards))
     text = {c: _fmt(c) for c in distinct.tolist()}
     names = [variable_name(n, p) for p in range(size)]
     labels = [a.value for a in ACTION_PRIORITY]
@@ -123,8 +164,7 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
         for i in range(n):
             first, stop = i * n, (i + 1) * n
             blocks = []
-            for m, end, g in zip(rows, ends, rewards):
-                indptr, cols, coefs = m.indptr, m.indices, m.data
+            for (indptr, cols, coefs), end, g in zip(rows, ends, rewards):
                 lo, hi = indptr[first], indptr[stop]
                 terms = [
                     f" {text[c]} {names[y]}\n" if e else f" {text[c]} {names[y]}"

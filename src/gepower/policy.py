@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .dynamics import ACTION_PRIORITY, Action, ParameterError, propagate
 from .solver import _axis, _gather, action_value_grids, q_probe
@@ -181,15 +180,51 @@ class ConnectivityReport:
     anchor_present: bool
 
 
+def _components(mask):
+    """Number of 4-connected components of a 2-D boolean mask.
+
+    Union-find over the runs of each row: a run joins every run of the
+    previous row that shares a column with it (diagonal neighbours do not
+    touch).
+    """
+    rows, cols = mask.shape
+    width = cols + 1
+    # Each row is followed by one False cell and the whole by one in front,
+    # so the changes along the flat array alternate run start and run end,
+    # as row-major keys row * width + column.
+    flat = np.zeros(rows * width + 1, dtype=bool)
+    flat[1:].reshape(rows, width)[:, :cols] = mask
+    change = np.flatnonzero(flat[1:] != flat[:-1])
+    start, end = change[0::2], change[1::2]
+    # The previous row's runs overlapping [start, end) are those that end
+    # after start and begin before end.
+    lo = np.searchsorted(end, start - width, side="right").tolist()
+    hi = np.searchsorted(start, end - width, side="left").tolist()
+    parent = list(range(start.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = start.size
+    for b, (first, stop) in enumerate(zip(lo, hi)):
+        for a in range(first, stop):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                count -= 1
+    return count
+
+
 def check_connectivity(p):
     """4-neighbor component count per region plus anchor-corner presence."""
-    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     out = {}
     for k, a in enumerate(ACTION_PRIORITY):
         mask = p.best[:, :, k]
-        _, count = ndimage.label(mask, structure=four)
         ai, aj = ANCHOR_CORNERS[a]
-        out[a] = ConnectivityReport(int(count), bool(mask[ai, aj]))
+        out[a] = ConnectivityReport(_components(mask), bool(mask[ai, aj]))
     return out
 
 

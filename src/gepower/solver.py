@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import (
     ACTION_PRIORITY,
@@ -374,9 +373,7 @@ class _Stencils:
     cell with weights 1 - frac and frac, plus a branch of probability zero.
     `slots` holds the (probability, lattice index, weight) tables of these
     four slots, indexed [observed, lattice index, slot] with observed 0 for
-    a drifting coordinate. `reach[observed]` is the n x n 0/1 CSR matrix
-    whose row i marks the lattice indices of i's four slots, whatever their
-    probability or weight.
+    a drifting coordinate.
     """
 
     def __init__(self, grid, ch):
@@ -390,12 +387,6 @@ class _Stencils:
             np.broadcast_to(wo.T.ravel(), (n, 4)),
         )
         self.slots = [np.stack(rows) for rows in zip(drift, observed)]
-        self.reach = [
-            sparse.csr_matrix(
-                (np.ones(4 * n), cols.ravel(), np.arange(0, 4 * n + 1, 4)), shape=(n, n)
-            )
-            for cols in self.slots[1]
-        ]
 
     def transitions(self, flat, k):
         """Transition rows of the flat lattice points under action indices k.
@@ -440,28 +431,60 @@ class _Stencils:
 def _support(policy, st):
     """Sorted flat indices of the lattice points that P_policy reads.
 
-    The nonzero pattern of the sum over action indices k of
-    reach[sx]^T [policy == k] reach[sy], where (sx, sy) says which
-    coordinates k observes: every slot pair of every point's stencil. Every
+    Every slot pair of every point's stencil, whatever its probability or
+    weight, marked on an n x n mask: an observed coordinate reads the four
+    slots of the lambda pair, L, and a drifting one the two vertices of its
+    cell. So balanced points mark L x L, bet1 points L x the drift cells of
+    their columns, bet2 points the mirror of that, and a conservative point
+    (i, j) its drift cell (c_i, c_j) and the cell's three +1 shifts. Every
     successor of every point lies in this set, so it is closed under the
     policy's transitions and the policy's values on it determine the values
     everywhere.
     """
-    mask = sum(
-        st.reach[sx].T @ (policy == k) @ st.reach[sy] for k, (sx, sy) in enumerate(_OBSERVES)
-    )
+    drift, lam = st.slots[1][0], st.slots[1][1][0]
+    mask = np.zeros(policy.shape, dtype=bool)
+    # Action indices in ACTION_PRIORITY order: balanced, bet1, bet2, conservative.
+    if (policy == 0).any():
+        mask[lam[:, None], lam] = True
+    mask[lam[:, None], drift[(policy == 1).any(axis=0)].ravel()] = True
+    mask[drift[(policy == 2).any(axis=1)].ravel()[:, None], lam] = True
+    ci, cj = (drift[idx, 0] for idx in np.nonzero(policy == 3))
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        mask[ci + di, cj + dj] = True
     return np.flatnonzero(mask)
 
 
 def _restricted_kernel(support, policy, st):
-    """P_policy restricted to its closed support, as a CSR matrix."""
+    """P_policy restricted to its closed support, as a slot-major table.
+
+    Returns (cols, probs), both of shape (w, m) for m support points and w
+    entries in the longest row. Table column r holds row r's successors
+    (as positions in support) and their probabilities in increasing
+    successor order; a shorter row is padded at its end with successor 0
+    and probability zero.
+    """
     indptr, cols, probs = st.transitions(support, policy.ravel()[support])
     m = support.size
-    return sparse.csr_matrix((probs, np.searchsorted(support, cols), indptr), shape=(m, m))
+    widths = np.diff(indptr)
+    shape = int(widths.max()), m
+    # Entry e of row r goes to slot e - indptr[r] of column r.
+    at = (np.arange(cols.size) - np.repeat(indptr[:-1], widths)) * m
+    at += np.repeat(np.arange(m), widths)
+    table_cols = np.zeros(shape, dtype=np.intp)
+    table_probs = np.zeros(shape)
+    table_cols.flat[at] = np.searchsorted(support, cols)
+    table_probs.flat[at] = probs
+    return table_cols, table_probs
 
 
 def _evaluate(kernel, gain, beta, max_steps):
-    """Solve delta = gain + beta * kernel @ delta by Jacobi steps.
+    """Solve delta = gain + beta * P @ delta by Jacobi steps, P the
+    slot-major table (cols, probs) of _restricted_kernel.
+
+    Each step sums a row's products left to right from +0.0, the order of
+    a CSR matrix-vector product: np.add.reduce over the leading axis adds
+    slot by slot (np.add.reduceat would sum pairwise). A sum that starts
+    at +0.0 is never -0.0, so padding's zero products leave it unchanged.
 
     The span of the step contracts by at least beta per step; iteration
     stops once it stops shrinking, i.e. at rounding level. The MacQueen
@@ -469,11 +492,19 @@ def _evaluate(kernel, gain, beta, max_steps):
     last step, and the midpoint of that interval is returned, which removes
     the slowly decaying constant mode. Returns (delta, steps).
     """
+    cols, probs = kernel
+    buf = np.empty_like(probs)
+    acc = np.empty_like(gain)
     delta = np.zeros_like(gain)
     prev = np.inf
     shift = beta / (1.0 - beta)
     for step in range(1, max_steps + 1):
-        nxt = gain + beta * (kernel @ delta)
+        # Every index is in range; "clip" only spares take the buffered
+        # copy that "raise" makes of out.
+        np.take(delta, cols, out=buf, mode="clip")
+        buf *= probs
+        np.add.reduce(buf, axis=0, initial=0.0, out=acc)
+        nxt = gain + beta * acc
         d = nxt - delta
         delta = nxt
         lo, hi = float(d.min()), float(d.max())

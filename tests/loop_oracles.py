@@ -1,15 +1,18 @@
 """Scalar and per-slot reference loops for the vectorised kernels and
 policy supports, the table-driven Monte Carlo, the table-driven artifact
 writers, the memoised Q grids, the scalar Q probe and the vectorised
-contiguity check.
+contiguity check, and scipy references for the numpy support marking,
+policy evaluation and LP constraint rows.
 
 These are the straightforward formulations: one dict per kernel row, a
 mask marked per successor vertex pair, a Monte Carlo step that carries
 float beliefs and recomputes every reward, writers that format every point
 or slot on its own, Q grids that locate every coordinate and rebuild the
 reward table on each call, one Q function per action built on one-point
-numpy interpolation, and a per-line hole search. Tests require the
-production code to match them bit for bit.
+numpy interpolation, a per-line hole search, sparse matrix products for
+the support, Jacobi steps through a CSR matrix product, and I - beta * K
+in scipy's sparse arithmetic. Tests require the production code to match
+them bit for bit.
 """
 
 import csv
@@ -22,6 +25,7 @@ from scipy import sparse
 from gepower import Action
 from gepower.dynamics import (
     ACTION_PRIORITY,
+    USES_CHANNEL,
     Belief,
     expected_rewards,
     propagate,
@@ -30,6 +34,7 @@ from gepower.dynamics import (
 from gepower.policy import _PPM_COLORS, ContiguityViolation, PolicyField
 from gepower.simulate import SimSummary, TraceBatch
 from gepower.solver import _LAYOUT_NOTE, interpolate
+from lp_oracles import as_csr
 
 
 def _locate(points, q):
@@ -130,6 +135,53 @@ def loop_support(policy, grid, ch):
                     for j in ys:
                         mask[i, j] = True
     return np.flatnonzero(mask)
+
+
+def sparse_support(policy, st):
+    """The support as the nonzero pattern of the sum over action indices k
+    of reach[sx]^T [policy == k] reach[sy], where reach[observed] is the
+    n x n 0/1 CSR matrix whose row i marks the lattice indices of i's four
+    stencil slots in st, and (sx, sy) says which coordinates k observes."""
+    n = policy.shape[0]
+    reach = [
+        sparse.csr_matrix((np.ones(4 * n), cols.ravel(), np.arange(0, 4 * n + 1, 4)), shape=(n, n))
+        for cols in st.slots[1]
+    ]
+    mask = sum(
+        reach[sx].T @ (policy == k) @ reach[sy]
+        for k, (sx, sy) in enumerate(USES_CHANNEL[a] for a in ACTION_PRIORITY)
+    )
+    return np.flatnonzero(mask)
+
+
+def csr_restricted_kernel(support, policy, st):
+    """P_policy restricted to its closed support, as a CSR matrix."""
+    indptr, cols, probs = st.transitions(support, policy.ravel()[support])
+    m = support.size
+    return sparse.csr_matrix((probs, np.searchsorted(support, cols), indptr), shape=(m, m))
+
+
+def csr_evaluate(kernel, gain, beta, max_steps):
+    """solver._evaluate with each Jacobi step a CSR matrix-vector product."""
+    delta = np.zeros_like(gain)
+    prev = np.inf
+    shift = beta / (1.0 - beta)
+    for step in range(1, max_steps + 1):
+        nxt = gain + beta * (kernel @ delta)
+        d = nxt - delta
+        delta = nxt
+        lo, hi = float(d.min()), float(d.max())
+        if hi - lo == 0.0 or hi - lo >= prev:
+            break
+        prev = hi - lo
+    return delta + shift * 0.5 * (lo + hi), step
+
+
+def sparse_constraint_rows(kernel, beta):
+    """The LP constraint rows I - beta * K in scipy's sparse arithmetic."""
+    size = kernel.indptr.size - 1
+    return sparse.identity(size, format="csr") - beta * as_csr(*kernel)
+
 
 def _select_actions(policy, beliefs, econ, u_act):
     if isinstance(policy, PolicyField):

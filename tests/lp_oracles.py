@@ -1,14 +1,18 @@
-"""Reader of the LP text model that gepower.lpmodel.export_lp writes, and
-the feasibility of a value vector under its kernels.
+"""Reader of the LP text model that gepower.lpmodel.export_lp writes, the
+feasibility of a value vector under its kernels, and kernels as scipy
+matrices.
 
 Tests use these to check the exported model: parse_lp reads back the subset
-of the LP format the exporter emits, and feasibility_gap measures how far a
-candidate value vector is from satisfying every constraint.
+of the LP format the exporter emits, feasibility_gap measures how far a
+candidate value vector is from satisfying every constraint, and as_csr
+turns CSR arrays, such as a build_all_kernels kernel, into the scipy matrix
+that the reference computations multiply with.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from gepower.dynamics import ACTION_PRIORITY, expected_rewards
 
@@ -86,6 +90,13 @@ def parse_lp(path):
     return LpModel(objective, constraints, tuple(free_vars))
 
 
+def as_csr(indptr, cols, probs):
+    """The square scipy CSR matrix of CSR arrays; as_csr(*kernel) for a
+    build_all_kernels kernel."""
+    size = indptr.size - 1
+    return sparse.csr_matrix((probs, cols, indptr), shape=(size, size))
+
+
 def feasibility_gap(values_flat, kernels, econ, discount, grid):
     """Worst constraint violation of a candidate value vector.
 
@@ -96,6 +107,6 @@ def feasibility_gap(values_flat, kernels, econ, discount, grid):
     lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
     worst = -np.inf
     for a, g in zip(ACTION_PRIORITY, expected_rewards(*lattice, econ)):
-        q = g.ravel() + discount.beta * (kernels[a] @ values_flat)
+        q = g.ravel() + discount.beta * (as_csr(*kernels[a]) @ values_flat)
         worst = max(worst, float(np.max(q - values_flat)))
     return worst

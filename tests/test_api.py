@@ -30,7 +30,7 @@ MODULES = {
         "solve", "save_value_field", "load_value_field",
     },
     lpmodel: {
-        "build_all_kernels", "export_lp", "variable_name",
+        "Kernel", "build_all_kernels", "export_lp", "variable_name",
     },
     policy: {
         "PolicyField", "ContiguityViolation", "ConnectivityReport",

@@ -157,14 +157,28 @@ class TestSolveCommand:
         assert "grid" in capsys.readouterr().err
 
 
-def test_solve_does_not_import_sparse_linalg(tmp_path):
-    # scipy.sparse.linalg costs start-up time and resident memory on every run
+def test_commands_do_not_import_scipy(tmp_path):
+    # Importing scipy costs every CLI process start-up time and resident
+    # memory, so no command may load it, at import or on first use.
     src = Path(gepower.__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        "from gepower import cli\n"
-        f"assert cli.main(['solve', '--grid', '11', '--out', {str(tmp_path)!r}]) == 0\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+    out = str(tmp_path)
+    value = str(tmp_path / "value.json")
+    runs = [
+        (["solve", "--grid", "11", "--out", out], (0,)),
+        (["analyze", value, "--out", out], (0, 4)),
+        (["sweep", "--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8", "--points", "2",
+          "--grid", "11", "--out", str(tmp_path / "sweep")], (0,)),
+        (["export-lp", "--grid", "11", "--out", str(tmp_path / "lp")], (0,)),
+        (["simulate", value, "--episodes", "20", "--horizon", "5", "--out",
+          str(tmp_path / "sim")], (0,)),
+        (["simulate", "--baseline", "myopic", "--episodes", "20", "--horizon", "5", "--out",
+          str(tmp_path / "base")], (0,)),
+    ]
+    script = "import sys\nfrom gepower import cli\n" + "".join(
+        f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n" for argv, codes in runs
+    ) + (
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

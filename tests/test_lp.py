@@ -2,8 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
-from loop_oracles import loop_kernel
-from lp_oracles import feasibility_gap, parse_lp
+from loop_oracles import loop_kernel, sparse_constraint_rows
+from lp_oracles import as_csr, feasibility_gap, parse_lp
 
 from gepower import (
     Action,
@@ -15,7 +15,7 @@ from gepower import (
     export_lp,
 )
 from gepower.dynamics import ACTION_PRIORITY, expected_rewards
-from gepower.lpmodel import variable_name
+from gepower.lpmodel import _constraint_rows, variable_name
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -25,7 +25,7 @@ DISC = Discount(0.9)
 def _row(kernel, p):
     """Successor columns and probabilities of flat lattice point p."""
     lo, hi = kernel.indptr[p], kernel.indptr[p + 1]
-    return kernel.indices[lo:hi], kernel.data[lo:hi]
+    return kernel.cols[lo:hi], kernel.probs[lo:hi]
 
 
 class TestKernels:
@@ -87,7 +87,7 @@ class TestKernels:
         kernels = build_all_kernels(grid, CH)
         rewards = expected_rewards(*np.meshgrid(grid.points, grid.points, indexing="ij"), ECON)
         for action, g in zip(ACTION_PRIORITY, rewards):
-            q_kernel = g.ravel() + DISC.beta * (kernels[action] @ flat)
+            q_kernel = g.ravel() + DISC.beta * (as_csr(*kernels[action]) @ flat)
             np.testing.assert_allclose(
                 q_kernel, grids[action].ravel(), rtol=1e-12, atol=1e-12
             )
@@ -107,13 +107,31 @@ class TestKernelOracle:
         ch = ChannelParams(*lam)
         kernels = build_all_kernels(grid, ch)
         for action in ACTION_PRIORITY:
-            got = kernels[action]
+            got = as_csr(*kernels[action])
             ref = loop_kernel(grid, ch, action)
             assert got.shape == ref.shape == (n * n, n * n), action
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(ref, name)
                 assert a.dtype == b.dtype, (action, name)
                 assert np.array_equal(a, b), (action, name)
+
+
+class TestConstraintRows:
+    # lambda on the lattice (the kernels drop its zero-weight vertices)
+    # and off it; beta 0 drops every off-diagonal entry.
+    @pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
+    @pytest.mark.parametrize("on_lattice", [True, False], ids=["on-lattice", "off-lattice"])
+    @pytest.mark.parametrize("n", [7, 22, 41])
+    def test_matches_scipy_arithmetic(self, n, on_lattice, beta):
+        k = n - 1
+        lam = (round(0.1 * k) / k, round(0.9 * k) / k) if on_lattice else (0.13, 0.77)
+        ch = ChannelParams(*lam)
+        for action, kernel in build_all_kernels(BeliefGrid(n), ch).items():
+            indptr, cols, coefs = _constraint_rows(kernel, beta)
+            ref = sparse_constraint_rows(kernel, beta)
+            assert np.array_equal(indptr, ref.indptr), action
+            assert np.array_equal(cols, ref.indices), action
+            assert np.array_equal(coefs.view(np.uint64), ref.data.view(np.uint64)), action
 
 
 class TestExport:

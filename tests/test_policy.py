@@ -25,8 +25,10 @@ from gepower.policy import (
     check_symmetry,
     export_policy_csv,
     export_policy_ppm,
+    _components,
     _IDX,
 )
+from scipy import ndimage
 
 from loop_oracles import loop_contiguity, q_balanced, q_bet1, q_bet2, q_conservative
 
@@ -196,6 +198,68 @@ class TestContiguityMatchesLoop:
                 assert got == loop_contiguity(p)
                 found += len(got)
         assert found > 0
+
+
+def _spiral(n):
+    """A one-cell-wide square spiral path from the corner inwards: one
+    component whose rows hold many runs that join only further down."""
+    mask = np.zeros((n, n), dtype=bool)
+    r = c = 0
+    mask[0, 0] = True
+    lengths = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in (0, 1)]
+    for step, length in enumerate(lengths):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[step % 4]
+        for _ in range(length):
+            r, c = r + dr, c + dc
+            mask[r, c] = True
+    return mask
+
+
+def _shapes():
+    n = 9
+    u = np.zeros((n, n), dtype=bool)
+    u[:, 0] = u[:, -1] = u[-1, :] = True
+    comb = np.zeros((n, n), dtype=bool)
+    comb[:, ::2] = True
+    comb[-1, :] = True
+    yield "empty", np.zeros((n, n), dtype=bool)
+    yield "full", np.ones((n, n), dtype=bool)
+    yield "row", np.ones((1, n), dtype=bool)
+    yield "column", np.ones((n, 1), dtype=bool)
+    yield "split-row", np.array([[True, False, True, True, False, True]])
+    yield "split-column", np.array([[True], [False], [True], [True]])
+    yield "checkerboard", np.indices((n, n)).sum(axis=0) % 2 == 0
+    yield "u", u
+    yield "cap", u[::-1]
+    yield "comb", comb
+    for size in (2, 3, 8, 15, 40):
+        yield f"spiral-{size}", _spiral(size)
+        yield f"spiral-{size}-gaps", ~_spiral(size)
+
+
+class TestComponentCount:
+    # scipy's labelling with 4-connectivity is the reference.
+    FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+    def _check(self, mask):
+        for m in (mask, mask.T, mask[::-1], mask[:, ::-1]):
+            assert _components(m) == ndimage.label(m, structure=self.FOUR)[1]
+
+    @pytest.mark.parametrize("name, mask", list(_shapes()), ids=[k for k, _ in _shapes()])
+    def test_shapes(self, name, mask):
+        self._check(mask)
+
+    def test_checkerboard_counts_every_cell(self):
+        assert _components(np.indices((9, 9)).sum(axis=0) % 2 == 0) == 41
+
+    def test_spiral_is_one_component(self):
+        assert _components(_spiral(40)) == 1
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(15)
+        for _ in range(600):
+            rows, cols = rng.integers(1, 33, size=2)
+            self._check(rng.random((rows, cols)) < rng.random())
 
 
 class TestConvergedFieldChecks:

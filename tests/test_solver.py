@@ -29,6 +29,7 @@ from gepower.lpmodel import build_all_kernels
 from gepower.solver import (
     ValueFileError,
     _axes,
+    _evaluate,
     _parse_value_doc,
     _restricted_kernel,
     _reward_table,
@@ -39,13 +40,17 @@ from gepower.solver import (
 
 from horizon_oracle import HorizonOracle
 from loop_oracles import (
+    csr_evaluate,
+    csr_restricted_kernel,
     loop_action_value_grids,
     loop_support,
     q_balanced,
     q_bet1,
     q_bet2,
     q_conservative,
+    sparse_support,
 )
+from lp_oracles import as_csr
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -488,6 +493,17 @@ class TestWarmStart:
 SUPPORT_LAMBDAS = [(0.1, 0.9), (0.3, 0.35), (0.25, 1.0), (0.0, 0.6)]
 
 
+def _table_csr(table):
+    """A _restricted_kernel slot-major table as a CSR matrix. Real entries
+    have nonzero weight and come first in their row; the padding after
+    them is dropped."""
+    cols, probs = table
+    real = probs.T != 0.0
+    assert not (real[:, 1:] & ~real[:, :-1]).any()
+    indptr = np.concatenate([[0], np.cumsum(real.sum(axis=1))])
+    return as_csr(indptr, cols.T[real], probs.T[real])
+
+
 class TestPolicyEvaluation:
     @pytest.mark.parametrize("lam", SUPPORT_LAMBDAS)
     def test_support_is_closed_and_kernel_matches_lattice_kernels(self, lam):
@@ -497,11 +513,11 @@ class TestPolicyEvaluation:
         policy = np.random.default_rng(2).integers(0, 4, size=(22, 22)).astype(np.int8)
         st = _Stencils(grid, ch)
         support = _support(policy, st)
-        full = {a: k.toarray() for a, k in build_all_kernels(grid, ch).items()}
+        full = {a: as_csr(*k).toarray() for a, k in build_all_kernels(grid, ch).items()}
         rows = np.stack([full[ACTION_PRIORITY[k]][p] for p, k in enumerate(policy.ravel())])
         outside = np.setdiff1d(np.arange(22 * 22), support)
         assert not rows[:, outside].any()
-        restricted = _restricted_kernel(support, policy, st).toarray()
+        restricted = _table_csr(_restricted_kernel(support, policy, st)).toarray()
         assert np.array_equal(restricted, rows[support][:, support])
 
     @pytest.mark.parametrize("lam", SUPPORT_LAMBDAS)
@@ -534,11 +550,56 @@ class TestPolicyEvaluation:
         kernels = build_all_kernels(grid, ch)
         for k, action in enumerate(ACTION_PRIORITY):
             policy = np.full((n, n), k, dtype=np.int8)
-            got = _restricted_kernel(everywhere, policy, st)
-            ref = kernels[action]
+            got = _table_csr(_restricted_kernel(everywhere, policy, st))
+            ref = as_csr(*kernels[action])
             assert np.array_equal(got.indptr, ref.indptr), action
             assert np.array_equal(got.indices, ref.indices), action
             assert np.array_equal(got.data, ref.data), action
+
+
+def _test_channel(n, on_lattice):
+    # On the lattice, lambda's cell has an upper vertex of weight zero,
+    # which still belongs to the support.
+    if on_lattice:
+        return ChannelParams(round(0.1 * (n - 1)) / (n - 1), round(0.9 * (n - 1)) / (n - 1))
+    return ChannelParams(0.13, 0.77)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestScipyOracles:
+    """The numpy support and Jacobi steps against the scipy formulations
+    they replaced, bit for bit."""
+
+    @staticmethod
+    def _policies(n):
+        rng = np.random.default_rng(n)
+        yield rng.integers(0, 4, size=(n, n)).astype(np.int8)
+        yield rng.choice([0, 3], size=(n, n), p=[0.1, 0.9]).astype(np.int8)
+        for k in range(4):
+            yield np.full((n, n), k, dtype=np.int8)
+
+    @pytest.mark.parametrize("beta", [0.9, 0.99])
+    @pytest.mark.parametrize("on_lattice", [True, False], ids=["on-lattice", "off-lattice"])
+    @pytest.mark.parametrize("n", [7, 22, 41])
+    def test_support_and_evaluation(self, n, on_lattice, beta):
+        st = _Stencils(BeliefGrid(n), _test_channel(n, on_lattice))
+        rng = np.random.default_rng(n + 1)
+        max_steps = 100 + int(40.0 / (1.0 - beta))
+        for policy in self._policies(n):
+            support = _support(policy, st)
+            assert np.array_equal(support, sparse_support(policy, st))
+            gain = rng.normal(size=support.size)
+            gain[::5] = 0.0
+            gain[1::7] = -0.0
+            got, steps = _evaluate(_restricted_kernel(support, policy, st), gain, beta, max_steps)
+            ref, ref_steps = csr_evaluate(
+                csr_restricted_kernel(support, policy, st), gain, beta, max_steps
+            )
+            assert steps == ref_steps
+            assert np.array_equal(_bits(got), _bits(ref))
 
 
 class TestSerialization:
