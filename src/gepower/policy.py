@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -548,16 +549,19 @@ _BEST_BITS = np.array([1 << k for k in range(len(ACTION_PRIORITY))], dtype=np.ui
 def export_policy_csv(policy, path):
     """One row per lattice point: indices, beliefs, primary and tied actions."""
     x = [repr(float(p)) for p in policy.grid.points]
+    # A row is "i," "j," x_i ",x_j," "primary,best\n"; the column pieces are
+    # made once.
+    cols = [f"{j}," for j in range(policy.grid.n)]
+    xcols = [f",{xj}," for xj in x]
     with open(path, "w") as fh:
         fh.write("# primary action resolves ties as balanced > bet1 > bet2 > conservative\n")
         fh.write("i,j,p1,p2,primary,best\n")
         for i in range(policy.grid.n):
             codes = (policy.primary[i].astype(np.uint8) << 4) | (policy.best[i] @ _BEST_BITS)
-            xi = x[i]
-            fh.write("".join(
-                f"{i},{j},{xi},{xj},{_CSV_SUFFIXES[c]}"
-                for j, (xj, c) in enumerate(zip(x, codes.tolist()))
-            ))
+            fh.write("".join(chain.from_iterable(zip(
+                repeat(f"{i},"), cols, repeat(x[i]), xcols,
+                map(_CSV_SUFFIXES.__getitem__, codes.tolist()),
+            ))))
 
 
 _PPM_COLORS = {

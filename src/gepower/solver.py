@@ -12,8 +12,10 @@ and one final Bellman backup certifies the field with its residual. A solve
 can start from a given field, such as a neighbouring parameter point's
 solution, instead of the zero field: the start picks the first policy and
 is where the first evaluation sets out from, and the certificate is the
-same. The backup is written so that a symmetric field stays bit-exactly
-symmetric, which the downstream mirror checks depend on.
+same. A cold solve on a large lattice starts from the solved half-size
+lattice (Chow and Tsitsiklis 1991, one-way multigrid). The backup is
+written so that a symmetric field stays bit-exactly symmetric, which the
+downstream mirror checks depend on.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -310,8 +313,17 @@ def bellman_backup(v, ch, econ, discount):
     The input field is read only; a fresh field is returned, so results do
     not depend on any evaluation order.
     """
-    q = action_value_grids(v, ch, econ, discount)
-    return ValueField(v.grid, np.maximum.reduce([q[a] for a in ACTION_PRIORITY]))
+    return ValueField(v.grid, _q_max(action_value_grids(v, ch, econ, discount)))
+
+
+def _q_max(q):
+    """Pointwise max of the Q grids q in ACTION_PRIORITY order: the bits of
+    np.maximum.reduce over them, without stacking the four grids."""
+    first, second, *rest = (q[a] for a in ACTION_PRIORITY)
+    out = np.maximum(first, second)
+    for grid in rest:
+        np.maximum(out, grid, out=out)
+    return out
 
 
 # Relative size below which a Q difference counts as rounding noise. The
@@ -335,7 +347,8 @@ def _improve(v, incumbent, ch, econ, discount):
     A running argmax over the Q grids in priority order, so exact ties go
     to the earlier action; where an incumbent policy is given it is kept
     unless the argmax beats it by more than a rounding-level margin. The
-    policy comes back as int8 indices into ACTION_PRIORITY.
+    policy comes back as int8 indices into ACTION_PRIORITY, followed by the
+    Q grids it was read from.
     """
     q = action_value_grids(v, ch, econ, discount)
     best = q[ACTION_PRIORITY[0]].copy()
@@ -350,7 +363,7 @@ def _improve(v, incumbent, ch, econ, discount):
         np.copyto(policy, incumbent, where=keep)
         np.copyto(best, held, where=keep)
     best -= v.values
-    return policy, best
+    return policy, best, q
 
 
 # A point's 16 transition candidates in emission order: branch pair (x
@@ -525,38 +538,90 @@ def _extend(grid, support, v_support, policy, ch, econ, discount):
     return ValueField(grid, (vals + vals.T) / 2.0)
 
 
+# Cold solves on lattices above this size start from the solved half-size
+# lattice. Below it a solve's cost is per-call overhead, not lattice size, and
+# a coarse start does not pay.
+_CASCADE_ABOVE = 101
+
+
 def solve(cfg, ch, econ, grid, start=None):
     """Howard policy iteration to a repeated policy, from the greedy policy
-    of `start`, or of the zero field (the myopic policy).
+    of `start` or, without one, of a cold start (see below).
 
     Each improvement takes the greedy policy of the current field (see
     _improve) and evaluates it on the closed set of lattice points its
     transitions read (see _support and _evaluate), then extends the values
-    to the whole lattice. Once the policy repeats, one bellman_backup
-    certifies the field: its step is the reported residual and its output,
+    to the whole lattice. Once the policy repeats, one Bellman backup of the
+    field certifies it: its step is the reported residual and its output,
     exactly mirror-symmetric, is the returned field.
 
     start, a ValueField on grid, picks the first policy and is where the
     first evaluation sets out from: a field close to the solution saves
     improvements and evaluation steps, and the certificate is the same
-    whatever the start. Raises ParameterError when start lies on another
-    grid, and NonConvergence when max_iter improvements are not enough or
-    the certified residual exceeds cfg.tol.
+    whatever the start. Without a start, a lattice of n <= 101 starts from
+    the zero field (the myopic policy); a larger one starts from the solved
+    lattice of (n + 1) // 2 points, itself solved this way, interpolated
+    onto grid (see _solve_from_coarse). The counts and the certificate
+    describe the requested lattice only. Raises ParameterError when start
+    lies on another grid, and NonConvergence when max_iter improvements are
+    not enough or the certified residual exceeds cfg.tol; a cold solve
+    raises it only when the zero-field start does too, and then raises that
+    one.
     """
+    if start is not None:
+        if start.grid != grid:
+            raise ParameterError(f"start field on grid n={start.grid.n}, solve on n={grid.n}")
+        return _solve(cfg, ch, econ, grid, start)
+    if grid.n > _CASCADE_ABOVE:
+        try:
+            return _solve_from_coarse(cfg, ch, econ, grid)
+        except NonConvergence:
+            pass
+    return _solve(cfg, ch, econ, grid, _zero(grid))
+
+
+def _zero(grid):
+    return ValueField(grid, np.zeros((grid.n, grid.n)))
+
+
+def _solve_from_coarse(cfg, ch, econ, grid):
+    """Policy iteration on grid from the solved half-size lattice.
+
+    The lattices halve, n -> (n + 1) // 2, down to the first of at most
+    _CASCADE_ABOVE points, which starts from the zero field; each finer one
+    starts from the solved field of the one below, interpolated onto its
+    points (with n odd, the coarse points are every other fine point).
+    """
+    levels = [grid]
+    while levels[-1].n > _CASCADE_ABOVE:
+        levels.append(BeliefGrid((levels[-1].n + 1) // 2))
+    levels.reverse()
+    result = _solve(cfg, ch, econ, levels[0], _zero(levels[0]))
+    for coarse, fine in zip(levels, levels[1:]):
+        at = _axis(coarse.points, fine.points)
+        # The start is passed unnamed, so no frame here keeps it alive once
+        # the fine solve has replaced it.
+        result = _solve(
+            cfg, ch, econ, fine, ValueField(fine, _gather(result.field.values, at, at))
+        )
+    return result
+
+
+def _solve(cfg, ch, econ, grid, v):
+    """Policy iteration on grid from the field v; see solve."""
     discount = cfg.discount
-    if start is not None and start.grid != grid:
-        raise ParameterError(f"start field on grid n={start.grid.n}, solve on n={grid.n}")
     st = _Stencils(grid, ch)
     # Enough Jacobi steps to contract any start by 2^-52 at rate beta; an
     # evaluation cut short by the cap still has to pass the certificate.
     max_steps = 100 + int(40.0 / (1.0 - discount.beta))
-    v = ValueField(grid, np.zeros((grid.n, grid.n))) if start is None else start
     policy = None
     steps = 0
     for iteration in range(1, cfg.max_iter + 1):
-        new, gain = _improve(v, policy, ch, econ, discount)
+        new, gain, q = _improve(v, policy, ch, econ, discount)
         if policy is not None and np.array_equal(new, policy):
-            return _certify(v, iteration, steps, cfg, ch, econ)
+            return _certify(v, q, iteration, steps, cfg)
+        # Release the Q grids before the kernel is built.
+        del q
         residual = float(np.abs(gain).max())
         policy = new
         support = _support(policy, st)
@@ -569,10 +634,10 @@ def solve(cfg, ch, econ, grid, start=None):
     raise NonConvergence(cfg.max_iter, residual, cfg.tol)
 
 
-def _certify(v, iteration, steps, cfg, ch, econ):
-    """One Bellman backup of the converged field: its step is the residual
-    and its output the returned field."""
-    nxt = bellman_backup(v, ch, econ, cfg.discount)
+def _certify(v, q, iteration, steps, cfg):
+    """One Bellman backup of the converged field from its Q grids q: its
+    step is the residual and its output the returned field."""
+    nxt = ValueField(v.grid, _q_max(q))
     residual = float(np.max(np.abs(nxt.values - v.values)))
     if residual > cfg.tol:
         raise NonConvergence(iteration, residual, cfg.tol)
@@ -587,6 +652,12 @@ _LAYOUT_NOTE = (
     "row-major: values[i*n + j] is the value at belief (i/(n-1), j/(n-1)); "
     "index i runs along the first channel's belief"
 )
+
+
+# Block size of save_value_field: the strings a row keeps for the rows below
+# it are held joined and split off this many columns at a time, so the held
+# string objects number at most about n * _SPLIT.
+_SPLIT = 32
 
 
 def save_value_field(path, result, ch, econ, discount):
@@ -604,13 +675,38 @@ def save_value_field(path, result, ch, econ, discount):
         "iterations": result.iterations,
         "residual": result.residual,
     }
+    vals = result.field.values
+    n = vals.shape[0]
+    bits = vals.view(np.uint64)
+    # A solved field is mirror-symmetric, so row i formats only its entries
+    # from the diagonal on, and takes entry (i, j) left of it from the
+    # string row j made for (j, i) wherever the two have the same bits
+    # (bits, so that -0.0 and 0.0 stay apart). Row j's strings wait in
+    # ahead[j] for the columns of the current block of _SPLIT rows, and
+    # joined in later[j] for the columns past it, which keeps the held text
+    # near its byte size.
+    ahead, later = [], []
     with open(path, "w") as fh:
         fh.write(json.dumps(doc)[:-1] + ', "values": [')
         sep = ""
-        for row in result.field.values:
+        for i, row in enumerate(vals):
+            stop = min(i - i % _SPLIT + _SPLIT, n)   # end of the current block
+            if i % _SPLIT == 0:
+                # later[j] holds the n - i strings of columns i, ..., n - 1.
+                for j, text in enumerate(later):
+                    parts = text.split(", ", _SPLIT)
+                    later[j] = parts.pop() if n - i > _SPLIT else ""
+                    ahead[j].extend(parts)
+            line = list(map(deque.popleft, ahead))
+            for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+                line[j] = float.__repr__(float(row[j]))
             # json writes a finite float as float.__repr__, and ValueField
             # holds only finite values, so this is what json.dump would write.
-            fh.write(sep + ", ".join(map(float.__repr__, row.tolist())))
+            upper = list(map(float.__repr__, row[i:].tolist()))
+            line += upper
+            ahead.append(deque(upper[1:stop - i]))
+            later.append(", ".join(upper[stop - i:]))
+            fh.write(sep + ", ".join(line))
             sep = ", "
         fh.write("]}\n")
 

@@ -15,6 +15,7 @@ from gepower import (
     ParameterError,
     SolverConfig,
     ValueField,
+    analyze_structure,
     bellman_backup,
     extract_policy,
     immediate_reward,
@@ -485,6 +486,58 @@ class TestWarmStart:
             "solve_report.json":
                 "18af3a8ef6e7e0ae4a6e6b56757f5a995a4c6f174dab64796f12194497a23492",
         }
+
+
+class TestCoarseStart:
+    """A cold solve above the size rule starts from the solved half-size
+    lattice; start=zero field is the zero-start path it replaces there, and
+    at or below the rule the cold solve is that path bit for bit."""
+
+    @staticmethod
+    def _solve(n, beta, zero_start=False, max_iter=5000):
+        grid = BeliefGrid(n)
+        start = ValueField(grid, np.zeros((n, n))) if zero_start else None
+        return solve(SolverConfig(Discount(beta), 1e-6, max_iter), CH, ECON, grid, start=start)
+
+    @pytest.mark.parametrize("beta", [0.9, 0.99])
+    def test_agrees_with_the_zero_start_above_the_rule(self, beta):
+        cold, zero = self._solve(201, beta), self._solve(201, beta, zero_start=True)
+        scale = float(np.abs(zero.field.values).max())
+        gap = float(np.abs(cold.field.values - zero.field.values).max())
+        assert gap <= cold.bound + zero.bound + 1e-12 * scale
+        assert np.array_equal(cold.field.values, cold.field.values.T)
+        assert cold.iterations < zero.iterations
+        disc = Discount(beta)
+        new, old = (
+            analyze_structure(r.field, extract_policy(r.field, CH, ECON, disc), CH, ECON, disc)
+            for r in (cold, zero)
+        )
+        assert new.flags == old.flags
+        assert new.diagonal.kind == old.diagonal.kind
+        for got, want in [
+            (new.edges.th1, old.edges.th1), (new.edges.th2, old.edges.th2),
+            (new.diagonal.rho1, old.diagonal.rho1), (new.diagonal.rho2, old.diagonal.rho2),
+        ]:
+            assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [7, 51, 101])
+    def test_zero_start_at_or_below_the_rule(self, n):
+        cold, zero = self._solve(n, 0.9), self._solve(n, 0.9, zero_start=True)
+        assert np.array_equal(cold.field.values, zero.field.values)
+        assert (cold.iterations, cold.evaluation_steps, cold.residual) == (
+            zero.iterations, zero.evaluation_steps, zero.residual
+        )
+
+    @pytest.mark.parametrize("max_iter", range(1, 9))
+    def test_never_fails_where_the_zero_start_converges(self, max_iter):
+        try:
+            self._solve(201, 0.9, zero_start=True, max_iter=max_iter)
+        except NonConvergence:
+            return
+        self._solve(201, 0.9, max_iter=max_iter)
+
+    def test_capped_cli_solve_still_exits_3(self, tmp_path):
+        assert main(["solve", "--grid", "201", "--max-iter", "1", "--out", str(tmp_path)]) == 3
 
 
 # Channels with lambda between lattice points, two close lambdas, lambda1 = 1

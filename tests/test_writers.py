@@ -25,12 +25,13 @@ from gepower import (
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.policy import export_policy_csv, export_policy_ppm
 from gepower.simulate import EPISODE_BLOCK, write_traces_csv
-from gepower.solver import SolveResult, save_value_field
+from gepower.solver import _SPLIT, SolveResult, save_value_field
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
 DISC = Discount(0.9)
-SIZES = [2, 7, 22, 101]
+# 201 is above the solver's size rule, so its field comes from a coarse start.
+SIZES = [2, 7, 22, 101, 201]
 
 
 @pytest.fixture(scope="module", params=SIZES)
@@ -105,6 +106,40 @@ class TestValueWriter:
         )
         assert '"values": [-0.0, 0.0, 1e-05, 1e+16, 0.30000000000000004, ' in (
             (tmp_path / "new").read_text()
+        )
+
+    def test_matches_loop_on_mirror_pairs_with_other_bits(self, tmp_path):
+        # Symmetric by value but not by bits at (0, 1), since -0.0 == 0.0,
+        # and not symmetric at all at (2, 5); every other pair is
+        # bit-symmetric, so a writer that copies mirrored strings by value, or
+        # copies them without looking, writes these two pairs wrong.
+        grid = BeliefGrid(7)
+        values = np.linspace(-3.0, 40.0, 49).reshape(7, 7)
+        values = values + values.T
+        values[0, 1], values[1, 0] = 0.0, -0.0
+        values[2, 5] = 0.1 + 0.2
+        values[5, 2] = 0.3
+        result = SolveResult(ValueField(grid, values), 3, 1e-300, 9e-300)
+        _same_bytes(
+            tmp_path,
+            lambda path: save_value_field(path, result, CH, ECON_A, DISC),
+            lambda path: loop_value_field(path, result, CH, ECON_A, DISC),
+        )
+        text = (tmp_path / "new").read_text()
+        assert '"values": [-6.0, 0.0, ' in text and "0.30000000000000004" in text
+
+    # save_value_field splits the held strings off in blocks of _SPLIT columns.
+    @pytest.mark.parametrize("n", [_SPLIT - 1, _SPLIT, _SPLIT + 1, 2 * _SPLIT, 2 * _SPLIT + 1])
+    def test_matches_loop_across_block_edges(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(n, n))
+        values = values + values.T
+        values[n - 1, 3] = 0.5
+        result = SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300)
+        _same_bytes(
+            tmp_path,
+            lambda path: save_value_field(path, result, CH, ECON_A, DISC),
+            lambda path: loop_value_field(path, result, CH, ECON_A, DISC),
         )
 
 
