@@ -205,6 +205,12 @@ def cmd_sweep(args):
         points = 8 if args.param.startswith("lambda") else 10
     if points < 1:
         raise ParameterError(f"sweep --points >= 1 violated: {points}")
+    # grid, tol and max_iter are never swept, so a bad one would skip every
+    # point: check them once, before any output (beta may be swept, so a
+    # valid discount stands in). A model parameter's validity can depend on
+    # the swept value, so it is checked per point.
+    BeliefGrid(int(cfg["grid"]))
+    SolverConfig(Discount(0.0), cfg["tol"], int(cfg["max_iter"]))
     out = _outdir(cfg["out"])
     rows = []
     # Neighbouring points have nearly equal fields, so each solve starts

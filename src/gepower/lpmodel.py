@@ -15,6 +15,12 @@ constraints reproduces the discretized optimal values, so an external LP
 solver can cross-check the solver from the file alone. Solving is
 deliberately out of scope here; this module only builds kernels and writes
 the model.
+
+The text is gathered by index from a table of strings made once per
+export, in which each distinct number, variable name and label piece is
+formatted once. The constraints are assembled one block of lattice rows at
+a time, so no term is formatted on its own and no whole-lattice constraint
+rows are held.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ __all__ = [
 
 _ROW_SUM_TOL = 1e-12
 _TERMS_PER_LINE = 6
+# Lattice rows per block of constraint text (see export_lp); measured.
+_BLOCK_ROWS = 8
 
 
 class Kernel(NamedTuple):
@@ -74,29 +82,20 @@ def variable_name(n, flat):
     return f"V_{flat // n}_{flat % n}"
 
 
-def _fmt(x):
-    # 17 significant digits: decimal text round-trips to the same double.
-    return format(x, "+.17g")
-
-
-def _write_terms(fh, head, terms, per_line=_TERMS_PER_LINE):
-    chunks = [f"{_fmt(c)} {name}" for c, name in terms]
-    fh.write(head)
-    for start in range(0, len(chunks), per_line):
-        fh.write(" " + " ".join(chunks[start:start + per_line]) + "\n")
-
-
-def _constraint_rows(kernel, beta):
+def _constraint_rows(kernel, beta, offset=0):
     """CSR arrays (indptr, cols, coefs) of the constraint rows I - beta * K.
 
-    A diagonal entry is 1.0 - beta*f, or 1.0 where the row has no self
-    loop, in its place in the row; every other entry is 0.0 - beta*f;
-    entries that come out zero are dropped.
+    kernel's rows belong to the lattice points offset, offset + 1, ...: a
+    whole Kernel, or a block of its rows with indptr rebased to 0. A
+    diagonal entry is 1.0 - beta*f, or 1.0 where the row has no self loop,
+    in its place in the row; every other entry is 0.0 - beta*f; entries
+    that come out zero are dropped.
     """
     indptr, cols, probs = kernel
     size = indptr.size - 1
     rows = np.repeat(np.arange(size), np.diff(indptr))
-    diag = cols == rows
+    own = rows + offset
+    diag = cols == own
     loose = np.ones(size, dtype=bool)
     loose[rows[diag]] = False
     # A row without a self loop gains the identity's entry, placed before
@@ -104,12 +103,12 @@ def _constraint_rows(kernel, beta):
     # gained in earlier rows, plus one if it lies past its own row's.
     gained = np.concatenate([[0], np.cumsum(loose)])
     at = np.arange(cols.size) + gained[rows]
-    at += loose[rows] & (cols > rows)
+    at += loose[rows] & (cols > own)
     eye = np.ones(cols.size + int(gained[-1]), dtype=bool)
     eye[at] = False
     out_cols = np.empty(eye.size, dtype=cols.dtype)
     out_cols[at] = cols
-    out_cols[eye] = np.flatnonzero(loose)
+    out_cols[eye] = np.flatnonzero(loose) + offset
     coefs = np.ones(eye.size)
     coefs[at] = diag - beta * probs
     indptr = indptr + gained
@@ -121,13 +120,64 @@ def _constraint_rows(kernel, beta):
     return kept[indptr], out_cols[keep], coefs[keep]
 
 
-def _line_ends(indptr):
-    """Per CSR entry: whether a term line ends after it."""
-    nnz = int(indptr[-1])
-    starts = np.repeat(indptr[:-1], np.diff(indptr))
-    end = (np.arange(nnz) - starts) % _TERMS_PER_LINE == _TERMS_PER_LINE - 1
-    end[indptr[1:] - 1] = True
-    return end
+def _distinct_coefficients(kernels, beta):
+    """Sorted distinct nonzero values of the constraint rows' entries: each
+    kernel entry's diag - beta*f, as _constraint_rows computes it, and the
+    1.0 of a row without a self loop. One kernel's values at a time."""
+    parts = [np.ones(1)]
+    for indptr, cols, probs in kernels.values():
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        values = (cols == rows) - beta * probs
+        values.sort()
+        parts.append(values[np.concatenate([[True], values[1:] != values[:-1]])])
+    values = np.unique(np.concatenate(parts))
+    return values[values != 0.0]
+
+
+class _Table(NamedTuple):
+    """Where each kind of piece starts in export_lp's string table."""
+
+    rhs: int      # right-hand sides " >= c\n", in sorted order
+    var: int      # per point " V_i_j", then its newline variant
+    suffix: int   # per point the label suffix "_i_j:\n"
+    label: int    # per action " name", in ACTION_PRIORITY order
+    one: int      # the objective's " +1"
+    free: int     # the bounds' " free\n"
+
+
+def _block_ids(kernels, beta, first, stop, coefs, rhs_ids, base):
+    """Table ids of the constraints of lattice points first..stop-1 in file
+    order: per point, per action in ACTION_PRIORITY order, the label's
+    action and point suffix, each term's coefficient and variable, and the
+    right-hand side. A term's variable is its newline variant where it ends
+    a line of _TERMS_PER_LINE terms or the constraint."""
+    rows = []
+    for a in ACTION_PRIORITY:
+        indptr, cols, probs = kernels[a]
+        lo, hi = indptr[first], indptr[stop]
+        block = Kernel(indptr[first:stop + 1] - lo, cols[lo:hi], probs[lo:hi])
+        rows.append(_constraint_rows(block, beta, first))
+    counts = np.stack([np.diff(indptr) for indptr, _, _ in rows], axis=1)
+    sizes = 2 * counts + 3
+    ends = np.cumsum(sizes).reshape(sizes.shape)
+    starts = ends - sizes
+    ids = np.empty(int(ends[-1, -1]), dtype=np.intp)
+    ids[starts] = base.label + np.arange(len(ACTION_PRIORITY))
+    ids[starts + 1] = base.suffix + np.arange(first, stop)[:, None]
+    ids[ends - 1] = base.rhs + rhs_ids
+    # The terms of all four actions at once, action by action: the t-th
+    # term of constraint (r, k) goes to starts[r, k] + 2 + 2t.
+    counts = counts.T.ravel()
+    last = np.cumsum(counts)
+    t = np.arange(last[-1]) - np.repeat(last - counts, counts)
+    pos = np.repeat(starts.T.ravel() + 2, counts) + 2 * t
+    end = t % _TERMS_PER_LINE == _TERMS_PER_LINE - 1
+    end[last[counts > 0] - 1] = True
+    # Values repeat within a block, so only its distinct ones are searched.
+    values, inverse = np.unique(np.concatenate([row[2] for row in rows]), return_inverse=True)
+    ids[pos] = np.searchsorted(coefs, values)[inverse]
+    ids[pos + 1] = base.var + 2 * np.concatenate([row[1] for row in rows]) + end
+    return ids
 
 
 def export_lp(path, grid, kernels, econ, discount, meta_path=None):
@@ -135,22 +185,49 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
 
     Variables appear in row-major lattice order; constraints are grouped
     per point in the same order with actions in fixed priority order, so
-    repeated exports are byte-identical. The text is built and written one
-    lattice row (4n constraints) at a time.
+    repeated exports are byte-identical.
+
+    The text is gathered by index from one table of strings, made once:
+    each distinct coefficient as " +c" and right-hand side as " >= c\n",
+    each variable as " V_i_j" and " V_i_j\n", each label's action and point
+    suffix. Constraints are written one block of _BLOCK_ROWS lattice rows
+    at a time: _constraint_rows builds the block's rows from slices of the
+    kernels, their table ids are scattered into one integer array in file
+    order, and the gathered strings are joined and written. The objective
+    and the bounds are gathered the same way, so no term is formatted on
+    its own and no whole-lattice constraint rows are held.
     """
     n = grid.n
     size = n * n
     beta = discount.beta
-    rows = [_constraint_rows(kernels[a], beta) for a in ACTION_PRIORITY]
-    ends = [_line_ends(indptr) for indptr, _, _ in rows]
     lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
-    rewards = [g.ravel() for g in expected_rewards(*lattice, econ)]
-    distinct = np.unique(np.concatenate([coefs for _, _, coefs in rows] + rewards))
-    text = {c: _fmt(c) for c in distinct.tolist()}
-    names = [variable_name(n, p) for p in range(size)]
-    labels = [a.value for a in ACTION_PRIORITY]
+    rewards = np.stack([g.ravel() for g in expected_rewards(*lattice, econ)], axis=1)
+    rhs, rhs_ids = np.unique(rewards, return_inverse=True)
+    rhs_ids = rhs_ids.reshape(size, len(ACTION_PRIORITY))
+    del rewards
+    coefs = _distinct_coefficients(kernels, beta)
+    var = coefs.size + rhs.size
+    labels = var + 3 * size
+    one = labels + len(ACTION_PRIORITY)
+    base = _Table(coefs.size, var, var + 2 * size, labels, one, one + 1)
+    table = np.empty(base.free + 1, dtype=object)
+    # 17 significant digits: decimal text round-trips to the same double.
+    table[:base.rhs] = [" %+.17g" % c for c in coefs.tolist()]
+    table[base.rhs:base.var] = [" >= %+.17g\n" % r for r in rhs.tolist()]
+    digits = np.array([str(j) for j in range(n)], dtype=object)
+    heads = np.array([f"_{i}_" for i in range(n)], dtype=object)
+    pair = np.stack([digits, digits + "\n"], axis=1)
+    table[base.var:base.suffix] = np.add.outer(" V" + heads, pair).ravel()
+    table[base.suffix:base.label] = np.add.outer(heads, digits + ":\n").ravel()
+    table[base.label:base.one] = [" " + a.value for a in ACTION_PRIORITY]
+    table[base.one:] = [" +1", " free\n"]
 
+    step = _BLOCK_ROWS * n
     with open(path, "w") as fh:
+
+        def write(ids):
+            fh.write("".join(table.take(ids).tolist()))
+
         fh.write("\\ discretized two-channel power allocation, discounted value LP\n")
         fh.write(
             f"\\ V_i_j is the value at belief (i/(n-1), j/(n-1)), n = {n}\n"
@@ -158,33 +235,24 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
         fh.write(
             "\\ each constraint: V(p) - beta * sum_y f_a(p, y) V(y) >= g_a(p)\n"
         )
-        fh.write("Minimize\n")
-        _write_terms(fh, " obj:\n", [(1.0, name) for name in names])
+        fh.write("Minimize\n obj:\n")
+        for first in range(0, size, step):
+            points = np.arange(first, min(first + step, size))
+            end = points % _TERMS_PER_LINE == _TERMS_PER_LINE - 1
+            end[-1] |= points[-1] == size - 1
+            ids = np.full(2 * points.size, base.one)
+            ids[1::2] = base.var + 2 * points + end
+            write(ids)
         fh.write("Subject To\n")
-        for i in range(n):
-            first, stop = i * n, (i + 1) * n
-            blocks = []
-            for (indptr, cols, coefs), end, g in zip(rows, ends, rewards):
-                lo, hi = indptr[first], indptr[stop]
-                terms = [
-                    f" {text[c]} {names[y]}\n" if e else f" {text[c]} {names[y]}"
-                    for c, y, e in zip(
-                        coefs[lo:hi].tolist(), cols[lo:hi].tolist(), end[lo:hi].tolist()
-                    )
-                ]
-                bounds = (indptr[first:stop + 1] - lo).tolist()
-                rhs = [f" >= {text[r]}\n" for r in g[first:stop].tolist()]
-                blocks.append((terms, bounds, rhs))
-            parts = []
-            for j in range(n):
-                for label, (terms, bounds, rhs) in zip(labels, blocks):
-                    parts.append(f" {label}_{i}_{j}:\n")
-                    parts.extend(terms[bounds[j]:bounds[j + 1]])
-                    parts.append(rhs[j])
-            fh.write("".join(parts))
+        for first in range(0, size, step):
+            stop = min(first + step, size)
+            write(_block_ids(kernels, beta, first, stop, coefs, rhs_ids[first:stop], base))
         fh.write("Bounds\n")
-        for name in names:
-            fh.write(f" {name} free\n")
+        for first in range(0, size, step):
+            points = np.arange(first, min(first + step, size))
+            ids = np.full(2 * points.size, base.free)
+            ids[0::2] = base.var + 2 * points
+            write(ids)
         fh.write("End\n")
 
     if meta_path is not None:

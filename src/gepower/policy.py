@@ -19,7 +19,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .dynamics import ACTION_PRIORITY, Action, ParameterError, propagate
-from .solver import _axis, _gather, action_value_grids, q_probe
+from .solver import _axis, _gather, _q_max, action_value_grids, q_probe
 
 __all__ = [
     "PolicyField",
@@ -102,12 +102,17 @@ def extract_policy(v, ch, econ, discount, tie_tol=None):
     if tie_tol is not None and not 0.0 <= tie_tol < math.inf:
         raise ParameterError(f"0 <= tie_tol < inf violated: tie_tol={tie_tol!r}")
     q = action_value_grids(v, ch, econ, discount)
-    stack = np.stack([q[a] for a in ACTION_PRIORITY])
     if tie_tol is None:
         spread = float(v.values.max() - v.values.min())
         tie_tol = 1e-8 * (spread if spread > 0.0 else 1.0)
-    top = stack.max(axis=0)
-    best = np.transpose(stack >= top - tie_tol, (1, 2, 0))
+    # One action's plane at a time, against the running max, so the four
+    # grids are never stacked; best is a view of the planes.
+    low = _q_max(q)
+    low -= tie_tol
+    planes = np.empty((len(ACTION_PRIORITY),) + low.shape, dtype=bool)
+    for plane, a in zip(planes, ACTION_PRIORITY):
+        np.greater_equal(q[a], low, out=plane)
+    best = planes.transpose(1, 2, 0)
     primary = best.argmax(axis=2).astype(np.int8)
     return PolicyField(v.grid, best, primary, float(tie_tol))
 

@@ -129,8 +129,10 @@ class SolverConfig:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ParameterError(f"tol > 0 violated: tol={self.tol!r}")
+        # A non-finite tol would also reach solve_report.json, which JSON
+        # cannot hold.
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterError(f"0 < tol < inf violated: tol={self.tol!r}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter >= 1 violated: max_iter={self.max_iter!r}")
 

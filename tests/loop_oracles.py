@@ -1,18 +1,19 @@
 """Scalar and per-slot reference loops for the vectorised kernels and
 policy supports, the table-driven Monte Carlo, the table-driven artifact
-writers, the memoised Q grids, the scalar Q probe and the vectorised
-contiguity check, and scipy references for the numpy support marking,
-policy evaluation and LP constraint rows.
+writers and LP text, the memoised Q grids, the unstacked policy argmax,
+the scalar Q probe and the vectorised contiguity check, and scipy
+references for the numpy support marking, policy evaluation and LP
+constraint rows.
 
 These are the straightforward formulations: one dict per kernel row, a
 mask marked per successor vertex pair, a Monte Carlo step that carries
-float beliefs and recomputes every reward, writers that format every point
-or slot on its own, Q grids that locate every coordinate and rebuild the
-reward table on each call, one Q function per action built on one-point
-numpy interpolation, a per-line hole search, sparse matrix products for
-the support, Jacobi steps through a CSR matrix product, and I - beta * K
-in scipy's sparse arithmetic. Tests require the production code to match
-them bit for bit.
+float beliefs and recomputes every reward, writers that format every point,
+slot or LP term on its own, Q grids that locate every coordinate and
+rebuild the reward table on each call, a policy read off the stacked Q
+grids, one Q function per action built on one-point numpy interpolation, a
+per-line hole search, sparse matrix products for the support, Jacobi steps
+through a CSR matrix product, and I - beta * K in scipy's sparse
+arithmetic. Tests require the production code to match them bit for bit.
 """
 
 import csv
@@ -31,9 +32,10 @@ from gepower.dynamics import (
     propagate,
     propagate_array,
 )
+from gepower.lpmodel import _constraint_rows, variable_name
 from gepower.policy import _PPM_COLORS, ContiguityViolation, PolicyField
 from gepower.simulate import SimSummary, TraceBatch
-from gepower.solver import _LAYOUT_NOTE, interpolate
+from gepower.solver import _LAYOUT_NOTE, action_value_grids, interpolate
 from lp_oracles import as_csr
 
 
@@ -386,6 +388,75 @@ def loop_traces_csv(batch, path):
                 )
 
 
+def _lp_fmt(x):
+    return format(x, "+.17g")
+
+
+def _lp_terms(fh, head, terms, per_line=6):
+    chunks = [f"{_lp_fmt(c)} {name}" for c, name in terms]
+    fh.write(head)
+    for start in range(0, len(chunks), per_line):
+        fh.write(" " + " ".join(chunks[start:start + per_line]) + "\n")
+
+
+def _lp_line_ends(indptr, per_line=6):
+    """Per CSR entry: whether a term line ends after it."""
+    nnz = int(indptr[-1])
+    starts = np.repeat(indptr[:-1], np.diff(indptr))
+    end = (np.arange(nnz) - starts) % per_line == per_line - 1
+    end[indptr[1:] - 1] = True
+    return end
+
+
+def loop_export_lp(path, grid, kernels, econ, discount):
+    """export_lp's model.lp from the whole-lattice constraint rows, one
+    f-string per constraint term, one lattice row at a time."""
+    n = grid.n
+    size = n * n
+    beta = discount.beta
+    rows = [_constraint_rows(kernels[a], beta) for a in ACTION_PRIORITY]
+    ends = [_lp_line_ends(indptr) for indptr, _, _ in rows]
+    lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
+    rewards = [g.ravel() for g in expected_rewards(*lattice, econ)]
+    distinct = np.unique(np.concatenate([coefs for _, _, coefs in rows] + rewards))
+    text = {c: _lp_fmt(c) for c in distinct.tolist()}
+    names = [variable_name(n, p) for p in range(size)]
+    labels = [a.value for a in ACTION_PRIORITY]
+
+    with open(path, "w") as fh:
+        fh.write("\\ discretized two-channel power allocation, discounted value LP\n")
+        fh.write(f"\\ V_i_j is the value at belief (i/(n-1), j/(n-1)), n = {n}\n")
+        fh.write("\\ each constraint: V(p) - beta * sum_y f_a(p, y) V(y) >= g_a(p)\n")
+        fh.write("Minimize\n")
+        _lp_terms(fh, " obj:\n", [(1.0, name) for name in names])
+        fh.write("Subject To\n")
+        for i in range(n):
+            first, stop = i * n, (i + 1) * n
+            blocks = []
+            for (indptr, cols, coefs), end, g in zip(rows, ends, rewards):
+                lo, hi = indptr[first], indptr[stop]
+                terms = [
+                    f" {text[c]} {names[y]}\n" if e else f" {text[c]} {names[y]}"
+                    for c, y, e in zip(
+                        coefs[lo:hi].tolist(), cols[lo:hi].tolist(), end[lo:hi].tolist()
+                    )
+                ]
+                bounds = (indptr[first:stop + 1] - lo).tolist()
+                rhs = [f" >= {text[r]}\n" for r in g[first:stop].tolist()]
+                blocks.append((terms, bounds, rhs))
+            parts = []
+            for j in range(n):
+                for label, (terms, bounds, rhs) in zip(labels, blocks):
+                    parts.append(f" {label}_{i}_{j}:\n")
+                    parts.extend(terms[bounds[j]:bounds[j + 1]])
+                    parts.append(rhs[j])
+            fh.write("".join(parts))
+        fh.write("Bounds\n")
+        for name in names:
+            fh.write(f" {name} free\n")
+        fh.write("End\n")
+
+
 def _tensor_interp(values, points, qx, qy):
     """Bilinear interpolation on the tensor product qx x qy, locating both
     axes on every call; corner terms summed diagonal pair first."""
@@ -477,6 +548,20 @@ def q_conservative(v, b, ch, discount):
     """Action value of resting: no reward, beliefs drift toward stationary."""
     nxt = Belief(propagate(b.p1, ch), propagate(b.p2, ch))
     return discount.beta * interpolate(v, nxt)
+
+
+def stack_extract_policy(v, ch, econ, discount, tie_tol=None):
+    """extract_policy as one comparison of the stacked Q grids against
+    their max."""
+    q = action_value_grids(v, ch, econ, discount)
+    stack = np.stack([q[a] for a in ACTION_PRIORITY])
+    if tie_tol is None:
+        spread = float(v.values.max() - v.values.min())
+        tie_tol = 1e-8 * (spread if spread > 0.0 else 1.0)
+    top = stack.max(axis=0)
+    best = np.transpose(stack >= top - tie_tol, (1, 2, 0))
+    primary = best.argmax(axis=2).astype(np.int8)
+    return PolicyField(v.grid, best, primary, float(tie_tol))
 
 
 def _first_hole(line):

@@ -148,6 +148,20 @@ class TestSolveCommand:
         assert "grid size" in capsys.readouterr().err
         assert not (tmp_path / "value.json").exists()
 
+    # solve_report.json records tol, and JSON has no infinity.
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_tol_is_a_configuration_error(self, tmp_path, capsys, via):
+        if via == "flag":
+            args = ["--tol", "inf"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"tol": Infinity}')
+            args = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["solve", "--grid", "5", "--out", str(out)] + args) == EXIT_VALIDATION
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_memory_error_is_a_configuration_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError()
@@ -356,6 +370,36 @@ class TestSweepCommand:
         )
         assert code == EXIT_VALIDATION
         assert "--points" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # grid, tol and max_iter are the same at every point, so a bad one is
+    # one configuration error before any output, not a skip per point.
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--grid", "1", "grid size"), ("--tol", "-1", "tol"), ("--tol", "inf", "tol"),
+         ("--max-iter", "0", "max_iter")],
+    )
+    def test_bad_fixed_setting_is_a_configuration_error(
+        self, tmp_path, capsys, flag, value, name
+    ):
+        code = main(
+            ["sweep", "--param", "beta", "--start", "0.5", "--stop", "0.9", "--points", "3",
+             "--grid", "7", flag, value, "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert name in err and "skipping" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_grid_in_config_file_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": 1}')
+        code = main(
+            ["sweep", "--param", "lambda0", "--start", "0.1", "--stop", "0.5", "--points", "3",
+             "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_VALIDATION
+        assert "grid size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_lambda1_sweep_notes_fixed_lambda0(self, tmp_path):

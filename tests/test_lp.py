@@ -1,8 +1,9 @@
+import functools
 import hashlib
 
 import numpy as np
 import pytest
-from loop_oracles import loop_kernel, sparse_constraint_rows
+from loop_oracles import loop_export_lp, loop_kernel, sparse_constraint_rows
 from lp_oracles import as_csr, feasibility_gap, parse_lp
 
 from gepower import (
@@ -15,11 +16,19 @@ from gepower import (
     export_lp,
 )
 from gepower.dynamics import ACTION_PRIORITY, expected_rewards
-from gepower.lpmodel import _constraint_rows, variable_name
+from gepower import lpmodel
+from gepower.lpmodel import Kernel, _constraint_rows, _distinct_coefficients, variable_name
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
 DISC = Discount(0.9)
+# lambda off the lattice, in one cell, on its last point, and at zero.
+BLOCK_LAMS = [(0.1, 0.9), (0.3, 0.35), (0.25, 1.0), (0.0, 0.6)]
+
+
+@functools.lru_cache(maxsize=None)
+def _kernels(n, lam):
+    return build_all_kernels(BeliefGrid(n), ChannelParams(*lam))
 
 
 def _row(kernel, p):
@@ -132,6 +141,86 @@ class TestConstraintRows:
             assert np.array_equal(indptr, ref.indptr), action
             assert np.array_equal(cols, ref.indices), action
             assert np.array_equal(coefs.view(np.uint64), ref.data.view(np.uint64)), action
+
+
+class TestBlockRows:
+    # The writer builds I - beta*K one block of lattice rows at a time;
+    # each block must be the matching slice of the whole-lattice rows, for
+    # one-row blocks, blocks that leave a partial last block, and the
+    # writer's own size.
+    @pytest.mark.parametrize("rows", [1, 3, lpmodel._BLOCK_ROWS])
+    @pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
+    @pytest.mark.parametrize("lam", BLOCK_LAMS)
+    @pytest.mark.parametrize("n", [2, 7, 22])
+    def test_slices_match_whole_lattice(self, n, lam, beta, rows):
+        for action, kernel in _kernels(n, lam).items():
+            indptr, cols, coefs = _constraint_rows(kernel, beta)
+            for first in range(0, n * n, rows * n):
+                stop = min(first + rows * n, n * n)
+                lo, hi = kernel.indptr[first], kernel.indptr[stop]
+                block = Kernel(
+                    kernel.indptr[first:stop + 1] - lo, kernel.cols[lo:hi], kernel.probs[lo:hi]
+                )
+                got_indptr, got_cols, got_coefs = _constraint_rows(block, beta, first)
+                a, b = indptr[first], indptr[stop]
+                assert np.array_equal(got_indptr, indptr[first:stop + 1] - a), (action, first)
+                assert np.array_equal(got_cols, cols[a:b]), (action, first)
+                assert np.array_equal(
+                    got_coefs.view(np.uint64), coefs[a:b].view(np.uint64)
+                ), (action, first)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
+    @pytest.mark.parametrize("lam", BLOCK_LAMS)
+    @pytest.mark.parametrize("n", [2, 7, 22])
+    def test_distinct_coefficients_cover_the_rows(self, n, lam, beta):
+        # every entry's value is in the table, and the table holds nothing
+        # else but the 1.0 of a row without a self loop
+        kernels = _kernels(n, lam)
+        table = _distinct_coefficients(kernels, beta)
+        used = np.unique(np.concatenate(
+            [_constraint_rows(kernels[a], beta)[2] for a in ACTION_PRIORITY]
+        ))
+        assert (np.diff(table) > 0).all()
+        assert np.isin(used, table).all()
+        assert set(np.setdiff1d(table, used).tolist()) <= {1.0}
+
+
+class TestBlockExport:
+    # export_lp gathers its text from string tables one block of lattice
+    # rows at a time; the oracle writes one f-string per term from the
+    # whole-lattice rows. beta 0 drops every zero coefficient.
+    @staticmethod
+    def _assert_same_bytes(tmp_path, n, lam, beta):
+        grid = BeliefGrid(n)
+        kernels = _kernels(n, lam)
+        got, ref = tmp_path / "got.lp", tmp_path / "ref.lp"
+        export_lp(got, grid, kernels, ECON, Discount(beta))
+        loop_export_lp(ref, grid, kernels, ECON, Discount(beta))
+        got, ref = got.read_bytes(), ref.read_bytes()
+        if got != ref:
+            at = next(
+                (k for k, (x, y) in enumerate(zip(got, ref)) if x != y), min(len(got), len(ref))
+            )
+            pytest.fail(f"differs from byte {at}: {got[at:at + 60]!r} vs {ref[at:at + 60]!r}")
+
+    @pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
+    @pytest.mark.parametrize("lam", BLOCK_LAMS)
+    @pytest.mark.parametrize("n", [2, 3, 7, 22, 101])
+    def test_matches_per_term_writer(self, tmp_path, n, lam, beta):
+        self._assert_same_bytes(tmp_path, n, lam, beta)
+
+    # One-row blocks, and three-row blocks, which fit n = 3 exactly and
+    # leave a partial last block at n = 2, 7 and 22 (the default size
+    # leaves one at n = 22 and 101).
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
+    @pytest.mark.parametrize("lam", BLOCK_LAMS)
+    @pytest.mark.parametrize("n", [2, 3, 7, 22])
+    def test_matches_per_term_writer_at_other_block_sizes(
+        self, tmp_path, monkeypatch, n, lam, beta, rows
+    ):
+        monkeypatch.setattr(lpmodel, "_BLOCK_ROWS", rows)
+        self._assert_same_bytes(tmp_path, n, lam, beta)
 
 
 class TestExport:

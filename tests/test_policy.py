@@ -8,12 +8,14 @@ from gepower import (
     ChannelParams,
     Discount,
     EconParams,
+    SolverConfig,
     ValueField,
     delta_funcs,
     diagonal_structure,
     edge_thresholds,
     extract_policy,
     region_map,
+    solve,
 )
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.policy import (
@@ -30,7 +32,14 @@ from gepower.policy import (
 )
 from scipy import ndimage
 
-from loop_oracles import loop_contiguity, q_balanced, q_bet1, q_bet2, q_conservative
+from loop_oracles import (
+    loop_contiguity,
+    q_balanced,
+    q_bet1,
+    q_bet2,
+    q_conservative,
+    stack_extract_policy,
+)
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -76,6 +85,35 @@ class TestExtractPolicy:
         moved = extract_policy(shifted, CH, ECON_A, DISC)
         np.testing.assert_array_equal(base.best, moved.best)
         np.testing.assert_array_equal(base.primary, moved.primary)
+
+
+class TestExtractPolicyOracle:
+    # extract_policy compares each Q grid with the running max; the oracle
+    # compares the stacked grids with their max. Solved fields carry the
+    # exact diagonal bet ties, random fields none, and a field of +0.0 and
+    # -0.0 entries ties the actions whose Q grids come out zero.
+    @staticmethod
+    def _field(n, kind):
+        grid = BeliefGrid(n)
+        if kind == "solved":
+            return solve(SolverConfig(DISC, 1e-6, 5000), CH, ECON_A, grid).field
+        rng = np.random.default_rng(n)
+        if kind == "random":
+            return ValueField(grid, 10.0 * rng.standard_normal((n, n)))
+        return ValueField(grid, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0))
+
+    @pytest.mark.parametrize("tie_tol", [None, 0.0, 0.5])
+    @pytest.mark.parametrize("kind", ["solved", "random", "signed-zeros"])
+    @pytest.mark.parametrize("n", [2, 7, 22, 101])
+    def test_matches_stacked_argmax(self, n, kind, tie_tol):
+        v = self._field(n, kind)
+        got = extract_policy(v, CH, ECON_A, DISC, tie_tol)
+        ref = stack_extract_policy(v, CH, ECON_A, DISC, tie_tol)
+        assert got.best.shape == ref.best.shape == (n, n, len(ACTION_PRIORITY))
+        assert np.array_equal(got.best, ref.best)
+        assert got.primary.dtype == np.int8
+        assert np.array_equal(got.primary, ref.primary)
+        assert got.tie_tol == ref.tie_tol
 
 
 class TestRegionMap:
