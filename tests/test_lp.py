@@ -14,9 +14,9 @@ from gepower import (
     EconParams,
     build_all_kernels,
     export_lp,
+    lpmodel,
 )
 from gepower.dynamics import ACTION_PRIORITY, expected_rewards
-from gepower import lpmodel
 from gepower.lpmodel import Kernel, _constraint_rows, _distinct_coefficients, variable_name
 
 CH = ChannelParams(0.1, 0.9)
