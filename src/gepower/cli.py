@@ -283,13 +283,17 @@ def cmd_simulate(args):
         initial_belief=Belief(args.p1, args.p2),
     )
     out = _outdir(cfg["out"])
+    try:
+        run = run_episodes(policy, sim_cfg, ch, econ, discount, value_scale,
+                           collect_traces=args.dump_traces)
+    except MemoryError:
+        # the run holds episodes x horizon slots; a value file's grid is read above
+        raise ParameterError("out of memory: episodes times horizon is too large") from None
     if args.dump_traces:
-        summary, batch = run_episodes(
-            policy, sim_cfg, ch, econ, discount, value_scale, collect_traces=True
-        )
+        summary, batch = run
         write_traces_csv(batch, out / "traces.csv")
     else:
-        summary = run_episodes(policy, sim_cfg, ch, econ, discount, value_scale)
+        summary = run
     save_summary(summary, out / "sim_summary.json")
     print(
         f"{summary.policy}: mean {summary.mean:.6f} (se {summary.se:.6f}), "

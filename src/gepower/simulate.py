@@ -19,20 +19,35 @@ distinct belief, and each deterministic policy is one int8 table over the
 code pairs, built once per run. T^k converges to the stationary belief, so
 a channel's distinct beliefs, and with them the table, stop growing with
 H: 317 codes a channel and 0.1 MB with lambda = (0.1, 0.9) from (0.5, 0.5)
-at H = 200 and at H = 4603. The stream is drawn DRAW_CHUNK rows at a time,
+at H = 200 and at H = 4603. The stream is drawn a chunk of rows at a time,
 and each chunk is reduced at once to int8 codes: a channel's transition
 code (u < lambda0) + (u < lambda1) takes state g to (g + code) >> 1, the
 two channels' codes share one byte per slot, and random-uniform adds one
 action byte per slot. An episode so holds H bytes (2H for random-uniform),
 not its 8(2 + 3H) bytes of uniforms. Up to STEP_BLOCK episodes are stepped
 together, one slot at a time, by flat lookups in the action, reward and
-code tables. No result depends on DRAW_CHUNK or STEP_BLOCK.
+code tables.
+
+Draw threads: a step block's rows are split into contiguous ranges, one per
+CPU in the process's affinity mask but at most DRAW_RANGES, and drawn at
+once, the first by the calling thread and each other one by a thread of its
+own. Each range buffers DRAW_CHUNK // ranges rows, and a block has no more
+ranges than such chunks, so a small block is one range and starts no
+thread. The stream is PCG64, and Generator.random takes exactly one 64-bit
+output per double, so row k starts k(2 + 3H) outputs in: each range seeds
+its own PCG64 and jumps it there with advance(), in O(log k) steps, and
+writes its codes into its own columns of the block's arrays. Stepping stays
+on the calling thread: its per-slot numpy calls are too short to run in
+parallel under the interpreter lock. No result depends on DRAW_CHUNK,
+STEP_BLOCK or the number of draw threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,11 +77,17 @@ __all__ = [
 BASELINES = ("myopic", "always-balanced", "always-conservative", "random-uniform")
 
 
-# Rows of uniforms drawn at a time; each chunk is reduced to int8 codes at once.
+# Rows of uniforms buffered at a time, shared among the draw ranges; each
+# range's chunk is reduced to int8 codes at once.
 DRAW_CHUNK = 256
+# Draw ranges a step block is split into at most, whatever the CPU count: the
+# threaded draw was measured on two CPUs only, and more ranges means smaller
+# chunks, each a dozen numpy calls. Raise it only after measuring on more.
+DRAW_RANGES = 2
 # Episodes stepped together, one slot at a time. A block's codes (at most 2H
-# bytes an episode) and one chunk's uniforms take about half of what 2048
-# rows of uniforms take, at every horizon H.
+# bytes an episode) and the DRAW_CHUNK rows of uniforms that all its draw
+# ranges buffer together take about half of what 2048 rows of uniforms take,
+# at every horizon H and any number of draw threads.
 STEP_BLOCK = 10240
 # Episodes formatted at a time by write_traces_csv.
 EPISODE_BLOCK = 2048
@@ -172,28 +193,84 @@ def _pair_moves():
     return nxt.ravel()
 
 
-def _draw_block(gen, n, H, b0, ch, random_actions):
-    """The next n rows of the stream, drawn DRAW_CHUNK rows at a time and
-    reduced to int8 codes at once: the initial joint states, the joint
-    moves[t, e] = 4 * (3 * tr1 + tr2) of each slot and, for random-uniform,
-    each slot's action code 4a. Slot-major, so a slot reads a contiguous row.
-    """
-    pair = np.empty(n, dtype=np.intp)
-    moves = np.empty((H, n), dtype=np.int8)
-    acts = np.empty((H, n), dtype=np.int8) if random_actions else None
-    for lo in range(0, n, DRAW_CHUNK):
-        hi = min(lo + DRAW_CHUNK, n)
-        u = gen.random((hi - lo, 2 + 3 * H))
+def _draw_workers():
+    """Draw ranges a block is split into: one per CPU this process may run
+    on, at most DRAW_RANGES."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, DRAW_RANGES)
+
+
+def _draw_range(seed, first, pair, moves, acts, chunk, b0, ch):
+    """Rows first, first + 1, ... of the stream, one per element of pair,
+    drawn chunk rows at a time into one buffer and reduced to int8 codes in
+    pair, moves and acts (None unless random-uniform): see _draw_block."""
+    n = pair.size
+    width = 2 + 3 * moves.shape[0]
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(first * width)
+    gen = np.random.Generator(bitgen)
+    buf = np.empty((min(chunk, n), width))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        u = gen.random(out=buf[:hi - lo])
         pair[lo:hi] = 2 * (u[:, 0] < b0.p1) + (u[:, 1] < b0.p2)
         code = _transition_code(u, ch)
         move = code[:, 3::3] * 12
         move += code[:, 4::3] * 4
         moves[:, lo:hi] = move.T
-        if random_actions:
+        if acts is not None:
             act = (u[:, 2::3] * 4).astype(np.int8)
             np.minimum(act, 3, out=act)
             act <<= 2
             acts[:, lo:hi] = act.T
+
+
+def _draw_block(seed, first, n, H, b0, ch, random_actions):
+    """Rows first .. first + n - 1 of the stream, reduced to int8 codes: the
+    initial joint states, the joint moves[t, e] = 4 * (3 * tr1 + tr2) of
+    each slot and, for random-uniform, each slot's action code 4a.
+    Slot-major, so a slot reads a contiguous row.
+
+    The rows are split into up to _draw_workers() contiguous ranges, and the
+    ranges share DRAW_CHUNK rows of buffers; the calling thread draws the
+    first range and one thread each the others (see the module notes). A
+    worker's exception is raised here, after every thread has been joined.
+    """
+    pair = np.empty(n, dtype=np.intp)
+    moves = np.empty((H, n), dtype=np.int8)
+    acts = np.empty((H, n), dtype=np.int8) if random_actions else None
+    workers = _draw_workers()
+    chunk = max(1, DRAW_CHUNK // workers)
+    count = min(workers, -(-n // chunk))
+    cuts = [n * r // count for r in range(count + 1)]
+    jobs = [
+        (seed, first + a, pair[a:b], moves[:, a:b], None if acts is None else acts[:, a:b],
+         chunk, b0, ch)
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    errors = []
+
+    def draw(job):
+        try:
+            _draw_range(*job)
+        except BaseException as exc:    # raised again by the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for job in jobs[1:]:
+            thread = threading.Thread(target=draw, args=(job,))
+            thread.start()
+            threads.append(thread)
+        _draw_range(*jobs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return pair, moves, acts
 
 
@@ -237,9 +314,9 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     one of BASELINES. Returns a SimSummary; with collect_traces also a
     TraceBatch. Identical config means bit-identical results.
 
-    The uniforms are reduced DRAW_CHUNK rows at a time to int8 transition
-    codes, one byte per slot for both channels, plus one action byte per
-    slot for random-uniform: H bytes per episode, or 2H. STEP_BLOCK
+    The uniforms are drawn on up to DRAW_RANGES CPUs and reduced to int8
+    transition codes, one byte per slot for both channels, plus one action
+    byte per slot for random-uniform: H bytes per episode, or 2H. STEP_BLOCK
     episodes are then stepped together, slot by slot; see the module notes.
     """
     E, H = cfg.episodes, cfg.horizon
@@ -268,10 +345,9 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
         tr_rewards = np.empty((E, H))
         tr_cum = np.empty((E, H))
 
-    gen = np.random.default_rng(cfg.seed)
     for lo in range(0, E, STEP_BLOCK):
         hi = min(lo + STEP_BLOCK, E)
-        pair, moves, draws = _draw_block(gen, hi - lo, H, cfg.initial_belief, ch,
+        pair, moves, draws = _draw_block(cfg.seed, lo, hi - lo, H, cfg.initial_belief, ch,
                                          table is None)
         c1 = np.full(hi - lo, start[0], dtype=np.intp)
         c2 = np.full(hi - lo, start[1], dtype=np.intp)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -173,7 +174,8 @@ class TestSolveCommand:
 
 def test_commands_do_not_import_scipy(tmp_path):
     # Importing scipy costs every CLI process start-up time and resident
-    # memory, so no command may load it, at import or on first use.
+    # memory, so no command may load it, at import or on first use; nor
+    # concurrent.futures (it imports logging, ~12 ms) or multiprocessing.
     src = Path(gepower.__file__).resolve().parents[1]
     out = str(tmp_path)
     value = str(tmp_path / "value.json")
@@ -191,7 +193,9 @@ def test_commands_do_not_import_scipy(tmp_path):
     script = "import sys\nfrom gepower import cli\n" + "".join(
         f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n" for argv, codes in runs
     ) + (
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "heavy = ('scipy', 'concurrent.futures', 'multiprocessing')\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if (m + '.').startswith(tuple(h + '.' for h in heavy)))\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
@@ -468,6 +472,51 @@ class TestSimulateCommand:
         baseline = ["simulate", "--baseline", "myopic", "--episodes", "5", "--horizon", "3",
                     "--grid", "11", "--tol", "1e-6", "--max-iter", "10"]
         assert main(baseline + ["--out", str(tmp_path / "b")]) == EXIT_OK
+
+    def test_memory_error_in_a_draw_thread_names_the_run_size(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the stepping must not go on over a worker's unwritten codes
+        from gepower import simulate
+
+        draw = simulate._draw_range
+
+        def exhausted(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError()
+            draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_workers", lambda: 2)
+        monkeypatch.setattr(simulate, "_draw_range", exhausted)
+        before = threading.active_count()
+        code = main(["simulate", "--baseline", "myopic", "--episodes", "300", "--horizon", "5",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "episodes" in err and "horizon" in err, err
+        assert threading.active_count() == before
+        assert not (tmp_path / "sim_summary.json").exists()
+
+    def test_run_too_large_names_the_run_size(self, tmp_path, capsys):
+        code = main(["simulate", "--baseline", "myopic", "--episodes", "1000000000000",
+                     "--horizon", "5", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "episodes times horizon" in err and "grid" not in err, err
+
+    def test_memory_error_reading_the_value_file_names_the_grid(self, tmp_path, capsys,
+                                                                monkeypatch):
+        out = tmp_path / "solve"
+        assert main(_solve_args(out)) == EXIT_OK
+
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(gepower.cli, "extract_policy", exhausted)
+        code = main(["simulate", str(out / "value.json"), "--episodes", "5", "--horizon", "3",
+                     "--out", str(tmp_path / "sim")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "grid" in err and "episodes" not in err, err
 
     def test_identical_seed_identical_bytes(self, tmp_path):
         args = ["simulate", "--baseline", "myopic", "--episodes", "40", "--horizon", "8",

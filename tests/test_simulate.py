@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -173,10 +175,17 @@ class TestLoopOracle:
     def _policy(name, policy_a):
         return policy_a if name == "grid" else name
 
+    # (DRAW_CHUNK, STEP_BLOCK) pairs
+    SEAMS = [
+        (3, 7),     # chunk seams inside step blocks, a partial last block
+        (7, 3),     # a chunk larger than the step block
+        (10, 13),   # draw ranges that are not multiples of their chunks
+    ]
+
     @staticmethod
-    def _check(policy, episodes, horizon=20):
+    def _check(policy, episodes, horizon=20, seed=8):
         cfg = SimConfig(
-            episodes=episodes, horizon=horizon, seed=8, initial_belief=Belief(0.3, 0.65)
+            episodes=episodes, horizon=horizon, seed=seed, initial_belief=Belief(0.3, 0.65)
         )
         summary, batch = run_episodes(policy, cfg, CH, ECON, DISC, collect_traces=True)
         ref_summary, ref_batch = loop_episodes(policy, cfg, CH, ECON, DISC)
@@ -198,16 +207,28 @@ class TestLoopOracle:
         # floats and share codes
         self._check(self._policy(name, policy_a), 40, horizon=250)
 
-    @pytest.mark.parametrize("chunk, block", [
-        (3, 7),     # chunk seams inside step blocks, a partial last block
-        (7, 3),     # a chunk larger than the step block
-    ])
+    @pytest.mark.parametrize("chunk, block", SEAMS)
     @pytest.mark.parametrize("name", POLICIES)
     def test_matches_per_slot_loop_across_seams(self, name, chunk, block, policy_a,
                                                 monkeypatch):
         monkeypatch.setattr(simulate, "DRAW_CHUNK", chunk)
         monkeypatch.setattr(simulate, "STEP_BLOCK", block)
         self._check(self._policy(name, policy_a), 17)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 70])   # 2**70 goes through SeedSequence
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("chunk, block, episodes", [
+        *((chunk, block, 17) for chunk, block in SEAMS),
+        (simulate.DRAW_CHUNK, simulate.STEP_BLOCK, EPISODE_BLOCK + 17),
+    ])
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_matches_per_slot_loop_at_any_worker_count(self, name, chunk, block, episodes,
+                                                       workers, seed, policy_a, monkeypatch):
+        # each draw range jumps its own generator to its first row
+        monkeypatch.setattr(simulate, "_draw_workers", lambda: workers)
+        monkeypatch.setattr(simulate, "DRAW_CHUNK", chunk)
+        monkeypatch.setattr(simulate, "STEP_BLOCK", block)
+        self._check(self._policy(name, policy_a), episodes, seed=seed)
 
     @pytest.mark.parametrize("k", [100, EPISODE_BLOCK + 5])
     def test_prefix_of_larger_run(self, k, policy_a):
@@ -239,21 +260,24 @@ class TestTransitionCode:
 class TestMemory:
     @pytest.mark.parametrize("name", ["random-uniform", "myopic"])
     @pytest.mark.parametrize("horizon", [50, 400])
-    def test_peak_below_one_block_of_uniforms(self, horizon, name):
+    def test_peak_below_one_block_of_uniforms(self, horizon, name, monkeypatch):
         # the bound is 2048 episodes' rows of uniforms plus the action table,
         # what stepping over whole rows held; the int8 codes of a run over two
-        # step blocks must take less at every horizon
+        # step blocks must take less at every horizon and any number of draw
+        # threads
         cfg = SimConfig(episodes=STEP_BLOCK + 17, horizon=horizon, seed=4,
                         initial_belief=Belief(0.5, 0.5))
         codes = 3 * (horizon + 1)
         bound = 2048 * (2 + 3 * horizon) * 8 + codes ** 2
-        tracemalloc.start()
-        try:
-            run_episodes(name, cfg, CH, ECON, DISC)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        for workers in (1, 2, 3, 5, 8):
+            monkeypatch.setattr(simulate, "_draw_workers", lambda: workers)
+            tracemalloc.start()
+            try:
+                run_episodes(name, cfg, CH, ECON, DISC)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"{workers} workers: {peak} >= {bound}"
 
     def test_table_does_not_grow_with_the_horizon(self):
         # one byte per pair of the 3(H+1) chain terms would be 36 MB here
@@ -265,6 +289,74 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20
+
+
+class TestDrawThreads:
+    """Draw ranges past the first run on threads that are all joined before
+    run_episodes returns or raises."""
+
+    @staticmethod
+    def _run(episodes, name="myopic"):
+        cfg = SimConfig(episodes=episodes, horizon=5, seed=3, initial_belief=Belief(0.5, 0.5))
+        return run_episodes(name, cfg, CH, ECON, DISC)
+
+    @pytest.mark.parametrize("workers, episodes, started", [
+        (1, STEP_BLOCK + 17, 0),
+        (2, 1, 0),
+        (2, simulate.DRAW_CHUNK // 2, 0),           # one range of one buffer
+        (2, simulate.DRAW_CHUNK // 2 + 1, 1),
+        (3, STEP_BLOCK + 17, 2),                    # the 17-episode block is one range
+        (5, 1000, 4),
+    ])
+    def test_threads_started_and_joined(self, workers, episodes, started, monkeypatch):
+        threads = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(simulate, "_draw_workers", lambda: workers)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        before = threading.active_count()
+        self._run(episodes)
+        assert len(threads) == started
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in threads)
+
+    @pytest.mark.parametrize("where", ["worker", "main"])
+    def test_error_raised_after_every_thread_joined(self, where, monkeypatch):
+        draw = simulate._draw_range
+
+        def exhausted(*args):
+            in_main = threading.current_thread() is threading.main_thread()
+            if in_main == (where == "main"):
+                raise MemoryError(where)
+            draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_workers", lambda: 3)
+        monkeypatch.setattr(simulate, "_draw_range", exhausted)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=where):
+            self._run(1000)
+        assert threading.active_count() == before
+
+    def test_worker_count_follows_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        cpus = len(os.sched_getaffinity(0))
+        assert simulate._draw_workers() == min(cpus, simulate.DRAW_RANGES)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64, 256])
+    def test_worker_count_is_capped(self, cpus, monkeypatch):
+        # only two draw ranges were measured; many CPUs must not shrink the
+        # chunks to a few rows each
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert simulate._draw_workers() == min(cpus, simulate.DRAW_RANGES)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert simulate._draw_workers() == min(cpus, simulate.DRAW_RANGES)
 
 
 class TestBeliefCodes:
