@@ -82,6 +82,16 @@ def variable_name(n, flat):
     return f"V_{flat // n}_{flat % n}"
 
 
+def _entries(kernel, beta, offset=0):
+    """Per kernel entry: its row within kernel, whether it lies on the
+    diagonal (column offset + row), and its constraint coefficient
+    diag - beta*f."""
+    indptr, cols, probs = kernel
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    diag = cols == rows + offset
+    return rows, diag, diag - beta * probs
+
+
 def _constraint_rows(kernel, beta, offset=0):
     """CSR arrays (indptr, cols, coefs) of the constraint rows I - beta * K.
 
@@ -91,11 +101,9 @@ def _constraint_rows(kernel, beta, offset=0):
     in its place in the row; every other entry is 0.0 - beta*f; entries
     that come out zero are dropped.
     """
-    indptr, cols, probs = kernel
+    indptr, cols, _ = kernel
     size = indptr.size - 1
-    rows = np.repeat(np.arange(size), np.diff(indptr))
-    own = rows + offset
-    diag = cols == own
+    rows, diag, values = _entries(kernel, beta, offset)
     loose = np.ones(size, dtype=bool)
     loose[rows[diag]] = False
     # A row without a self loop gains the identity's entry, placed before
@@ -103,14 +111,14 @@ def _constraint_rows(kernel, beta, offset=0):
     # gained in earlier rows, plus one if it lies past its own row's.
     gained = np.concatenate([[0], np.cumsum(loose)])
     at = np.arange(cols.size) + gained[rows]
-    at += loose[rows] & (cols > own)
+    at += loose[rows] & (cols > rows + offset)
     eye = np.ones(cols.size + int(gained[-1]), dtype=bool)
     eye[at] = False
     out_cols = np.empty(eye.size, dtype=cols.dtype)
     out_cols[at] = cols
     out_cols[eye] = np.flatnonzero(loose) + offset
     coefs = np.ones(eye.size)
-    coefs[at] = diag - beta * probs
+    coefs[at] = values
     indptr = indptr + gained
     keep = coefs != 0.0
     if keep.all():
@@ -122,12 +130,11 @@ def _constraint_rows(kernel, beta, offset=0):
 
 def _distinct_coefficients(kernels, beta):
     """Sorted distinct nonzero values of the constraint rows' entries: each
-    kernel entry's diag - beta*f, as _constraint_rows computes it, and the
-    1.0 of a row without a self loop. One kernel's values at a time."""
+    kernel entry's diag - beta*f (see _entries) and the 1.0 of a row without
+    a self loop. One kernel's values at a time."""
     parts = [np.ones(1)]
-    for indptr, cols, probs in kernels.values():
-        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        values = (cols == rows) - beta * probs
+    for kernel in kernels.values():
+        values = _entries(kernel, beta)[2]
         values.sort()
         parts.append(values[np.concatenate([[True], values[1:] != values[:-1]])])
     values = np.unique(np.concatenate(parts))
@@ -175,7 +182,11 @@ def _block_ids(kernels, beta, first, stop, coefs, rhs_ids, base):
     end[last[counts > 0] - 1] = True
     # Values repeat within a block, so only its distinct ones are searched.
     values, inverse = np.unique(np.concatenate([row[2] for row in rows]), return_inverse=True)
-    ids[pos] = np.searchsorted(coefs, values)[inverse]
+    found = np.searchsorted(coefs, values)
+    missing = values[coefs.take(found, mode="clip") != values]
+    if missing.size:
+        raise AssertionError(f"constraint coefficient {float(missing[0])!r} is not in the table")
+    ids[pos] = found[inverse]
     ids[pos + 1] = base.var + 2 * np.concatenate([row[1] for row in rows]) + end
     return ids
 

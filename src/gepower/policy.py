@@ -139,31 +139,40 @@ class ContiguityViolation:
     gap: tuple       # (first, last) lattice index of the first hole
 
 
-def _line_holes(lines):
-    """First hole of every line along the last axis.
+def _runs(lines):
+    """Every run of True along the last axis of a boolean array.
 
-    Returns (has_hole, start, end): a line has a hole when a miss lies
-    between its first and last hit, and start..end is the first such run
-    of misses.
+    Returns (line, start, stop) arrays, one entry per run in line-major
+    order: the run's line as a flat index over the leading axes, its first
+    index and one past its last.
     """
     n = lines.shape[-1]
-    pos = np.arange(n)
-    first = lines.argmax(axis=-1)
-    last = n - 1 - lines[..., ::-1].argmax(axis=-1)
-    start = (~lines & (pos > first[..., None])).argmax(axis=-1)
-    end = (lines & (pos > start[..., None])).argmax(axis=-1) - 1
-    return lines.any(axis=-1) & (first < start) & (start < last), start, end
+    width = n + 1
+    # Each line is followed by one False cell and the whole by one in front,
+    # so the changes along the flat array alternate run start and run stop,
+    # as line-major keys line * width + index.
+    flat = np.zeros(lines.size // n * width + 1, dtype=bool)
+    flat[1:].reshape(-1, width)[:, :n] = lines.reshape(-1, n)
+    change = np.flatnonzero(flat[1:] != flat[:-1])
+    line, start = np.divmod(change[0::2], width)
+    return line, start, change[1::2] - line * width
 
 
 def check_contiguity(p):
-    """Membership along every lattice row and column must be an interval."""
+    """Membership along every lattice row and column must be an interval.
+
+    A line's first hole is the gap between its first two runs.
+    """
+    n = p.grid.n
     m = np.moveaxis(p.best, 2, 0)  # m[k, i, j]: rows i run along p2
-    holes = (("along-p2", _line_holes(m)), ("along-p1", _line_holes(m.transpose(0, 2, 1))))
+    # Lines (k, axis, i), so the runs come in report order.
+    line, start, stop = _runs(np.stack([m, m.transpose(0, 2, 1)], axis=1))
+    first = np.diff(line, prepend=-1) != 0
+    r = np.flatnonzero(first[:-1] & (line[1:] == line[:-1]))
     out = []
-    for k, a in enumerate(ACTION_PRIORITY):
-        for axis, (has, start, end) in holes:
-            for i in np.flatnonzero(has[k]).tolist():
-                out.append(ContiguityViolation(a, axis, i, (int(start[k, i]), int(end[k, i]))))
+    for at, lo, hi in zip(line[r].tolist(), stop[r].tolist(), start[r + 1].tolist()):
+        k, axis, i = at // (2 * n), ("along-p2", "along-p1")[at // n % 2], at % n
+        out.append(ContiguityViolation(ACTION_PRIORITY[k], axis, i, (lo, hi - 1)))
     return out
 
 
@@ -193,19 +202,15 @@ def _components(mask):
     previous row that shares a column with it (diagonal neighbours do not
     touch).
     """
-    rows, cols = mask.shape
-    width = cols + 1
-    # Each row is followed by one False cell and the whole by one in front,
-    # so the changes along the flat array alternate run start and run end,
-    # as row-major keys row * width + column.
-    flat = np.zeros(rows * width + 1, dtype=bool)
-    flat[1:].reshape(rows, width)[:, :cols] = mask
-    change = np.flatnonzero(flat[1:] != flat[:-1])
-    start, end = change[0::2], change[1::2]
-    # The previous row's runs overlapping [start, end) are those that end
-    # after start and begin before end.
-    lo = np.searchsorted(end, start - width, side="right").tolist()
-    hi = np.searchsorted(start, end - width, side="left").tolist()
+    row, start, stop = _runs(mask)
+    # Keys row * width + column order the runs row-major, and the previous
+    # row's runs overlapping [start, stop) are those that stop after start
+    # and begin before stop.
+    width = mask.shape[1] + 1
+    start = start + row * width
+    stop = stop + row * width
+    lo = np.searchsorted(stop, start - width, side="right").tolist()
+    hi = np.searchsorted(start, stop - width, side="left").tolist()
     parent = list(range(start.size))
 
     def find(x):
@@ -357,20 +362,6 @@ class DiagonalStructure:
     sequence: str            # run-compressed primary actions, for reports
 
 
-def _is_prefix(mask):
-    hits = np.flatnonzero(mask)
-    return hits.size > 0 and hits[-1] == hits.size - 1
-
-
-def _is_suffix(mask):
-    return _is_prefix(mask[::-1])
-
-
-def _is_interval(mask):
-    hits = np.flatnonzero(mask)
-    return hits.size == 0 or hits[-1] - hits[0] + 1 == hits.size
-
-
 def _run_compress(labels):
     runs = []
     for name in labels:
@@ -405,13 +396,13 @@ def diagonal_structure(v, policy, ch, econ, discount):
         return DiagonalStructure(OTHER, None, None, seq)
 
     q = q_probe(v, ch, econ, discount)
+    # Rest one run from index 0, balanced one run ending at n, and the
+    # strict bet band at most one run.
+    line, start, stop = _runs(np.stack([in_rest, in_bal, strict_bet]))
+    runs = np.bincount(line, minlength=3).tolist()
+    ordered = runs[:2] == [1, 1] and runs[2] <= 1 and start[0] == 0 and stop[1] == n
 
-    if strict_bet.any():
-        ordered = (
-            _is_prefix(in_rest)
-            and _is_suffix(in_bal)
-            and _is_interval(strict_bet)
-        )
+    if runs[2]:
         margins = []
         for y in x[np.flatnonzero(strict_bet)].tolist():
             bal, bet1, _, rest = q(y, y)
@@ -423,7 +414,6 @@ def diagonal_structure(v, policy, ch, econ, discount):
             return DiagonalStructure(TWO_THRESHOLD, float(rho1), float(rho2), seq)
         return DiagonalStructure(OTHER, rho1, rho2, seq)
 
-    ordered = _is_prefix(in_rest) and _is_suffix(in_bal)
     rho1 = _bisect(_q_gap(q, Action.BALANCED, Action.CONSERVATIVE), 0.0, 1.0)
     if ordered and rho1 is not None and 0.0 < rho1 < 1.0:
         return DiagonalStructure(ONE_THRESHOLD, float(rho1), None, seq)

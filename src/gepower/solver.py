@@ -563,54 +563,45 @@ def solve(cfg, ch, econ, grid, start=None):
     whatever the start. Without a start, a lattice of n <= 101 starts from
     the zero field (the myopic policy); a larger one starts from the solved
     lattice of (n + 1) // 2 points, itself solved this way, interpolated
-    onto grid (see _solve_from_coarse). The counts and the certificate
-    describe the requested lattice only. Raises ParameterError when start
-    lies on another grid, and NonConvergence when max_iter improvements are
-    not enough or the certified residual exceeds cfg.tol; a cold solve
-    raises it only when the zero-field start does too, and then raises that
-    one.
+    onto grid (see _from_coarse). The counts and the certificate describe
+    the requested lattice only. Raises ParameterError when start lies on
+    another grid, and NonConvergence when max_iter improvements are not
+    enough or the certified residual exceeds cfg.tol; a cold solve raises it
+    only when the zero-field start does too, and then raises that one.
     """
     if start is not None:
         if start.grid != grid:
             raise ParameterError(f"start field on grid n={start.grid.n}, solve on n={grid.n}")
-        return _solve(cfg, ch, econ, grid, start)
-    if grid.n > _CASCADE_ABOVE:
+    elif grid.n > _CASCADE_ABOVE:
         try:
-            return _solve_from_coarse(cfg, ch, econ, grid)
+            return _solve(cfg, ch, econ, grid, _from_coarse(cfg, ch, econ, grid))
         except NonConvergence:
             pass
-    return _solve(cfg, ch, econ, grid, _zero(grid))
+    return _solve(cfg, ch, econ, grid, start)
 
 
-def _zero(grid):
-    return ValueField(grid, np.zeros((grid.n, grid.n)))
-
-
-def _solve_from_coarse(cfg, ch, econ, grid):
-    """Policy iteration on grid from the solved half-size lattice.
-
-    The lattices halve, n -> (n + 1) // 2, down to the first of at most
-    _CASCADE_ABOVE points, which starts from the zero field; each finer one
-    starts from the solved field of the one below, interpolated onto its
-    points (with n odd, the coarse points are every other fine point).
+def _from_coarse(cfg, ch, econ, grid):
+    """The solved lattice of (n + 1) // 2 points, interpolated onto grid
+    (with n odd, the coarse points are every other fine point). That lattice
+    starts the same way above _CASCADE_ABOVE points, and from the zero field
+    at or below.
     """
-    levels = [grid]
-    while levels[-1].n > _CASCADE_ABOVE:
-        levels.append(BeliefGrid((levels[-1].n + 1) // 2))
-    levels.reverse()
-    result = _solve(cfg, ch, econ, levels[0], _zero(levels[0]))
-    for coarse, fine in zip(levels, levels[1:]):
-        at = _axis(coarse.points, fine.points)
-        # The start is passed unnamed, so no frame here keeps it alive once
-        # the fine solve has replaced it.
-        result = _solve(
-            cfg, ch, econ, fine, ValueField(fine, _gather(result.field.values, at, at))
-        )
-    return result
+    coarse = BeliefGrid((grid.n + 1) // 2)
+    # The start is passed unnamed, so no frame keeps it alive once the
+    # coarse solve has replaced it.
+    values = _solve(
+        cfg, ch, econ, coarse,
+        _from_coarse(cfg, ch, econ, coarse) if coarse.n > _CASCADE_ABOVE else None,
+    ).field.values
+    at = _axis(coarse.points, grid.points)
+    return ValueField(grid, _gather(values, at, at))
 
 
 def _solve(cfg, ch, econ, grid, v):
-    """Policy iteration on grid from the field v; see solve."""
+    """Policy iteration on grid from the field v, or from the zero field if
+    v is None; see solve."""
+    if v is None:
+        v = ValueField(grid, np.zeros((grid.n, grid.n)))
     discount = cfg.discount
     st = _Stencils(grid, ch)
     # Enough Jacobi steps to contract any start by 2^-52 at rate beta; an

@@ -593,3 +593,17 @@ def loop_contiguity(p):
             if gap is not None:
                 out.append(ContiguityViolation(a, "along-p1", j, gap))
     return out
+
+
+def loop_runs(lines):
+    """policy._runs as one scan per line: (line, start, stop) tuples."""
+    out = []
+    for li, line in enumerate(lines.reshape(-1, lines.shape[-1]).tolist()):
+        start = None
+        for j, hit in enumerate(line + [False]):
+            if hit and start is None:
+                start = j
+            elif not hit and start is not None:
+                out.append((li, start, j))
+                start = None
+    return out

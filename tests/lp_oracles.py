@@ -3,18 +3,21 @@ feasibility of a value vector under its kernels, and kernels as scipy
 matrices.
 
 Tests use these to check the exported model: parse_lp reads back the subset
-of the LP format the exporter emits, feasibility_gap measures how far a
-candidate value vector is from satisfying every constraint, and as_csr
-turns CSR arrays, such as a build_all_kernels kernel, into the scipy matrix
-that the reference computations multiply with.
+of the LP format the exporter emits, highs_solve solves what it read with
+scipy's HiGHS, feasibility_gap measures how far a candidate value vector is
+from satisfying every constraint, and as_csr turns CSR arrays, such as a
+build_all_kernels kernel, into the scipy matrix that the reference
+computations multiply with.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 
 from gepower.dynamics import ACTION_PRIORITY, expected_rewards
+from gepower.lpmodel import variable_name
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,29 @@ def parse_lp(path):
                     free_vars.append(parts[0])
 
     return LpModel(objective, constraints, tuple(free_vars))
+
+
+def highs_solve(model, n):
+    """Solve a parse_lp model of an n x n lattice with HiGHS.
+
+    Returns scipy's linprog result: x holds the values in flat lattice
+    order, and ineqlin.marginals the duals in the order of
+    model.constraints.
+    """
+    column = {variable_name(n, p): p for p in range(n * n)}
+    rows, cols, coefs = [], [], []
+    for r, con in enumerate(model.constraints):
+        assert con.sense == ">="
+        for name, c in con.coeffs.items():
+            rows.append(r)
+            cols.append(column[name])
+            coefs.append(-c)
+    cost = np.zeros(n * n)
+    for name, c in model.objective.items():
+        cost[column[name]] = c
+    a_ub = sparse.csr_matrix((coefs, (rows, cols)), shape=(len(model.constraints), n * n))
+    b_ub = -np.array([con.rhs for con in model.constraints])
+    return linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
 
 
 def as_csr(indptr, cols, probs):

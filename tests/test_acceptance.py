@@ -14,8 +14,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.optimize import linprog
 
 from gepower import (
     Action,
@@ -38,7 +36,7 @@ from gepower import (
     solve,
 )
 from gepower.dynamics import ACTION_PRIORITY
-from gepower.lpmodel import export_lp, variable_name
+from gepower.lpmodel import export_lp
 from gepower.policy import (
     bet_dominance_violations,
     check_connectivity,
@@ -50,7 +48,7 @@ from gepower.solver import action_value_grids
 
 from horizon_oracle import HorizonOracle
 from loop_oracles import q_bet1
-from lp_oracles import feasibility_gap, parse_lp
+from lp_oracles import feasibility_gap, highs_solve, parse_lp
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -347,26 +345,7 @@ class TestCriterion10LpCrossCheck:
             kernels = build_all_kernels(grid, CH)
             path = tmp_path / "model.lp"
             export_lp(path, grid, kernels, ECON_A, DISC)
-            model = parse_lp(path)
-
-            var_index = {variable_name(n, p): p for p in range(n * n)}
-            rows, cols, data, rhs = [], [], [], []
-            for r, con in enumerate(model.constraints):
-                assert con.sense == ">="
-                for name, coef in con.coeffs.items():
-                    rows.append(r)
-                    cols.append(var_index[name])
-                    data.append(-coef)
-                rhs.append(-con.rhs)
-            a_ub = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(len(model.constraints), n * n)
-            )
-            cost = np.zeros(n * n)
-            for name, coef in model.objective.items():
-                cost[var_index[name]] = coef
-            out = linprog(
-                cost, A_ub=a_ub, b_ub=np.array(rhs), bounds=(None, None), method="highs"
-            )
+            out = highs_solve(parse_lp(path), n)
             assert out.status == 0
             diff = np.max(np.abs(out.x - solved_a_51.field.values.ravel()))
             assert diff <= 10 * TOL

@@ -29,11 +29,13 @@ from gepower.policy import (
     export_policy_ppm,
     _components,
     _IDX,
+    _runs,
 )
 from scipy import ndimage
 
 from loop_oracles import (
     loop_contiguity,
+    loop_runs,
     q_balanced,
     q_bet1,
     q_bet2,
@@ -236,6 +238,23 @@ class TestContiguityMatchesLoop:
                 assert got == loop_contiguity(p)
                 found += len(got)
         assert found > 0
+
+
+class TestRuns:
+    @pytest.mark.parametrize("n", [2, 3, 7, 22, 101])
+    @pytest.mark.parametrize("lead", [(), (3,), (4, None)], ids=["line", "3-lines", "4-squares"])
+    def test_random_masks(self, n, lead):
+        rng = np.random.default_rng(n)
+        shape = tuple(n if d is None else d for d in lead) + (n,)
+        for density in (0.0, 0.05, 0.3, 0.5, 0.8, 0.97, 1.0):
+            for _ in range(3 if n == 101 else 20):
+                lines = rng.uniform(size=shape) < density
+                if lines.ndim > 1:
+                    # One all-False and one all-True line among the others.
+                    lines.reshape(-1, n)[0] = False
+                    lines.reshape(-1, n)[-1] = True
+                got = list(zip(*(a.tolist() for a in _runs(lines))))
+                assert got == loop_runs(lines)
 
 
 def _spiral(n):

@@ -24,6 +24,7 @@ from gepower import (
     save_value_field,
     solve,
 )
+from gepower import solver
 from gepower.cli import main
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.lpmodel import build_all_kernels
@@ -535,6 +536,37 @@ class TestCoarseStart:
         except NonConvergence:
             return
         self._solve(201, 0.9, max_iter=max_iter)
+
+    def test_falls_back_where_the_cascade_fails(self):
+        # At this tolerance and cap the cascade's n=401 solve stops after 3
+        # improvements at residual 1.137e-13; the zero start converges in 7.
+        grid = BeliefGrid(401)
+        cfg = SolverConfig(Discount(0.99), 1e-13, 7)
+        cold = solve(cfg, CH, ECON, grid)
+        zero = solve(cfg, CH, ECON, grid, start=ValueField(grid, np.zeros((401, 401))))
+        assert np.array_equal(cold.field.values, zero.field.values)
+        assert (cold.iterations, cold.evaluation_steps, cold.residual) == (
+            zero.iterations, zero.evaluation_steps, zero.residual
+        )
+
+    def test_a_failed_cascade_solve_falls_back_to_the_zero_start(self, monkeypatch):
+        real, lattices = solver._solve, []
+
+        def first_fails(cfg, ch, econ, grid, v):
+            lattices.append(grid.n)
+            if len(lattices) == 1:
+                raise NonConvergence(0, 1.0, cfg.tol)
+            return real(cfg, ch, econ, grid, v)
+
+        monkeypatch.setattr(solver, "_solve", first_fails)
+        cold = self._solve(201, 0.9)
+        monkeypatch.undo()
+        zero = self._solve(201, 0.9, zero_start=True)
+        assert lattices == [101, 201]
+        assert np.array_equal(cold.field.values, zero.field.values)
+        assert (cold.iterations, cold.evaluation_steps, cold.residual) == (
+            zero.iterations, zero.evaluation_steps, zero.residual
+        )
 
     def test_capped_cli_solve_still_exits_3(self, tmp_path):
         assert main(["solve", "--grid", "201", "--max-iter", "1", "--out", str(tmp_path)]) == 3
