@@ -206,3 +206,29 @@ def expected_rewards(p1, p2, econ):
         full * p2 - econ.ch,
         np.zeros(np.broadcast_shapes(np.shape(p1), np.shape(p2))),
     )
+
+
+def _unique(a, return_inverse=False):
+    """Sorted distinct values of a flattened array without NaN, and with
+    return_inverse the index of each entry's value among them.
+
+    np.unique gives the same, but its first call imports numpy.ma. With
+    the inverse this sorts by the default argsort, as np.unique does, so
+    where equal values differ in bits (0.0 and -0.0) it keeps the one
+    np.unique keeps. Without it, which of two such values is kept is not
+    pinned; the callers pass bit patterns, or drop zeros.
+    """
+    a = np.array(a).ravel()
+    if return_inverse:
+        order = a.argsort()
+        a = a[order]
+    else:
+        a.sort()
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    if not return_inverse:
+        return a[head]
+    inverse = np.empty(a.size, dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    return a[head], inverse

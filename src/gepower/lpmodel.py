@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ACTION_PRIORITY, expected_rewards
-from .solver import _Stencils
+from .dynamics import ACTION_PRIORITY, _unique, expected_rewards
+from .solver import _stencils
 
 __all__ = [
     "Kernel",
@@ -64,7 +64,7 @@ def build_all_kernels(grid, ch):
     solver._Stencils.transitions), so the exported model and the policy
     evaluations read one encoding of the discretized dynamics.
     """
-    st = _Stencils(grid, ch)
+    st = _stencils(grid, ch)
     flat = np.arange(grid.n * grid.n)
     kernels = {}
     for k, action in enumerate(ACTION_PRIORITY):
@@ -137,7 +137,7 @@ def _distinct_coefficients(kernels, beta):
         values = _entries(kernel, beta)[2]
         values.sort()
         parts.append(values[np.concatenate([[True], values[1:] != values[:-1]])])
-    values = np.unique(np.concatenate(parts))
+    values = _unique(np.concatenate(parts))
     return values[values != 0.0]
 
 
@@ -181,7 +181,7 @@ def _block_ids(kernels, beta, first, stop, coefs, rhs_ids, base):
     end = t % _TERMS_PER_LINE == _TERMS_PER_LINE - 1
     end[last[counts > 0] - 1] = True
     # Values repeat within a block, so only its distinct ones are searched.
-    values, inverse = np.unique(np.concatenate([row[2] for row in rows]), return_inverse=True)
+    values, inverse = _unique(np.concatenate([row[2] for row in rows]), return_inverse=True)
     found = np.searchsorted(coefs, values)
     missing = values[coefs.take(found, mode="clip") != values]
     if missing.size:
@@ -213,7 +213,7 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
     beta = discount.beta
     lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
     rewards = np.stack([g.ravel() for g in expected_rewards(*lattice, econ)], axis=1)
-    rhs, rhs_ids = np.unique(rewards, return_inverse=True)
+    rhs, rhs_ids = _unique(rewards, return_inverse=True)
     rhs_ids = rhs_ids.reshape(size, len(ACTION_PRIORITY))
     del rewards
     coefs = _distinct_coefficients(kernels, beta)

@@ -58,6 +58,7 @@ from .dynamics import (
     Action,
     Belief,
     ParameterError,
+    _unique,
     expected_rewards,
     propagate_array,
 )
@@ -162,7 +163,7 @@ def _belief_codes(cfg, ch):
     used = np.array([USES_CHANNEL[a] for a in ACTION_PRIORITY]).T[:, :, None, None]
     tab, nxt, start = [], [], []
     for i, chain in enumerate(chains):
-        bits = np.unique(chain.view(np.uint64))
+        bits = _unique(chain.view(np.uint64))
         beliefs = bits.view(np.float64)
         # T of a belief met at k < H is its chain's next term, so it has a
         # code; a belief met only at k = H is never propagated.
@@ -416,7 +417,7 @@ def save_summary(s, path):
 def _repr_table(values):
     """Sorted distinct bit patterns of values and float.__repr__ of each;
     told apart by bits, -0.0 keeps its sign."""
-    bits = np.unique(np.ascontiguousarray(values).view(np.uint64))
+    bits = _unique(np.ascontiguousarray(values).view(np.uint64))
     return bits, list(map(float.__repr__, bits.view(np.float64).tolist()))
 
 

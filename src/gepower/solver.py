@@ -16,6 +16,12 @@ same. A cold solve on a large lattice starts from the solved half-size
 lattice (Chow and Tsitsiklis 1991, one-way multigrid). The backup is
 written so that a symmetric field stays bit-exactly symmetric, which the
 downstream mirror checks depend on.
+
+The hot kernels skip redundant work only where the result keeps its
+bits: a bit-symmetric field's Q grids take the mirror path (see
+action_value_grids), the Jacobi steps check their spans a batch at a time
+and still stop at the same step (see _evaluate), and the transition
+stencils are flat tables built once per grid and channel (see _Stencils).
 """
 
 from __future__ import annotations
@@ -166,11 +172,14 @@ def _axis(points, q):
     return np.stack([idx, idx + 1]), np.stack([1.0 - frac, frac])
 
 
-def _gather(values, ax, ay):
+def _gather(values, ax, ay, mirror=False):
     # Bilinear interpolation on the tensor product of two located axes. The
     # four corner terms are summed diagonal pair first: on a symmetric field
     # this makes transposed queries agree bit for bit (addition commutes, it
     # only fails to associate), which the mirror-symmetry guarantees rely on.
+    # mirror says that ay is ax and values is bit-symmetric. Then term(1, 0)
+    # is term(0, 1).T entry for entry (both factors commute), and is not
+    # computed.
     (cx, wx), (cy, wy) = ax, ay
 
     def term(a, b):
@@ -182,7 +191,10 @@ def _gather(values, ax, ay):
     out = term(0, 0)
     out += term(1, 1)
     cross = term(0, 1)
-    cross += term(1, 0)
+    if mirror:
+        cross = cross + cross.T
+    else:
+        cross += term(1, 0)
     out += cross
     return out
 
@@ -198,9 +210,11 @@ def _axes(grid, ch):
     return (cells[:, :2], w[:, :2]), (cells[:, 2:], w[:, 2:]), (cells, w)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=3)
 def _reward_table(grid, econ):
-    """Read-only expected rewards of balanced, bet1 and bet2, (p1 column, p2 row)."""
+    """Read-only expected rewards of balanced, bet1 and bet2, (p1 column, p2
+    row). The balanced table is n x n; three are kept, one per lattice of a
+    coarse-to-fine cold solve at n=401."""
     table = expected_rewards(grid.points[:, None], grid.points[None, :], econ)[:3]
     for g in table:
         g.setflags(write=False)
@@ -275,7 +289,23 @@ def action_value_grids(v, ch, econ, discount):
 
     Returns a dict ordered like ACTION_PRIORITY. The bet grids are exact
     transposes of each other whenever v is symmetric; see _gather.
+
+    A bit-symmetric v (every field the solver builds is one) takes the
+    mirror path, which skips work by two exact identities: the bet2 grid is
+    the transpose of the bet1 grid (returned as that view), and the drift x
+    drift gather adds its cross term as T01 + T01.T (see _gather). Its
+    grids equal the general path's bit for bit. Any other field, such as a
+    loaded asymmetric one, takes the general path. Symmetry is tested on
+    the bits, so a field whose mirrored entries are 0.0 and -0.0 is not
+    bit-symmetric.
     """
+    bits = v.values.view(np.uint64)
+    return _q_grids(v, ch, econ, discount, bool(np.array_equal(bits, bits.T)))
+
+
+def _q_grids(v, ch, econ, discount, mirror):
+    """action_value_grids by the mirror path, which needs a bit-symmetric
+    v, or with mirror False by the general path."""
     x = v.grid.points
     vals = v.values
     beta = discount.beta
@@ -285,8 +315,11 @@ def action_value_grids(v, ch, econ, discount):
     c = _gather(vals, lam, both)
     v00, v01, v10, v11 = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
     row = c[:, 2:]   # row[k, j] = V(lambda_k, T(x_j))
-    col = _gather(vals, drift, both)   # col[i, k] = V(T(x_i), lambda_k) for k < 2
-    rest = col[:, 2:]   # rest[i, j] = V(T(x_i), T(x_j))
+    if mirror:
+        rest = _gather(vals, drift, drift, mirror=True)
+    else:
+        col = _gather(vals, drift, both)   # col[i, k] = V(T(x_i), lambda_k) for k < 2
+        rest = col[:, 2:]   # rest[i, j] = V(T(x_i), T(x_j))
 
     p1 = x[:, None]
     p2 = x[None, :]
@@ -297,7 +330,11 @@ def action_value_grids(v, ch, econ, discount):
         + ((p1 * (1.0 - p2)) * v10 + ((1.0 - p1) * p2) * v01)
     )
     q_b1 = g_b1 + beta * (p1 * row[1][None, :] + (1.0 - p1) * row[0][None, :])
-    q_b2 = g_b2 + beta * (p2 * col[:, 1][:, None] + (1.0 - p2) * col[:, 0][:, None])
+    if mirror:
+        # g_b2 is g_b1.T, col[:, k] is row[k] and p2 is p1.T, bit for bit.
+        q_b2 = q_b1.T
+    else:
+        q_b2 = g_b2 + beta * (p2 * col[:, 1][:, None] + (1.0 - p2) * col[:, 0][:, None])
     # Resting earns nothing; adding a zero reward could only flip -0.0.
     q_br = beta * rest
 
@@ -388,7 +425,11 @@ class _Stencils:
     cell with weights 1 - frac and frac, plus a branch of probability zero.
     `slots` holds the (probability, lattice index, weight) tables of these
     four slots, indexed [observed, lattice index, slot] with observed 0 for
-    a drifting coordinate.
+    a drifting coordinate. `x` and `y` hold the same three tables per
+    candidate (see _PAIRS) for the first and the second coordinate, as
+    (2n, 16) arrays whose row observed * n + i belongs to lattice index i;
+    x's lattice indices come multiplied by n, ready for a flat key. Every
+    array is read-only, and _stencils builds them once per (grid, ch).
     """
 
     def __init__(self, grid, ch):
@@ -401,7 +442,13 @@ class _Stencils:
             np.broadcast_to(obs.T.ravel(), (n, 4)),
             np.broadcast_to(wo.T.ravel(), (n, 4)),
         )
-        self.slots = [np.stack(rows) for rows in zip(drift, observed)]
+        self.slots = tuple(np.stack(rows) for rows in zip(drift, observed))
+        (px, ix, wx), (py, iy, wy) = (
+            [t[:, :, c].reshape(2 * n, c.size) for t in self.slots] for c in (_SLOT_X, _SLOT_Y)
+        )
+        self.x, self.y = (px, ix * n, wx), (py, iy, wy)
+        for a in (*self.slots, *self.x, *self.y):
+            a.setflags(write=False)
 
     def transitions(self, flat, k):
         """Transition rows of the flat lattice points under action indices k.
@@ -417,30 +464,44 @@ class _Stencils:
         size = n * n
         i, j = np.divmod(flat, n)
         sx, sy = _OBSERVES[k].T
-        # Per-candidate tables of both coordinates; they are 2n rows each.
-        (px, ix, wx), (py, iy, wy) = (
-            [t[:, :, c] for t in self.slots] for c in (_SLOT_X, _SLOT_Y)
-        )
-        w = px[sx, i] * py[sy, j]
-        w *= wx[sx, i]
-        w *= wy[sy, j]
-        keep = w != 0.0
-        rows = np.nonzero(keep)[0]
-        key = ix[sx, i] * n
-        key += iy[sy, j]
-        key = key[keep] + rows * size
+        at_x = sx * n + i
+        at_y = sy * n + j
+        (px, ix, wx), (py, iy, wy) = self.x, self.y
+        w = px.take(at_x, axis=0)
+        w *= py.take(at_y, axis=0)
+        w *= wx.take(at_x, axis=0)
+        w *= wy.take(at_y, axis=0)
+        kept = np.flatnonzero(w)
+        rows = kept // w.shape[1]
+        key = ix.take(at_x, axis=0)
+        key += iy.take(at_y, axis=0)
+        key = key.take(kept)
+        key += rows * size
         # The sort is stable, so candidates on one point stay in emission
         # order.
         order = np.argsort(key, kind="stable")
-        key, w = key[order], w[keep][order]
+        key, w = key[order], w.take(kept[order])
         head = np.empty(key.size, dtype=bool)
         head[0] = True
         np.not_equal(key[1:], key[:-1], out=head[1:])
-        probs = np.zeros(int(head.sum()))
-        np.add.at(probs, np.cumsum(head) - 1, w)
+        if head.all():
+            # No two candidates share a point: each sum is 0.0 + w, which
+            # is w for the nonzero weights kept.
+            probs = w
+        else:
+            probs = np.zeros(int(head.sum()))
+            np.add.at(probs, np.cumsum(head) - 1, w)
         indptr = np.zeros(flat.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[head], minlength=flat.size), out=indptr[1:])
         return indptr, key[head] - rows[head] * size, probs
+
+
+@lru_cache(maxsize=1)
+def _stencils(grid, ch):
+    """The _Stencils of (grid, ch), built once like _axes. The solves that
+    share stencils come one after another (a sweep's points on one
+    channel), so one entry is kept: its tables take 1.7n kB."""
+    return _Stencils(grid, ch)
 
 
 def _support(policy, st):
@@ -485,11 +546,23 @@ def _restricted_kernel(support, policy, st):
     # Entry e of row r goes to slot e - indptr[r] of column r.
     at = (np.arange(cols.size) - np.repeat(indptr[:-1], widths)) * m
     at += np.repeat(np.arange(m), widths)
+    # Every successor lies in the closed support: a lattice-sized lookup
+    # of positions finds it without a search.
+    position = np.empty(policy.size, dtype=np.intp)
+    position[support] = np.arange(m)
     table_cols = np.zeros(shape, dtype=np.intp)
     table_probs = np.zeros(shape)
-    table_cols.flat[at] = np.searchsorted(support, cols)
+    table_cols.flat[at] = position[cols]
     table_probs.flat[at] = probs
     return table_cols, table_probs
+
+
+# Jacobi steps of _evaluate between two span checks, and the most entries
+# its buffer of iterates may hold: a large support takes fewer steps per
+# batch, down to one, so the buffers stay near the per-step vectors they
+# replace.
+_SPAN_BATCH = 8
+_SPAN_ENTRIES = 1 << 14
 
 
 def _evaluate(kernel, gain, beta, max_steps):
@@ -506,27 +579,42 @@ def _evaluate(kernel, gain, beta, max_steps):
     bounds place the solution within beta/(1-beta) * [min, max] of the
     last step, and the midpoint of that interval is returned, which removes
     the slowly decaying constant mode. Returns (delta, steps).
+
+    The steps run in batches of up to _SPAN_BATCH into a buffer of
+    iterates. The spans of a batch's steps are then taken all at once and
+    replayed through the stop rule in order, so the evaluation stops at the
+    step, and returns the bits, that a check after every step would give,
+    max_steps included.
     """
     cols, probs = kernel
+    m = gain.size
+    batch = max(1, min(_SPAN_BATCH, _SPAN_ENTRIES // m - 1))
+    iterates = np.empty((batch + 1, m))
+    iterates[0] = 0.0
+    diffs = np.empty((batch, m))
     buf = np.empty_like(probs)
     acc = np.empty_like(gain)
-    delta = np.zeros_like(gain)
-    prev = np.inf
+    prev = math.inf
     shift = beta / (1.0 - beta)
-    for step in range(1, max_steps + 1):
-        # Every index is in range; "clip" only spares take the buffered
-        # copy that "raise" makes of out.
-        np.take(delta, cols, out=buf, mode="clip")
-        buf *= probs
-        np.add.reduce(buf, axis=0, initial=0.0, out=acc)
-        nxt = gain + beta * acc
-        d = nxt - delta
-        delta = nxt
-        lo, hi = float(d.min()), float(d.max())
-        if hi - lo == 0.0 or hi - lo >= prev:
-            break
-        prev = hi - lo
-    return delta + shift * 0.5 * (lo + hi), step
+    done = 0
+    while True:
+        k = min(batch, max_steps - done)
+        for delta, nxt in zip(iterates[:k], iterates[1:k + 1]):
+            # Every index is in range; "clip" only spares take the buffered
+            # copy that "raise" makes of out.
+            delta.take(cols, out=buf, mode="clip")
+            buf *= probs
+            np.add.reduce(buf, axis=0, initial=0.0, out=acc)
+            acc *= beta
+            np.add(gain, acc, out=nxt)
+        d = np.subtract(iterates[1:k + 1], iterates[:k], out=diffs[:k])
+        lows, highs = d.min(axis=1).tolist(), d.max(axis=1).tolist()
+        for s, (lo, hi) in enumerate(zip(lows, highs), 1):
+            if hi - lo == 0.0 or hi - lo >= prev or done + s == max_steps:
+                return iterates[s] + shift * 0.5 * (lo + hi), done + s
+            prev = hi - lo
+        done += k
+        iterates[0] = iterates[k]
 
 
 def _extend(grid, support, v_support, policy, ch, econ, discount):
@@ -603,7 +691,7 @@ def _solve(cfg, ch, econ, grid, v):
     if v is None:
         v = ValueField(grid, np.zeros((grid.n, grid.n)))
     discount = cfg.discount
-    st = _Stencils(grid, ch)
+    st = _stencils(grid, ch)
     # Enough Jacobi steps to contract any start by 2^-52 at rate beta; an
     # evaluation cut short by the cap still has to pass the certificate.
     max_steps = 100 + int(40.0 / (1.0 - discount.beta))

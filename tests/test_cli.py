@@ -175,7 +175,8 @@ class TestSolveCommand:
 def test_commands_do_not_import_scipy(tmp_path):
     # Importing scipy costs every CLI process start-up time and resident
     # memory, so no command may load it, at import or on first use; nor
-    # concurrent.futures (it imports logging, ~12 ms) or multiprocessing.
+    # concurrent.futures (it imports logging, ~12 ms), multiprocessing or
+    # numpy.ma (np.unique imports it on its first call).
     src = Path(gepower.__file__).resolve().parents[1]
     out = str(tmp_path)
     value = str(tmp_path / "value.json")
@@ -185,7 +186,7 @@ def test_commands_do_not_import_scipy(tmp_path):
         (["sweep", "--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8", "--points", "2",
           "--grid", "11", "--out", str(tmp_path / "sweep")], (0,)),
         (["export-lp", "--grid", "11", "--out", str(tmp_path / "lp")], (0,)),
-        (["simulate", value, "--episodes", "20", "--horizon", "5", "--out",
+        (["simulate", value, "--episodes", "20", "--horizon", "5", "--dump-traces", "--out",
           str(tmp_path / "sim")], (0,)),
         (["simulate", "--baseline", "myopic", "--episodes", "20", "--horizon", "5", "--out",
           str(tmp_path / "base")], (0,)),
@@ -193,7 +194,7 @@ def test_commands_do_not_import_scipy(tmp_path):
     script = "import sys\nfrom gepower import cli\n" + "".join(
         f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n" for argv, codes in runs
     ) + (
-        "heavy = ('scipy', 'concurrent.futures', 'multiprocessing')\n"
+        "heavy = ('scipy', 'concurrent.futures', 'multiprocessing', 'numpy.ma')\n"
         "loaded = sorted(m for m in sys.modules\n"
         "                if (m + '.').startswith(tuple(h + '.' for h in heavy)))\n"
         "assert not loaded, loaded\n"

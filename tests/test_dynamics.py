@@ -12,7 +12,7 @@ from gepower import (
     immediate_reward,
     propagate,
 )
-from gepower.dynamics import ACTION_PRIORITY, expected_rewards, propagate_array
+from gepower.dynamics import ACTION_PRIORITY, _unique, expected_rewards, propagate_array
 
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -190,3 +190,41 @@ class TestImmediateReward:
         got = expected_rewards(x[:, None], x[None, :], ECON)
         assert [g.shape for g in got] == [(5, 5), (5, 1), (1, 5), (5, 5)]
         assert not got[3].any()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestUnique:
+    """_unique replaces np.unique in the commands; it must give np.unique's
+    bits, the sign of a kept zero included."""
+
+    @pytest.mark.parametrize("size", [1, 2, 17, 300, 5000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inverse_form_matches_np_unique(self, size, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, many zeros of both signs, 2-D like the LP's
+        # right-hand sides.
+        a = rng.choice([0.0, -0.0, 1.5, -2.25, 1e-300, 3.0], size=(size, 2))
+        a[rng.random(a.shape) < 0.2] = rng.normal(size=1)
+        got, inverse = _unique(a, return_inverse=True)
+        want, want_inverse = np.unique(a, return_inverse=True)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(inverse, want_inverse.ravel())
+        assert np.array_equal(got[inverse], a.ravel())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plain_form_matches_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 50, size=1000).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        assert np.array_equal(_unique(bits), np.unique(bits))
+        values = rng.normal(size=(40, 25)).round(1) + 10.0
+        assert np.array_equal(_bits(_unique(values)), _bits(np.unique(values)))
+        assert _unique(np.array([], dtype=np.uint64)).size == 0
+
+    def test_input_untouched(self):
+        a = np.array([3.0, 1.0, 3.0, -0.0])
+        _unique(a)
+        _unique(a, return_inverse=True)
+        assert np.array_equal(_bits(a), _bits([3.0, 1.0, 3.0, -0.0]))

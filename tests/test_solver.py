@@ -33,11 +33,15 @@ from gepower.solver import (
     _axes,
     _evaluate,
     _parse_value_doc,
+    _q_grids,
     _restricted_kernel,
     _reward_table,
+    _SPAN_BATCH,
+    _stencils,
     _Stencils,
     _support,
     action_value_grids,
+    q_probe,
 )
 
 from horizon_oracle import HorizonOracle
@@ -274,6 +278,119 @@ class TestMemoisedPlan:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.5
 
+    @staticmethod
+    def _all_transitions(st, n):
+        flat = np.arange(n * n)
+        mixed = np.random.default_rng(n).integers(0, 4, size=n * n)
+        return [st.transitions(flat, k) for k in (0, 1, 2, 3, mixed)]
+
+    def test_stencils_alternating_parameters_match_fresh_builds(self):
+        grid = BeliefGrid(13)
+        channels = [ChannelParams(0.1, 0.9), ChannelParams(0.3, 0.35)]
+        fresh = []
+        for ch in channels:
+            _stencils.cache_clear()
+            _axes.cache_clear()
+            fresh.append(self._all_transitions(_Stencils(grid, ch), 13))
+        for k in [0, 1, 0, 1, 1, 0]:
+            st = _stencils(grid, channels[k])
+            assert _stencils(BeliefGrid(13), channels[k]) is st
+            for got, want in zip(self._all_transitions(st, 13), fresh[k]):
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+
+    def test_stencil_arrays_are_read_only(self):
+        st = _stencils(BeliefGrid(9), CH)
+        arrays = [*st.slots, *st.x, *st.y]
+        assert len(arrays) == 9
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.5
+
+
+def _assert_grid_bits_equal(got, expect):
+    assert list(got) == list(expect) == list(ACTION_PRIORITY)
+    for a in ACTION_PRIORITY:
+        assert np.array_equal(_bits(got[a]), _bits(expect[a])), a
+
+
+def _mirror_taken(q):
+    return np.shares_memory(q[Action.BET1], q[Action.BET2])
+
+
+class TestMirrorPath:
+    """A bit-symmetric field's Q grids come from the mirror path, and equal
+    the general path's bit for bit; any other field takes the general
+    path."""
+
+    @staticmethod
+    def _symmetric_fields(n, ch, discount):
+        raw = np.random.default_rng(n).uniform(-1.0, 5.0, size=(n, n))
+        sym = (raw + raw.T) / 2.0
+        rng = np.random.default_rng(n + 1)
+        pick, negative = np.triu(rng.random((2, n, n)) < [[[0.3]], [[0.5]]])
+        pick |= pick.T
+        negative |= negative.T
+        pick[0, -1] = pick[-1, 0] = negative[0, -1] = negative[-1, 0] = True
+        pick[0, 0], negative[0, 0] = True, False
+        zeros = sym.copy()
+        zeros[pick] = np.where(negative, -0.0, 0.0)[pick]
+        return {
+            "solved": solve(SolverConfig(discount), ch, ECON, BeliefGrid(n)).field,
+            "random-symmetric": ValueField(BeliefGrid(n), sym),
+            "signed-zeros": ValueField(BeliefGrid(n), zeros),
+        }
+
+    @pytest.mark.parametrize("beta", [0.9, 0.99])
+    @pytest.mark.parametrize("lam", PLAN_LAMBDAS, ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 7, 22, 101])
+    def test_equals_the_general_path(self, n, lam, beta):
+        ch = ChannelParams(*lam)
+        discount = Discount(beta)
+        for name, v in self._symmetric_fields(n, ch, discount).items():
+            assert np.array_equal(_bits(v.values), _bits(v.values).T), name
+            got = action_value_grids(v, ch, ECON, discount)
+            assert _mirror_taken(got), name
+            _assert_grid_bits_equal(got, _q_grids(v, ch, ECON, discount, False))
+        zero = v.values == 0.0
+        assert (zero & np.signbit(v.values)).any() and (zero & ~np.signbit(v.values)).any()
+
+    @staticmethod
+    def _one_ulp_off(values, ch):
+        """values raised by one ulp at the first off-diagonal point where
+        that makes the general path's grids differ from the mirror path's."""
+        grid = BeliefGrid(values.shape[0])
+        for i, j in zip(*np.triu_indices(grid.n, 1)):
+            off = values.copy()
+            off[i, j] = np.nextafter(off[i, j], np.inf)
+            v = ValueField(grid, off)
+            general = _q_grids(v, ch, ECON, DISC, False)
+            mirror = _q_grids(v, ch, ECON, DISC, True)
+            if any(not np.array_equal(_bits(general[a]), _bits(mirror[a])) for a in general):
+                return off
+        raise AssertionError("no single ulp reaches the grids")
+
+    @pytest.mark.parametrize("lam", [(0.1, 0.9), (0.3, 0.35)], ids=str)
+    @pytest.mark.parametrize("n", [11, 22])
+    def test_asymmetric_fields_take_the_general_path(self, n, lam):
+        ch = ChannelParams(*lam)
+        solved = solve(SolverConfig(DISC), ch, ECON, BeliefGrid(n)).field.values
+        signed = solved.copy()
+        signed[0, n - 1], signed[n - 1, 0] = 0.0, -0.0
+        for values in (self._one_ulp_off(solved, ch), signed):
+            v = ValueField(BeliefGrid(n), values)
+            got = action_value_grids(v, ch, ECON, DISC)
+            assert not _mirror_taken(got)
+            _assert_grid_bits_equal(got, _q_grids(v, ch, ECON, DISC, False))
+            probe = q_probe(v, ch, ECON, DISC)
+            x = v.grid.points.tolist()
+            for a in range(n):
+                for b in range(n):
+                    assert probe(x[a], x[b]) == tuple(
+                        float(got[act][a, b]) for act in ACTION_PRIORITY
+                    ), (a, b)
+
 
 class TestBellmanBackup:
     def test_one_step_values_at_corners(self):
@@ -489,6 +606,42 @@ class TestWarmStart:
         }
 
 
+class TestBenchmarkSizeBytes:
+    """sha256 of the benchmark's files at its own sizes (econ A, the CLI
+    defaults otherwise), taken before the mirror path, the batched span
+    checks and the flat transition tables, which must not move a bit."""
+
+    @pytest.mark.parametrize("beta, n, digests", [
+        ("0.99", 201, {
+            "value.json": "ddebf618c7057296c1ed0d38f1266d8b45891258acf530592031cdf6ac1462b2",
+            "solve_report.json":
+                "aff287b29a744c703cd2a1038028b1b55d5cf8b661e90666275fd8c90c684b85",
+        }),
+        ("0.9", 401, {
+            "value.json": "bfb7552b060c58afc7d6eb52074623dbaacd565574d583bcbdd5ccaa62c87155",
+            "solve_report.json":
+                "e8c118c4b087686e903b2b1b0c1a2aa7a51628fb923b10b2757afa7e842cd372",
+        }),
+    ], ids=["patient", "fine"])
+    def test_solve(self, tmp_path, beta, n, digests):
+        assert main(["solve", "--beta", beta, "--grid", str(n), "--out", str(tmp_path)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("param, start, stop, digest", [
+        ("lambda0", "0.1", "0.8",
+         "df77d9206325366e460021923226ba6c2d5201afa3e25c0d799dd2c20954fa1b"),
+        ("rh_over_rl", "1.05", "1.95",
+         "7a96be3ee1206e33e043ab8cc262ceb17f93eb6a66453d27e5aa748745082dbd"),
+        ("ch_over_cl", "1.05", "1.95",
+         "4c36a95ed0583a4fa1b4361a0295cc9f8ef9357c835c9de660e50d5ddbbf7186"),
+    ], ids=["lambda0", "rh_over_rl", "ch_over_cl"])
+    def test_sweep(self, tmp_path, param, start, stop, digest):
+        argv = ["sweep", "--param", param, "--start", start, "--stop", stop, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == digest
+
+
 class TestCoarseStart:
     """A cold solve above the size rule starts from the solved half-size
     lattice; start=zero field is the zero-start path it replaces there, and
@@ -666,25 +819,46 @@ class TestScipyOracles:
         for k in range(4):
             yield np.full((n, n), k, dtype=np.int8)
 
-    @pytest.mark.parametrize("beta", [0.9, 0.99])
+    @pytest.mark.parametrize("beta", [0.9, 0.99, 0.999])
     @pytest.mark.parametrize("on_lattice", [True, False], ids=["on-lattice", "off-lattice"])
     @pytest.mark.parametrize("n", [7, 22, 41])
     def test_support_and_evaluation(self, n, on_lattice, beta):
+        # Besides the solver's cap, caps that end the first batch of steps
+        # early, at its end and one step into the next.
         st = _Stencils(BeliefGrid(n), _test_channel(n, on_lattice))
         rng = np.random.default_rng(n + 1)
-        max_steps = 100 + int(40.0 / (1.0 - beta))
+        caps = [1, _SPAN_BATCH - 1, _SPAN_BATCH, _SPAN_BATCH + 1, 100 + int(40.0 / (1.0 - beta))]
         for policy in self._policies(n):
             support = _support(policy, st)
             assert np.array_equal(support, sparse_support(policy, st))
             gain = rng.normal(size=support.size)
             gain[::5] = 0.0
             gain[1::7] = -0.0
-            got, steps = _evaluate(_restricted_kernel(support, policy, st), gain, beta, max_steps)
-            ref, ref_steps = csr_evaluate(
-                csr_restricted_kernel(support, policy, st), gain, beta, max_steps
-            )
-            assert steps == ref_steps
-            assert np.array_equal(_bits(got), _bits(ref))
+            kernel = _restricted_kernel(support, policy, st)
+            csr = csr_restricted_kernel(support, policy, st)
+            for max_steps in caps:
+                got, steps = _evaluate(kernel, gain, beta, max_steps)
+                ref, ref_steps = csr_evaluate(csr, gain, beta, max_steps)
+                assert steps == ref_steps <= max_steps
+                assert np.array_equal(_bits(got), _bits(ref))
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_evaluation_in_smaller_batches(self, batch, monkeypatch):
+        # A support too large for _SPAN_BATCH steps in the iterate buffer
+        # takes fewer per batch, down to one.
+        st = _Stencils(BeliefGrid(22), _test_channel(22, False))
+        rng = np.random.default_rng(3)
+        for policy in self._policies(22):
+            support = _support(policy, st)
+            monkeypatch.setattr(solver, "_SPAN_ENTRIES", (batch + 1) * support.size)
+            gain = rng.normal(size=support.size)
+            kernel = _restricted_kernel(support, policy, st)
+            csr = csr_restricted_kernel(support, policy, st)
+            for max_steps in (1, 2, 3, 4, 5, 7, 530):
+                got, steps = _evaluate(kernel, gain, 0.99, max_steps)
+                ref, ref_steps = csr_evaluate(csr, gain, 0.99, max_steps)
+                assert steps == ref_steps
+                assert np.array_equal(_bits(got), _bits(ref))
 
 
 class TestSerialization:
