@@ -15,18 +15,21 @@ then per slot one action draw and two transition draws.
 
 Stepping: every belief a channel can hold is T^k of its last observation or
 of its initial belief, so beliefs are carried as integer codes, one per
-distinct belief, and each deterministic policy is one int8 table over the
-code pairs, built once per run. T^k converges to the stationary belief, so
-a channel's distinct beliefs, and with them the table, stop growing with
-H: 317 codes a channel and 0.1 MB with lambda = (0.1, 0.9) from (0.5, 0.5)
-at H = 200 and at H = 4603. The stream is drawn a chunk of rows at a time,
-and each chunk is reduced at once to int8 codes: a channel's transition
-code (u < lambda0) + (u < lambda1) takes state g to (g + code) >> 1, the
-two channels' codes share one byte per slot, and random-uniform adds one
-action byte per slot. An episode so holds H bytes (2H for random-uniform),
-not its 8(2 + 3H) bytes of uniforms. Up to STEP_BLOCK episodes are stepped
-together, one slot at a time, by flat lookups in the action, reward and
-code tables.
+distinct belief, and a policy that reads beliefs (a PolicyField or myopic)
+is one int8 table over the code pairs, built once per run. The codes are
+stepped only for such a policy or to record traces; the fixed baselines act
+by one code and random-uniform by its action draws. T^k converges to the
+stationary belief, so a channel's distinct beliefs, and with them the
+table, stop growing with H: 317 codes a channel and 0.1 MB with lambda =
+(0.1, 0.9) from (0.5, 0.5) at H = 200 and at H = 4603. The stream is drawn
+a chunk of rows at a time, and each chunk is reduced at once to int8 codes:
+a channel's transition code (u < lambda0) + (u < lambda1) takes state g to
+(g + code) >> 1, the two channels' codes share one byte per slot, and
+random-uniform adds one action byte per slot. An episode so holds H bytes
+(2H for random-uniform), not its 8(2 + 3H) bytes of uniforms. Up to
+STEP_BLOCK episodes are stepped together, one slot at a time, by flat
+lookups in the action, discounted reward and code tables, and their
+actions are counted once a block.
 
 Draw threads: a step block's rows are split into contiguous ranges, one per
 CPU in the process's affinity mask but at most DRAW_RANGES, and drawn at
@@ -287,25 +290,19 @@ def _reward_table(econ):
 
 
 def _action_table(policy, tab, econ):
-    """table[c1, c2], the action index at each belief-code pair; None for random-uniform."""
-    shape = tab[0].size, tab[1].size
+    """table[c1, c2], the action index at each belief-code pair, for a
+    policy that reads beliefs: a PolicyField or myopic."""
     if isinstance(policy, PolicyField):
         idx = [np.rint(b * (policy.grid.n - 1)).astype(np.intp) for b in tab]
         return policy.primary.astype(np.int8)[np.ix_(*idx)]
-    fixed = {"always-balanced": Action.BALANCED, "always-conservative": Action.CONSERVATIVE}
-    if policy in fixed:
-        return np.full(shape, ACTION_PRIORITY.index(fixed[policy]), dtype=np.int8)
-    if policy == "random-uniform":
-        return None
-    if policy == "myopic":
-        # Eight rows at a time keeps the float temporaries small, and so peak
-        # RSS; actions in priority order, so argmax tie-breaks like `primary`.
-        table = np.empty(shape, dtype=np.int8)
-        for lo in range(0, shape[0], 8):
-            p1, p2 = np.broadcast_arrays(tab[0][lo:lo + 8, None], tab[1])
-            table[lo:lo + 8] = np.argmax(expected_rewards(p1, p2, econ), axis=0)
-        return table
-    raise ParameterError(f"unknown policy {policy!r}; baselines: {', '.join(BASELINES)}")
+    # Eight rows at a time keeps the float temporaries small, and so peak
+    # RSS; actions in priority order, so argmax tie-breaks like `primary`.
+    shape = tab[0].size, tab[1].size
+    table = np.empty(shape, dtype=np.int8)
+    for lo in range(0, shape[0], 8):
+        p1, p2 = np.broadcast_arrays(tab[0][lo:lo + 8, None], tab[1])
+        table[lo:lo + 8] = np.argmax(expected_rewards(p1, p2, econ), axis=0)
+    return table
 
 
 def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_traces=False):
@@ -319,26 +316,36 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     transition codes, one byte per slot for both channels, plus one action
     byte per slot for random-uniform: H bytes per episode, or 2H. STEP_BLOCK
     episodes are then stepped together, slot by slot; see the module notes.
+    Belief codes are stepped only for a PolicyField or myopic, which read
+    them, and with collect_traces, which records them, for every policy.
     """
     E, H = cfg.episodes, cfg.horizon
     beta = discount.beta
-    tab, nxt, start = _belief_codes(cfg, ch)
-    C1, C2 = tab[0].size, tab[1].size
+    fixed = {"always-balanced": Action.BALANCED, "always-conservative": Action.CONSERVATIVE}
+    reads = isinstance(policy, PolicyField) or policy == "myopic"
+    random_actions = policy == "random-uniform"
+    if not (reads or random_actions or policy in fixed):
+        raise ParameterError(f"unknown policy {policy!r}; baselines: {', '.join(BASELINES)}")
+    steps = reads or collect_traces     # whether belief codes are stepped
+    if steps:
+        tab, nxt, start = _belief_codes(cfg, ch)
+        C1, C2 = tab[0].size, tab[1].size
     # Actions are carried as codes 4a, so that 4a + G indexes the reward of
     # action a in joint state G, and (4a + G) * C_i + code the next code.
-    table = _action_table(policy, tab, econ)
-    if table is not None:
-        table = table.ravel()
-        table <<= 2
+    table = _action_table(policy, tab, econ).ravel() << 2 if reads else None
     reward = _reward_table(econ).ravel()
     pnext = _pair_moves()
     A = len(ACTION_PRIORITY)
     weights = [1.0]     # beta^t by repeated products, as the running sum uses
     for _ in range(H - 1):
         weights.append(weights[-1] * beta)
+    wr = np.multiply.outer(weights, reward)     # wr[t] is weights[t] * reward
 
     total = np.zeros(E)
     counts = np.zeros(A, dtype=np.int64)
+    if policy in fixed:
+        acts = 4 * ACTION_PRIORITY.index(fixed[policy])
+        counts[acts >> 2] = E * H
     if collect_traces:
         tr_states = np.empty((E, H, 2), dtype=np.int8)
         tr_beliefs = np.empty((E, H, 2))
@@ -349,20 +356,20 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     for lo in range(0, E, STEP_BLOCK):
         hi = min(lo + STEP_BLOCK, E)
         pair, moves, draws = _draw_block(cfg.seed, lo, hi - lo, H, cfg.initial_belief, ch,
-                                         table is None)
-        c1 = np.full(hi - lo, start[0], dtype=np.intp)
-        c2 = np.full(hi - lo, start[1], dtype=np.intp)
+                                         random_actions)
+        if steps:
+            c1 = np.full(hi - lo, start[0], dtype=np.intp)
+            c2 = np.full(hi - lo, start[1], dtype=np.intp)
         acc = total[lo:hi]
         for t in range(H):
-            if table is None:
-                acts = draws[t]
-            else:
+            if table is not None:
                 j = c1 * C2
                 j += c2
                 acts = table.take(j)
-            counts += np.bincount(acts, minlength=4 * A - 3)[::4]     # bins 4a
+            elif random_actions:
+                acts = draws[t]
             k = acts + pair
-            acc += (weights[t] * reward).take(k)
+            acc += wr[t].take(k)
             if collect_traces:
                 tr_states[lo:hi, t, 0] = pair >> 1
                 tr_states[lo:hi, t, 1] = pair & 1
@@ -371,12 +378,18 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
                 tr_actions[lo:hi, t] = acts >> 2
                 tr_rewards[lo:hi, t] = reward.take(k)
                 tr_cum[lo:hi, t] = acc
-            c1 += k * C1
-            k *= C2
-            c2 += k
-            c1 = nxt[0].take(c1)
-            c2 = nxt[1].take(c2)
+            if steps:
+                c1 += k * C1
+                k *= C2
+                c2 += k
+                c1 = nxt[0].take(c1)
+                c2 = nxt[1].take(c2)
             pair = pnext.take(moves[t] + pair)
+            if table is not None:
+                moves[t] = acts     # the slot's row is spent; it keeps its actions
+        acted = moves if table is not None else draws     # None for a fixed action
+        if acted is not None:
+            counts += [np.count_nonzero(acted == 4 * a) for a in range(A)]
 
     mean = float(np.mean(total))
     se = float(np.std(total, ddof=1) / math.sqrt(E)) if E > 1 else 0.0

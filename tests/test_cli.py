@@ -188,8 +188,9 @@ def test_commands_do_not_import_scipy(tmp_path):
         (["export-lp", "--grid", "11", "--out", str(tmp_path / "lp")], (0,)),
         (["simulate", value, "--episodes", "20", "--horizon", "5", "--dump-traces", "--out",
           str(tmp_path / "sim")], (0,)),
-        (["simulate", "--baseline", "myopic", "--episodes", "20", "--horizon", "5", "--out",
-          str(tmp_path / "base")], (0,)),
+        *((["simulate", "--baseline", name, "--episodes", "20", "--horizon", "5", "--out",
+            str(tmp_path / name)], (0,))
+          for name in ("myopic", "always-conservative", "random-uniform")),
     ]
     script = "import sys\nfrom gepower import cli\n" + "".join(
         f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n" for argv, codes in runs

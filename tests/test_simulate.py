@@ -10,6 +10,7 @@ import pytest
 from loop_oracles import _select_actions, loop_episodes
 
 from gepower import (
+    BASELINES,
     Action,
     Belief,
     ChannelParams,
@@ -35,6 +36,10 @@ from gepower.simulate import (
 CH = ChannelParams(0.1, 0.9)
 ECON = EconParams(3.0, 2.0, 1.2, 0.8)
 DISC = Discount(0.9)
+
+
+def _never(*args):
+    raise AssertionError("called where it must not be")
 
 
 class TestStepChannels:
@@ -131,7 +136,9 @@ class TestRunEpisodes:
                 else:
                     assert r in half
 
-    def test_unknown_baseline_rejected(self):
+    def test_unknown_baseline_rejected(self, monkeypatch):
+        # before any row of the stream is drawn
+        monkeypatch.setattr(simulate, "_draw_block", _never)
         cfg = SimConfig(episodes=10, horizon=5, seed=0, initial_belief=Belief(0.5, 0.5))
         with pytest.raises(ParameterError, match="unknown policy"):
             run_episodes("sometimes-balanced", cfg, CH, ECON, DISC)
@@ -280,11 +287,12 @@ class TestMemory:
             assert peak < bound, f"{workers} workers: {peak} >= {bound}"
 
     def test_table_does_not_grow_with_the_horizon(self):
-        # one byte per pair of the 3(H+1) chain terms would be 36 MB here
+        # one byte per pair of the 3(H+1) chain terms would be 36 MB here;
+        # myopic, as the fixed baselines build no table
         cfg = SimConfig(episodes=10, horizon=2000, seed=0, initial_belief=Belief(0.5, 0.5))
         tracemalloc.start()
         try:
-            run_episodes("always-balanced", cfg, CH, ECON, DISC)
+            run_episodes("myopic", cfg, CH, ECON, DISC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,8 +399,11 @@ class TestBeliefCodes:
 
 
 class TestActionTable:
-    """Each policy's table at every belief-code pair, including the pairs no
-    simulated episode visits, against the per-slot oracle."""
+    """Each table policy's table at every belief-code pair, including the
+    pairs no simulated episode visits, against the per-slot oracle; the
+    policies that read no belief build neither codes nor a table."""
+
+    BELIEF_FREE = ("always-balanced", "always-conservative", "random-uniform")
 
     @staticmethod
     def _table(policy, horizon, b0):
@@ -402,7 +413,7 @@ class TestActionTable:
 
     @pytest.mark.parametrize("horizon", [1, 12])
     @pytest.mark.parametrize("p1, p2", [(0.3, 0.65), (0.5, 0.5)])
-    @pytest.mark.parametrize("name", TestLoopOracle.POLICIES[:-1])
+    @pytest.mark.parametrize("name", ["grid", "myopic"])
     def test_deterministic_policy_table(self, name, p1, p2, horizon, policy_a):
         policy = TestLoopOracle._policy(name, policy_a)
         tab, table = self._table(policy, horizon, Belief(p1, p2))
@@ -413,9 +424,27 @@ class TestActionTable:
         want = _select_actions(policy, beliefs, ECON, None)
         np.testing.assert_array_equal(table.ravel(), want)
 
-    @pytest.mark.parametrize("horizon", [1, 12])
-    def test_random_uniform_has_no_table(self, horizon):
-        assert self._table("random-uniform", horizon, Belief(0.5, 0.5))[1] is None
+    @staticmethod
+    def _cfg():
+        return SimConfig(episodes=40, horizon=25, seed=3, initial_belief=Belief(0.3, 0.65))
+
+    @pytest.mark.parametrize("name", BELIEF_FREE)
+    def test_belief_free_baselines_build_no_codes(self, name, monkeypatch):
+        want = loop_episodes(name, self._cfg(), CH, ECON, DISC)[0]
+        monkeypatch.setattr(simulate, "_belief_codes", _never)
+        monkeypatch.setattr(simulate, "_action_table", _never)
+        assert run_episodes(name, self._cfg(), CH, ECON, DISC) == want
+
+    @pytest.mark.parametrize("name", BELIEF_FREE)
+    def test_belief_free_traces_record_beliefs(self, name, monkeypatch):
+        # traces hold beliefs, so the codes are built and stepped, but no table
+        want, ref_batch = loop_episodes(name, self._cfg(), CH, ECON, DISC)
+        codes, built = simulate._belief_codes, []
+        monkeypatch.setattr(simulate, "_belief_codes", lambda *a: built.append(a) or codes(*a))
+        monkeypatch.setattr(simulate, "_action_table", _never)
+        summary, batch = run_episodes(name, self._cfg(), CH, ECON, DISC, collect_traces=True)
+        assert len(built) == 1 and summary == want
+        np.testing.assert_array_equal(batch.beliefs, ref_batch.beliefs)
 
 
 class TestLargeSeed:
@@ -458,7 +487,13 @@ class TestPinnedSummaries:
         "grid-policy-seam": "f3b91548a8130d24befdcde89e07738a74fce7fb5fd8e4cb4c0b25d507405872",
         "myopic": "d5dc551d427f44fa93cb786750c98fb1441b249f3995966c3e575ca8420028dc",
         "always-balanced": "cc670de9b3dd3c0ea8b62246f0ae1b51e3fc4959696d4045c24e0452fc195785",
+        "always-conservative": "68d52c39d28111e5cbd7e790fd682f8981a10b9b2a8adaf9859202d8c274cc27",
         "random-uniform": "2e3096d3dfd72c0fe06000f9df164e4adc04199fa89e8a2f0e4f247d3e56973c",
+        "myopic-seam": "73865155acd7d1a00efa494b415926685b2e9d159cc4866449c48dc2498ee6e8",
+        "always-balanced-seam": "26c2fa24ca8852ed13c0fca25177c41fadb506a58242e890ee28c157dfd5d49d",
+        "always-conservative-seam":
+            "8cd57857010c92541115572f008d393c28b8b218c6a6e91a904acd15cce86ef7",
+        "random-uniform-seam": "4ec91f5d81b7b0b2609119a233208156510152671081f2b4bea82592baa938a4",
     }
 
     @staticmethod
@@ -480,19 +515,22 @@ class TestPinnedSummaries:
         assert STEP_BLOCK < int(self.SEAM_RUN[1]) < 2 * STEP_BLOCK
         self._check_grid_policy("grid-policy-seam", self.SEAM_RUN, tmp_path)
 
-    def _check_baseline(self, name, tmp_path):
+    def _check_baseline(self, key, name, run, tmp_path):
         from gepower.cli import EXIT_OK, main
 
         source = ["--baseline", name]
-        assert main(["simulate"] + source + self.RUN + ["--out", str(tmp_path)]) == EXIT_OK
-        assert self._digest(tmp_path) == self.DIGESTS[name]
+        assert main(["simulate"] + source + run + ["--out", str(tmp_path)]) == EXIT_OK
+        assert self._digest(tmp_path) == self.DIGESTS[key]
 
-    def test_random_uniform(self, tmp_path):
-        self._check_baseline("random-uniform", tmp_path)
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_baselines(self, name, tmp_path):
+        self._check_baseline(name, name, self.RUN, tmp_path)
 
-    @pytest.mark.parametrize("name", ["myopic", "always-balanced"])
-    def test_table_baselines(self, name, tmp_path):
-        self._check_baseline(name, tmp_path)
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_baselines_across_step_blocks(self, name, tmp_path):
+        # a table policy, its action draws and a fixed action are each
+        # counted once per step block
+        self._check_baseline(f"{name}-seam", name, self.SEAM_RUN, tmp_path)
 
 
 class TestPinnedLongRun:
