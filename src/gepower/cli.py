@@ -2,14 +2,20 @@
 
 Configuration comes from built-in defaults, overridden by an optional JSON
 config file, overridden by explicit flags. Every command writes files that
-are byte-identical across repeated runs of the same inputs.
+are byte-identical across repeated runs of the same inputs. A sweep solves
+its points as two warm-started chains, the second in a forked child when a
+second CPU may run it; its files are the same whether or not one does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from .dynamics import ACTION_PRIORITY, Belief, ChannelParams, Discount, EconParams, ParameterError
@@ -25,7 +31,7 @@ from .policy import (
     report_has_violations,
     save_structure_report,
 )
-from .simulate import BASELINES, SimConfig, run_episodes, save_summary, write_traces_csv
+from .simulate import BASELINES, SimConfig, _cpus, run_episodes, save_summary, write_traces_csv
 from .solver import (
     BeliefGrid,
     NonConvergence,
@@ -196,7 +202,111 @@ def _sweep_point_config(cfg, param, value):
     return point
 
 
+def _sweep_chain(cfg, param, values, skip):
+    """The rows of the sweep points at values, solved in order; skip(message)
+    is called for each point that is skipped.
+
+    Neighbouring points have nearly equal fields, so each solve starts from
+    the field of the chain's last point that solved; the chain's first
+    point, and every point until one solves, starts cold.
+    """
+    rows = []
+    solved = None
+    for value in values:
+        point = _sweep_point_config(cfg, param, value)
+        try:
+            ch, econ, discount = _params(point)
+            grid = BeliefGrid(int(point["grid"]))
+            result = solve(
+                SolverConfig(discount, point["tol"], int(point["max_iter"])), ch, econ, grid,
+                start=solved,
+            )
+        except (ParameterError, NonConvergence) as exc:
+            skip(f"skipping {param}={value:g}: {exc}")
+            continue
+        solved = result.field
+        policy = extract_policy(result.field, ch, econ, discount)
+        areas = region_map(policy)
+        diag = diagonal_structure(result.field, policy, ch, econ, discount)
+        edges = edge_thresholds(result.field, ch, econ, discount)
+        rows.append(
+            (value, *(areas[a] for a in ACTION_PRIORITY), diag.kind, diag.rho1, diag.rho2,
+             edges.th1, edges.th2)
+        )
+    return rows
+
+
+@contextlib.contextmanager
+def _forked(job):
+    """Run job(), if not None, in a forked child when one may: os.fork
+    exists, the process may run on two CPUs or more, and no other Python
+    thread is alive (a fork copies only the calling thread).
+
+    Yields a function that waits for the child and returns job()'s result,
+    sent back as one JSON document through a pipe; it returns None when no
+    child ran, or when the child did not exit 0 with a parseable result, and
+    the caller then runs job itself, so every error surfaces as it would
+    have in process. The child leaves by os._exit here, never unwinding into
+    the caller, and is reaped when the block is left, killed first if it
+    still runs.
+    """
+    pid = reader = None
+    if job is not None and hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1:
+        fds = ()
+        try:
+            fds = os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+        else:
+            fd, write_fd = fds
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(fd)
+                    with open(write_fd, "w", encoding="utf-8") as fh:
+                        json.dump(job(), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            reader = open(fd, "rb")
+
+    def result():
+        nonlocal pid
+        if pid is None:
+            return None
+        data = reader.read()
+        _, status = os.waitpid(pid, 0)
+        pid = None
+        if status != 0:
+            return None
+        try:
+            return json.loads(data)
+        except ValueError:
+            return None
+
+    try:
+        yield result
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if reader is not None:
+            reader.close()
+
+
 def cmd_sweep(args):
+    """Solve and analyze each point of one swept parameter into sweep.csv.
+
+    The points are solved as two chains (see _sweep_chain), the first
+    ceil(points / 2) of them and the rest, each starting cold; the second
+    runs in a forked child when one may (see _forked). A point's row does
+    not depend on where its solve starts, and the skip messages are printed
+    in point order, so sweep.csv and stderr are the same whether or not a
+    child ran.
+    """
     cfg = _merge_config(args)
     if args.param not in SWEEP_PARAMS:
         raise ParameterError(f"unknown sweep parameter {args.param!r}; one of {SWEEP_PARAMS}")
@@ -212,31 +322,26 @@ def cmd_sweep(args):
     BeliefGrid(int(cfg["grid"]))
     SolverConfig(Discount(0.0), cfg["tol"], int(cfg["max_iter"]))
     out = _outdir(cfg["out"])
-    rows = []
-    # Neighbouring points have nearly equal fields, so each solve starts
-    # from the last one that solved; a skipped point leaves it as it was.
-    solved = None
-    for value in _sweep_values(args.start, args.stop, points):
-        point = _sweep_point_config(cfg, args.param, value)
-        try:
-            ch, econ, discount = _params(point)
-            grid = BeliefGrid(int(point["grid"]))
-            result = solve(
-                SolverConfig(discount, point["tol"], int(point["max_iter"])), ch, econ, grid,
-                start=solved,
-            )
-        except (ParameterError, NonConvergence) as exc:
-            print(f"skipping {args.param}={value:g}: {exc}", file=sys.stderr)
-            continue
-        solved = result.field
-        policy = extract_policy(result.field, ch, econ, discount)
-        areas = region_map(policy)
-        diag = diagonal_structure(result.field, policy, ch, econ, discount)
-        edges = edge_thresholds(result.field, ch, econ, discount)
-        rows.append(
-            (value, *(areas[a] for a in ACTION_PRIORITY), diag.kind, diag.rho1, diag.rho2,
-             edges.th1, edges.th2)
-        )
+    values = _sweep_values(args.start, args.stop, points)
+    first, second = values[:(points + 1) // 2], values[(points + 1) // 2:]
+
+    def log(message):
+        print(message, file=sys.stderr)
+
+    def job():
+        skips = []
+        return _sweep_chain(cfg, args.param, second, skips.append), skips
+
+    with _forked(job if second else None) as result:
+        rows = _sweep_chain(cfg, args.param, first, log)
+        done = result()
+    if done is None:
+        rows += _sweep_chain(cfg, args.param, second, log)
+    else:
+        more, skips = done
+        for message in skips:
+            log(message)
+        rows += more
     path = out / "sweep.csv"
     with open(path, "w") as fh:
         fh.write(f"# sweep of {args.param}, {args.start:g} to {args.stop:g}, {points} points\n")

@@ -197,14 +197,19 @@ def _pair_moves():
     return nxt.ravel()
 
 
+def _cpus():
+    """CPUs this process may run on: its affinity mask, else the machine's
+    CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _draw_workers():
     """Draw ranges a block is split into: one per CPU this process may run
     on, at most DRAW_RANGES."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, DRAW_RANGES)
+    return min(_cpus(), DRAW_RANGES)
 
 
 def _draw_range(seed, first, pair, moves, acts, chunk, b0, ch):

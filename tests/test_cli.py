@@ -5,12 +5,14 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gepower
+from gepower import cli
 from gepower.cli import (
     EXIT_IO,
     EXIT_NONCONVERGENCE,
@@ -183,7 +185,7 @@ def test_commands_do_not_import_scipy(tmp_path):
     runs = [
         (["solve", "--grid", "11", "--out", out], (0,)),
         (["analyze", value, "--out", out], (0, 4)),
-        (["sweep", "--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8", "--points", "2",
+        (["sweep", "--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8", "--points", "4",
           "--grid", "11", "--out", str(tmp_path / "sweep")], (0,)),
         (["export-lp", "--grid", "11", "--out", str(tmp_path / "lp")], (0,)),
         (["simulate", value, "--episodes", "20", "--horizon", "5", "--dump-traces", "--out",
@@ -192,13 +194,21 @@ def test_commands_do_not_import_scipy(tmp_path):
             str(tmp_path / name)], (0,))
           for name in ("myopic", "always-conservative", "random-uniform")),
     ]
-    script = "import sys\nfrom gepower import cli\n" + "".join(
+    # The sweep forks its worker whatever the CPU count, and leaves no child.
+    script = (
+        "import os, sys\nfrom gepower import cli\n"
+        "cli._cpus = lambda: 2\nforks = []\nfork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+    ) + "".join(
         f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n" for argv, codes in runs
     ) + (
         "heavy = ('scipy', 'concurrent.futures', 'multiprocessing', 'numpy.ma')\n"
         "loaded = sorted(m for m in sys.modules\n"
         "                if (m + '.').startswith(tuple(h + '.' for h in heavy)))\n"
         "assert not loaded, loaded\n"
+        "assert forks == [1], forks\n"
+        "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    pass\n"
+        "else:\n    raise AssertionError('a child process remains')\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -426,6 +436,140 @@ class TestSweepCommand:
             if not ln.startswith("#")
         ]
         assert len(rows) == 1 + 2
+
+    # Sweeps whose two chains, [0, ceil(k/2)) and the rest, run in the parent
+    # and in a forked worker: odd and even point counts, and lambda0 sweeps
+    # that cross lambda1 = 0.9, so points are skipped in both chains.
+    SPLIT_SWEEPS = [
+        ["--param", "lambda0", "--start", "0.7", "--stop", "1.1", "--points", "5"],
+        ["--param", "lambda0", "--start", "0.8", "--stop", "1.1", "--points", "4"],
+        ["--param", "lambda0", "--start", "0.4", "--stop", "1.0", "--points", "6"],
+        ["--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8", "--points", "4"],
+        ["--param", "lambda1", "--start", "0.9", "--stop", "0.3", "--points", "3"],
+    ]
+
+    @staticmethod
+    def _sweep(tmp_path, capsys, sweep):
+        """Exit code, sweep.csv bytes and stderr of one sweep, leaving no child."""
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        code = main(["sweep", *sweep, "--grid", "11", "--out", str(out)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        csv = (out / "sweep.csv").read_bytes() if code == EXIT_OK else None
+        return code, csv, capsys.readouterr().err
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that called os.fork, with the worker allowed as on two CPUs."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        return calls
+
+    @pytest.mark.parametrize("off", ["one-cpu", "no-fork"])
+    @pytest.mark.parametrize("sweep", SPLIT_SWEEPS, ids=lambda s: "-".join(s[1::2]))
+    def test_worker_leaves_bytes_unchanged(self, tmp_path, capsys, monkeypatch, forks,
+                                           sweep, off):
+        got = self._sweep(tmp_path, capsys, sweep)
+        assert forks == [os.getpid()]
+        if off == "one-cpu":
+            monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        else:
+            monkeypatch.delattr(os, "fork")
+        assert self._sweep(tmp_path, capsys, sweep) == got
+        assert got[0] == EXIT_OK
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize(
+        "failure", ["pipe-raises", "fork-raises", "child-exits-1", "child-sends-garbage"])
+    def test_failed_worker_falls_back_in_process(self, tmp_path, capsys, monkeypatch, forks,
+                                                failure):
+        sweep = self.SPLIT_SWEEPS[0]
+        parent = os.getpid()
+        want = self._sweep(tmp_path, capsys, sweep)
+        if failure == "pipe-raises":
+            def pipe():
+                raise OSError(24, "Too many open files")
+
+            monkeypatch.setattr(os, "pipe", pipe)
+        elif failure == "fork-raises":
+            def fork():
+                raise OSError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", fork)
+        elif failure == "child-exits-1":
+            chain = cli._sweep_chain
+
+            def failing(*args):
+                if os.getpid() != parent:
+                    raise RuntimeError("the worker fails")
+                return chain(*args)
+
+            monkeypatch.setattr(cli, "_sweep_chain", failing)
+        else:
+            dump = json.dump
+
+            def garbage(obj, fh, **kwargs):
+                if os.getpid() != parent:
+                    fh.write("{not json")
+                else:
+                    dump(obj, fh, **kwargs)
+
+            monkeypatch.setattr(json, "dump", garbage)
+        assert self._sweep(tmp_path, capsys, sweep) == want
+        assert want[0] == EXIT_OK
+        assert len(forks) == (1 if failure.endswith("raises") else 2)
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
+    def test_running_worker_is_killed_when_the_parent_fails(self, tmp_path, monkeypatch,
+                                                            forks, interrupt):
+        parent = os.getpid()
+
+        def chain(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise interrupt("the parent's chain fails")
+
+        monkeypatch.setattr(cli, "_sweep_chain", chain)
+        argv = ["sweep", *self.SPLIT_SWEEPS[0], "--grid", "11", "--out", str(tmp_path)]
+        start = time.monotonic()
+        if interrupt is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == EXIT_IO
+        assert time.monotonic() - start < 30
+        assert forks == [parent]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_worker_beside_another_thread(self, tmp_path, capsys, forks):
+        sweep = self.SPLIT_SWEEPS[0]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = self._sweep(tmp_path, capsys, sweep)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert self._sweep(tmp_path, capsys, sweep) == got
+        assert len(forks) == 1
+
+    def test_one_point_sweep_forks_nothing(self, tmp_path, capsys, forks):
+        code, csv, _ = self._sweep(
+            tmp_path, capsys, ["--param", "lambda0", "--start", "0.2", "--stop", "0.5",
+                               "--points", "1"])
+        assert code == EXIT_OK and csv.count(b"\n0.2,") == 1
+        assert forks == []
 
 
 class TestSimulateCommand:
