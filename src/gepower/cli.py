@@ -238,20 +238,19 @@ def _sweep_chain(cfg, param, values, skip):
 
 @contextlib.contextmanager
 def _forked(job):
-    """Run job(), if not None, in a forked child when one may: os.fork
-    exists, the process may run on two CPUs or more, and no other Python
-    thread is alive (a fork copies only the calling thread).
+    """Run job() in a forked child when one may: os.fork exists, the
+    process may run on two CPUs or more, and no other Python thread is
+    alive (a fork copies only the calling thread).
 
-    Yields a function that waits for the child and returns job()'s result,
-    sent back as one JSON document through a pipe; it returns None when no
-    child ran, or when the child did not exit 0 with a parseable result, and
-    the caller then runs job itself, so every error surfaces as it would
-    have in process. The child leaves by os._exit here, never unwinding into
-    the caller, and is reaped when the block is left, killed first if it
-    still runs.
+    Yields a function that returns job()'s result: the child's, sent back
+    as one JSON document through a pipe, or, when no child ran or it did not
+    exit 0 with a parseable result, job() run in this process, so every
+    error surfaces as it would have in process. The child leaves by
+    os._exit here, never unwinding into the caller, and is reaped when the
+    block is left, killed first if it still runs.
     """
     pid = reader = None
-    if job is not None and hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1:
+    if hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1:
         fds = ()
         try:
             fds = os.pipe()
@@ -275,17 +274,14 @@ def _forked(job):
 
     def result():
         nonlocal pid
-        if pid is None:
-            return None
-        data = reader.read()
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        if status != 0:
-            return None
-        try:
-            return json.loads(data)
-        except ValueError:
-            return None
+        if pid is not None:
+            data = reader.read()
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            if status == 0:
+                with contextlib.suppress(ValueError):
+                    return json.loads(data)
+        return job()
 
     try:
         yield result
@@ -332,16 +328,13 @@ def cmd_sweep(args):
         skips = []
         return _sweep_chain(cfg, args.param, second, skips.append), skips
 
-    with _forked(job if second else None) as result:
+    # A one-point sweep has no second chain, and forks nothing for it.
+    with _forked(job) if second else contextlib.nullcontext(job) as result:
         rows = _sweep_chain(cfg, args.param, first, log)
-        done = result()
-    if done is None:
-        rows += _sweep_chain(cfg, args.param, second, log)
-    else:
-        more, skips = done
-        for message in skips:
-            log(message)
-        rows += more
+        more, skips = result()
+    for message in skips:
+        log(message)
+    rows += more
     path = out / "sweep.csv"
     with open(path, "w") as fh:
         fh.write(f"# sweep of {args.param}, {args.start:g} to {args.stop:g}, {points} points\n")

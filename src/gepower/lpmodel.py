@@ -9,12 +9,11 @@ where the next-state weights f_a spread each successor belief over its
 enclosing cell's vertices with the same bilinear weights the Bellman
 backups use. The kernels are the CSR arrays of the solver's own
 transition stencils (solver._Stencils.transitions), the ones its policy
-evaluations read, and g_a comes from the expected-reward table of the Q
-grids (dynamics.expected_rewards). Minimizing sum_p V(p) subject to all
-constraints reproduces the discretized optimal values, so an external LP
-solver can cross-check the solver from the file alone. Solving is
-deliberately out of scope here; this module only builds kernels and writes
-the model.
+evaluations read, and g_a is the Q grids' expected-reward table
+(solver._reward_table). Minimizing sum_p V(p) subject to all constraints
+reproduces the discretized optimal values, so an external LP solver can
+cross-check the solver from the file alone. Solving is deliberately out of
+scope here; this module only builds kernels and writes the model.
 
 The text is gathered by index from a table of strings made once per
 export, in which each distinct number, variable name and label piece is
@@ -30,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ACTION_PRIORITY, _unique, expected_rewards
-from .solver import _stencils
+from .dynamics import ACTION_PRIORITY, _unique
+from .solver import _reward_table, _stencils
 
 __all__ = [
     "Kernel",
@@ -211,8 +210,8 @@ def export_lp(path, grid, kernels, econ, discount, meta_path=None):
     n = grid.n
     size = n * n
     beta = discount.beta
-    lattice = np.meshgrid(grid.points, grid.points, indexing="ij")
-    rewards = np.stack([g.ravel() for g in expected_rewards(*lattice, econ)], axis=1)
+    # Resting earns nothing.
+    rewards = np.stack([*np.broadcast_arrays(*_reward_table(grid, econ)), np.zeros((n, n))], 2)
     rhs, rhs_ids = _unique(rewards, return_inverse=True)
     rhs_ids = rhs_ids.reshape(size, len(ACTION_PRIORITY))
     del rewards

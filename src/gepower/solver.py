@@ -2,9 +2,9 @@
 
 The square [0,1]^2 of per-channel beliefs is covered by a uniform lattice,
 with bilinear interpolation supplying values at off-lattice continuation
-beliefs. Their located stencils (the lambda pair and the drift images
-T(x_i)) and the expected-reward table are built once per grid and
-parameter set and shared by every Q grid and transition row of a solve.
+beliefs. Their coordinates, the lambda pair and the drift images T(x_i),
+are located once per grid and channel as one axis (see _Stencils), which
+with the expected-reward table feeds every Q grid, transition and LP row.
 The fixed point of the four-action Bellman operator is computed by Howard
 policy iteration (Howard 1960; Puterman 1994, ch. 6): each policy is
 evaluated on the small closed set of lattice points its transitions read,
@@ -199,17 +199,6 @@ def _gather(values, ax, ay, mirror=False):
     return out
 
 
-@lru_cache(maxsize=4)
-def _axes(grid, ch):
-    """Located successor coordinates (lam, drift, both), read-only: the pair
-    (lambda0, lambda1), the drift images T(x_i), and the two in that order."""
-    p = grid.points
-    cells, w = _axis(p, np.concatenate([[ch.lambda0, ch.lambda1], propagate_array(p, ch)]))
-    cells.setflags(write=False)
-    w.setflags(write=False)
-    return (cells[:, :2], w[:, :2]), (cells[:, 2:], w[:, 2:]), (cells, w)
-
-
 @lru_cache(maxsize=3)
 def _reward_table(grid, econ):
     """Read-only expected rewards of balanced, bet1 and bet2, (p1 column, p2
@@ -292,8 +281,8 @@ def action_value_grids(v, ch, econ, discount):
 
     A bit-symmetric v (every field the solver builds is one) takes the
     mirror path, which skips work by two exact identities: the bet2 grid is
-    the transpose of the bet1 grid (returned as that view), and the drift x
-    drift gather adds its cross term as T01 + T01.T (see _gather). Its
+    the transpose of the bet1 grid (returned as that view), and the one
+    gather adds its cross term as T01 + T01.T (see _gather). Its
     grids equal the general path's bit for bit. Any other field, such as a
     loaded asymmetric one, takes the general path. Symmetry is tested on
     the bits, so a field whose mirrored entries are 0.0 and -0.0 is not
@@ -305,21 +294,17 @@ def action_value_grids(v, ch, econ, discount):
 
 def _q_grids(v, ch, econ, discount, mirror):
     """action_value_grids by the mirror path, which needs a bit-symmetric
-    v, or with mirror False by the general path."""
+    v, or with mirror False by the general path. One gather s on the
+    located axis both x both (see _Stencils) reads every value they need:
+    V(lambda_k, lambda_l) at s[:2, :2], the lambda rows at s[:2, 2:], the
+    lambda columns at s[2:, :2] and the drift block at s[2:, 2:]."""
     x = v.grid.points
-    vals = v.values
     beta = discount.beta
-    lam, drift, both = _axes(v.grid, ch)
-
-    # Columns 0 and 1 of both gathers read the lambda pair, the rest T(x_j).
-    c = _gather(vals, lam, both)
-    v00, v01, v10, v11 = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
-    row = c[:, 2:]   # row[k, j] = V(lambda_k, T(x_j))
-    if mirror:
-        rest = _gather(vals, drift, drift, mirror=True)
-    else:
-        col = _gather(vals, drift, both)   # col[i, k] = V(T(x_i), lambda_k) for k < 2
-        rest = col[:, 2:]   # rest[i, j] = V(T(x_i), T(x_j))
+    both = _stencils(v.grid, ch).both
+    s = _gather(v.values, both, both, mirror)
+    v00, v01, v10, v11 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
+    row = s[:2, 2:]   # row[k, j] = V(lambda_k, T(x_j))
+    col = s[2:, :2]   # col[i, k] = V(T(x_i), lambda_k)
 
     p1 = x[:, None]
     p2 = x[None, :]
@@ -336,7 +321,7 @@ def _q_grids(v, ch, econ, discount, mirror):
     else:
         q_b2 = g_b2 + beta * (p2 * col[:, 1][:, None] + (1.0 - p2) * col[:, 0][:, None])
     # Resting earns nothing; adding a zero reward could only flip -0.0.
-    q_br = beta * rest
+    q_br = beta * s[2:, 2:]
 
     return {
         Action.BALANCED: q_bb,
@@ -428,26 +413,31 @@ class _Stencils:
     a drifting coordinate. `x` and `y` hold the same three tables per
     candidate (see _PAIRS) for the first and the second coordinate, as
     (2n, 16) arrays whose row observed * n + i belongs to lattice index i;
-    x's lattice indices come multiplied by n, ready for a flat key. Every
-    array is read-only, and _stencils builds them once per (grid, ch).
+    x's lattice indices come multiplied by n, ready for a flat key. All
+    are cut from `both`, the (cells, weights) of the located successor axis
+    [lambda0, lambda1, T(x_0), ..., T(x_{n-1})], each (2, n + 2) with lower
+    vertices in row 0. Every array is read-only, and _stencils builds them
+    once per (grid, ch).
     """
 
     def __init__(self, grid, ch):
         self.points = p = grid.points
         n = p.size
-        (obs, wo), (cells, w), _ = _axes(grid, ch)
-        drift = np.broadcast_to([1.0, 1.0, 0.0, 0.0], (n, 4)), np.tile(cells.T, 2), np.tile(w.T, 2)
+        q = np.concatenate([[ch.lambda0, ch.lambda1], propagate_array(p, ch)])
+        self.both = cells, w = _axis(p, q)
+        drift = (np.broadcast_to([1.0, 1.0, 0.0, 0.0], (n, 4)),
+                 np.tile(cells[:, 2:].T, 2), np.tile(w[:, 2:].T, 2))
         observed = (
             np.stack([1.0 - p, 1.0 - p, p, p], 1),
-            np.broadcast_to(obs.T.ravel(), (n, 4)),
-            np.broadcast_to(wo.T.ravel(), (n, 4)),
+            np.broadcast_to(cells[:, :2].T.ravel(), (n, 4)),
+            np.broadcast_to(w[:, :2].T.ravel(), (n, 4)),
         )
         self.slots = tuple(np.stack(rows) for rows in zip(drift, observed))
         (px, ix, wx), (py, iy, wy) = (
             [t[:, :, c].reshape(2 * n, c.size) for t in self.slots] for c in (_SLOT_X, _SLOT_Y)
         )
         self.x, self.y = (px, ix * n, wx), (py, iy, wy)
-        for a in (*self.slots, *self.x, *self.y):
+        for a in (*self.both, *self.slots, *self.x, *self.y):
             a.setflags(write=False)
 
     def transitions(self, flat, k):
@@ -498,9 +488,10 @@ class _Stencils:
 
 @lru_cache(maxsize=1)
 def _stencils(grid, ch):
-    """The _Stencils of (grid, ch), built once like _axes. The solves that
-    share stencils come one after another (a sweep's points on one
-    channel), so one entry is kept: its tables take 1.7n kB."""
+    """The _Stencils of (grid, ch), which the Q grids, _support, the
+    transitions and the LP kernels all read. The solves that share it come
+    one after another (a sweep's points on one channel, a cold solve's
+    lattices coarse to fine), so one entry is kept: it takes 1.7n kB."""
     return _Stencils(grid, ch)
 
 
@@ -508,23 +499,23 @@ def _support(policy, st):
     """Sorted flat indices of the lattice points that P_policy reads.
 
     Every slot pair of every point's stencil, whatever its probability or
-    weight, marked on an n x n mask: an observed coordinate reads the four
-    slots of the lambda pair, L, and a drifting one the two vertices of its
-    cell. So balanced points mark L x L, bet1 points L x the drift cells of
-    their columns, bet2 points the mirror of that, and a conservative point
-    (i, j) its drift cell (c_i, c_j) and the cell's three +1 shifts. Every
-    successor of every point lies in this set, so it is closed under the
-    policy's transitions and the policy's values on it determine the values
-    everywhere.
+    weight, marked on an n x n mask from st.both's cells: an observed
+    coordinate reads the four slots of the lambda pair, L, and a drifting
+    one the two vertices of its cell. So balanced points mark L x L, bet1
+    points L x the drift cells of their columns, bet2 points the mirror of
+    that, and a conservative point (i, j) its drift cell (c_i, c_j) and the
+    cell's three +1 shifts. Every successor of every point lies in this
+    set, so it is closed under the policy's transitions and the policy's
+    values on it determine the values everywhere.
     """
-    drift, lam = st.slots[1][0], st.slots[1][1][0]
+    lam, drift = st.both[0][:, :2].ravel(), st.both[0][:, 2:]
     mask = np.zeros(policy.shape, dtype=bool)
     # Action indices in ACTION_PRIORITY order: balanced, bet1, bet2, conservative.
     if (policy == 0).any():
         mask[lam[:, None], lam] = True
-    mask[lam[:, None], drift[(policy == 1).any(axis=0)].ravel()] = True
-    mask[drift[(policy == 2).any(axis=1)].ravel()[:, None], lam] = True
-    ci, cj = (drift[idx, 0] for idx in np.nonzero(policy == 3))
+    mask[lam[:, None], drift[:, (policy == 1).any(axis=0)].ravel()] = True
+    mask[drift[:, (policy == 2).any(axis=1)].ravel()[:, None], lam] = True
+    ci, cj = (drift[0, idx] for idx in np.nonzero(policy == 3))
     for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
         mask[ci + di, cj + dj] = True
     return np.flatnonzero(mask)

@@ -526,6 +526,31 @@ class TestSweepCommand:
         assert want[0] == EXIT_OK
         assert len(forks) == (1 if failure.endswith("raises") else 2)
 
+    def test_second_chain_error_surfaces_from_the_fallback(self, tmp_path, capsys,
+                                                           monkeypatch, forks):
+        # The second chain raises in the worker, which exits 1, and again in
+        # the parent's fallback, from where it reaches main as it does with
+        # the worker off.
+        sweep = self.SPLIT_SWEEPS[0]
+        parent = os.getpid()
+        chain = cli._sweep_chain
+
+        def failing(cfg, param, values, skip):
+            if values[0] != float(sweep[3]):
+                raise OSError(28, "No space left on device")
+            return chain(cfg, param, values, skip)
+
+        monkeypatch.setattr(cli, "_sweep_chain", failing)
+        got = self._sweep(tmp_path, capsys, sweep)
+        assert forks == [parent]
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        assert self._sweep(tmp_path, capsys, sweep) == got
+        assert len(forks) == 1
+        code, _, err = got
+        assert code == EXIT_IO
+        assert err.startswith("skipping lambda0=0.9: ")
+        assert err.endswith("\ni/o failure: [Errno 28] No space left on device\n")
+
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
     def test_running_worker_is_killed_when_the_parent_fails(self, tmp_path, monkeypatch,
                                                             forks, interrupt):

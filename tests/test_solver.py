@@ -30,7 +30,6 @@ from gepower.dynamics import ACTION_PRIORITY
 from gepower.lpmodel import build_all_kernels
 from gepower.solver import (
     ValueFileError,
-    _axes,
     _evaluate,
     _parse_value_doc,
     _q_grids,
@@ -226,8 +225,10 @@ def _assert_grids_equal(got, expect):
 
 
 class TestMemoisedPlan:
-    """action_value_grids reads located axes and a reward table memoised per
-    (grid, channel, econ); it must give the oracle's grids bit for bit."""
+    """action_value_grids, _support and the transitions all read one
+    _stencils entry per (grid, channel), and the Q grids a reward table per
+    (grid, econ); they must give the oracle's and fresh builds' results bit
+    for bit."""
 
     @pytest.mark.parametrize("beta", [0.9, 0.99])
     @pytest.mark.parametrize("lam", PLAN_LAMBDAS, ids=str)
@@ -246,63 +247,66 @@ class TestMemoisedPlan:
             got = action_value_grids(v, ch, ECON, discount)
             _assert_grids_equal(got, loop_action_value_grids(v, ch, ECON, discount))
 
-    def test_alternating_parameters_match_fresh_builds(self):
-        grid = BeliefGrid(13)
-        v = ValueField(grid, np.random.default_rng(4).uniform(size=(13, 13)))
-        sets = [
-            (ChannelParams(0.1, 0.9), EconParams(3.0, 2.0, 1.2, 0.8)),
-            (ChannelParams(0.3, 0.35), EconParams(3.7, 2.0, 1.2, 0.8)),
-        ]
-        fresh = []
-        for ch, econ in sets:
-            _axes.cache_clear()
-            _reward_table.cache_clear()
-            fresh.append(
-                (action_value_grids(v, ch, econ, DISC), bellman_backup(v, ch, econ, DISC).values)
-            )
-        for k in [0, 1, 0, 1, 1, 0]:
-            ch, econ = sets[k]
-            grids, backup = fresh[k]
-            _assert_grids_equal(action_value_grids(v, ch, econ, DISC), grids)
-            _assert_grids_equal(action_value_grids(v, ch, econ, DISC),
-                                loop_action_value_grids(v, ch, econ, DISC))
-            assert np.array_equal(bellman_backup(v, ch, econ, DISC).values, backup)
-
-    def test_plan_arrays_are_read_only(self):
-        grid = BeliefGrid(9)
-        arrays = [a for axis in _axes(grid, CH) for a in axis]
-        arrays += list(_reward_table(grid, ECON))
-        assert len(arrays) == 9
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 0.5
-
     @staticmethod
     def _all_transitions(st, n):
         flat = np.arange(n * n)
         mixed = np.random.default_rng(n).integers(0, 4, size=n * n)
         return [st.transitions(flat, k) for k in (0, 1, 2, 3, mixed)]
 
-    def test_stencils_alternating_parameters_match_fresh_builds(self):
-        grid = BeliefGrid(13)
-        channels = [ChannelParams(0.1, 0.9), ChannelParams(0.3, 0.35)]
+    @staticmethod
+    def _reads(n, ch, econ):
+        """The memo entry, and what is read through it on n points: the Q
+        grids of a random field and of its symmetric part (the general and
+        the mirror path), the backup of the symmetric part, a random
+        policy's closed support and the transitions."""
+        grid = BeliefGrid(n)
+        rng = np.random.default_rng(n)
+        raw = rng.uniform(size=(n, n))
+        policy = rng.integers(0, 4, size=(n, n)).astype(np.int8)
+        st = _stencils(grid, ch)
+        reads = []
+        for v in (ValueField(grid, raw), ValueField(grid, (raw + raw.T) / 2.0)):
+            reads.append(action_value_grids(v, ch, econ, DISC))
+            _assert_grids_equal(reads[-1], loop_action_value_grids(v, ch, econ, DISC))
+        reads += [bellman_backup(v, ch, econ, DISC).values, _support(policy, st)]
+        return st, reads, TestMemoisedPlan._all_transitions(st, n)
+
+    def test_alternating_parameters_match_fresh_builds(self):
+        # Two grid sizes and two channels take turns in the one entry.
+        sets = [
+            (n, ch, econ)
+            for n in (13, 8)
+            for ch, econ in [
+                (ChannelParams(0.1, 0.9), EconParams(3.0, 2.0, 1.2, 0.8)),
+                (ChannelParams(0.3, 0.35), EconParams(3.7, 2.0, 1.2, 0.8)),
+            ]
+        ]
         fresh = []
-        for ch in channels:
+        for n, ch, econ in sets:
             _stencils.cache_clear()
-            _axes.cache_clear()
-            fresh.append(self._all_transitions(_Stencils(grid, ch), 13))
-        for k in [0, 1, 0, 1, 1, 0]:
-            st = _stencils(grid, channels[k])
-            assert _stencils(BeliefGrid(13), channels[k]) is st
-            for got, want in zip(self._all_transitions(st, 13), fresh[k]):
+            _reward_table.cache_clear()
+            fresh.append(self._reads(n, ch, econ)[1:])
+        for k in [0, 1, 2, 3, 0, 2, 1, 3, 3, 0, 1]:
+            n, ch, econ = sets[k]
+            st, (general, mirror, backup, support), transitions = self._reads(n, ch, econ)
+            assert _stencils.cache_info().currsize == 1
+            assert _stencils(BeliefGrid(n), ch) is st
+            (want_general, want_mirror, want_backup, want_support), want_transitions = fresh[k]
+            _assert_grids_equal(general, want_general)
+            _assert_grids_equal(mirror, want_mirror)
+            assert np.array_equal(backup, want_backup)
+            assert np.array_equal(support, want_support)
+            for got, want in zip(transitions, want_transitions):
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b)
 
-    def test_stencil_arrays_are_read_only(self):
-        st = _stencils(BeliefGrid(9), CH)
-        arrays = [*st.slots, *st.x, *st.y]
-        assert len(arrays) == 9
+    def test_plan_arrays_are_read_only(self):
+        grid = BeliefGrid(9)
+        st = _stencils(grid, CH)
+        cells, weights = st.both
+        assert cells.shape == weights.shape == (2, 11)
+        arrays = [*st.both, *st.slots, *st.x, *st.y, *_reward_table(grid, ECON)]
+        assert len(arrays) == 14
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -625,6 +629,48 @@ class TestBenchmarkSizeBytes:
     ], ids=["patient", "fine"])
     def test_solve(self, tmp_path, beta, n, digests):
         assert main(["solve", "--beta", beta, "--grid", str(n), "--out", str(tmp_path)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    # The analyze and LP files, taken before the Q grids read their values
+    # through one gather on one located axis and the LP took its right-hand
+    # sides from the Q grids' reward table.
+    @pytest.mark.parametrize("argv, digests", [
+        (["--beta", "0.99", "--grid", "201"], {
+            "structure.json": "6c3ae3c028b89dc181c214490de2a36eb11279f37a955a4ca1e994043bd242fe",
+            "policy.csv": "3d3cdf7f32548747c675f261ee38e3c638ac8cdf6cd0d9732653cf21decbb65e",
+            "policy.ppm": "b1b94593e4010122e999b2dd6e41733a98d206590f8c4fca39586843202913be",
+        }),
+        (["--beta", "0.99", "--grid", "201", "--rh", "3.7"], {
+            "structure.json": "ffd74abab6cf20cc1bd55a3c78d5aa0d544c167bdd41939750f3ca282abfa0d6",
+            "policy.csv": "0c4f76189b8df8bf7acf5a0ee878c85c31ac2d15fd3cc505d197ca01f02c8f7b",
+            "policy.ppm": "fb132a2a5c9d9570281072b701002b32eb8c868466506e79453b458c197e2eba",
+        }),
+        (["--beta", "0.9", "--grid", "401"], {
+            "structure.json": "e5305d975e9516f9f70505457e321958afb013e88d83df37ddc4bd17434f9664",
+            "policy.csv": "32549b476250e2d4ee82b577c14fc4bac9ba764b3132b658c8d2048be75a6f12",
+            "policy.ppm": "9bf54f822084d257f9b6aca86e0a8b7c4e844de3eb1a9702634cfb03797170d9",
+        }),
+    ], ids=["patient-A", "patient-B", "fine-A"])
+    def test_analyze(self, tmp_path, argv, digests):
+        assert main(["solve", *argv, "--out", str(tmp_path)]) == 0
+        # Exit 4: the structural checks find the documented violations.
+        assert main(["analyze", str(tmp_path / "value.json"), "--out", str(tmp_path)]) == 4
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["--grid", "101"], {
+            "model.lp": "49a15d6e4f3b56df6f90a112b59a5ab26faf286f86b30bace15cd000fe5a5d50",
+            "model_meta.json": "657c21ee351b51c78fe6effd90ed9d465a757af41d7e11fe7358e748524c055c",
+        }),
+        (["--grid", "41", "--rh", "3.7", "--beta", "0.99"], {
+            "model.lp": "b8133fd21028036fc1cf35d3a87db4968acbf5a2a4aa6b5ce682f128f324cd5e",
+            "model_meta.json": "525789a4fd3df280ca6910a072f9e0ac57e580d4ddcd30382ff987a6ab8699ca",
+        }),
+    ], ids=["n101-A", "n41-B"])
+    def test_export_lp(self, tmp_path, argv, digests):
+        assert main(["export-lp", *argv, "--out", str(tmp_path)]) == 0
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
