@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import signal
 import sys
@@ -185,9 +186,11 @@ def cmd_analyze(args):
 
 
 def _sweep_values(start, stop, points):
-    if points < 2:
-        return [start]
-    step = (stop - start) / (points - 1)
+    step = (stop - start) / (points - 1) if points > 1 else 0.0
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParameterError(
+            f"sweep range {start:g} to {stop:g} in {points} points needs finite ends and step"
+        )
     return [start + k * step for k in range(points)]
 
 
@@ -317,8 +320,8 @@ def cmd_sweep(args):
     # the swept value, so it is checked per point.
     BeliefGrid(int(cfg["grid"]))
     SolverConfig(Discount(0.0), cfg["tol"], int(cfg["max_iter"]))
-    out = _outdir(cfg["out"])
     values = _sweep_values(args.start, args.stop, points)
+    out = _outdir(cfg["out"])
     first, second = values[:(points + 1) // 2], values[(points + 1) // 2:]
 
     def log(message):

@@ -120,9 +120,6 @@ def _constraint_rows(kernel, beta, offset=0):
     coefs[at] = values
     indptr = indptr + gained
     keep = coefs != 0.0
-    if keep.all():
-        # The usual case for beta > 0; selecting would copy for nothing.
-        return indptr, out_cols, coefs
     kept = np.concatenate([[0], np.cumsum(keep)])
     return kept[indptr], out_cols[keep], coefs[keep]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -490,19 +490,8 @@ _LIST_CAP = 50  # violation lists are truncated in files to keep them readable
 def _report_dict(report):
     return {
         "corners": report.corners,
-        "edge_thresholds": {
-            "th1": report.edges.th1,
-            "th2": report.edges.th2,
-            "th1_residual": report.edges.th1_residual,
-            "th2_residual": report.edges.th2_residual,
-            "notes": list(report.edges.notes),
-        },
-        "diagonal": {
-            "kind": report.diagonal.kind,
-            "rho1": report.diagonal.rho1,
-            "rho2": report.diagonal.rho2,
-            "sequence": report.diagonal.sequence,
-        },
+        "edge_thresholds": asdict(report.edges),
+        "diagonal": asdict(report.diagonal),
         "areas": report.areas,
         "flags": report.flags,
         "symmetry_violation_count": len(report.symmetry_violations),
@@ -512,10 +501,7 @@ def _report_dict(report):
             {"action": v.action.value, "axis": v.axis, "index": v.index, "gap": list(v.gap)}
             for v in report.contiguity_violations[:_LIST_CAP]
         ],
-        "connectivity": {
-            a.value: {"components": r.components, "anchor_present": r.anchor_present}
-            for a, r in report.connectivity.items()
-        },
+        "connectivity": {a.value: asdict(r) for a, r in report.connectivity.items()},
         "bet_dominance_violation_count": len(report.bet_dominance),
         "bet_dominance_violations": [
             {"action": a.value, "i": i, "j": j} for a, i, j in report.bet_dominance[:_LIST_CAP]

@@ -726,12 +726,6 @@ _LAYOUT_NOTE = (
 )
 
 
-# Block size of save_value_field: the strings a row keeps for the rows below
-# it are held joined and split off this many columns at a time, so the held
-# string objects number at most about n * _SPLIT.
-_SPLIT = 32
-
-
 def save_value_field(path, result, ch, econ, discount):
     """Write a solved field plus its parameters as a single JSON document."""
     doc = {
@@ -748,27 +742,17 @@ def save_value_field(path, result, ch, econ, discount):
         "residual": result.residual,
     }
     vals = result.field.values
-    n = vals.shape[0]
     bits = vals.view(np.uint64)
     # A solved field is mirror-symmetric, so row i formats only its entries
     # from the diagonal on, and takes entry (i, j) left of it from the
     # string row j made for (j, i) wherever the two have the same bits
-    # (bits, so that -0.0 and 0.0 stay apart). Row j's strings wait in
-    # ahead[j] for the columns of the current block of _SPLIT rows, and
-    # joined in later[j] for the columns past it, which keeps the held text
-    # near its byte size.
-    ahead, later = [], []
+    # (bits, so that -0.0 and 0.0 stay apart). Row j's strings for the rows
+    # below it wait in the queue ahead[j], which each row pops once.
+    ahead = []
     with open(path, "w") as fh:
         fh.write(json.dumps(doc)[:-1] + ', "values": [')
         sep = ""
         for i, row in enumerate(vals):
-            stop = min(i - i % _SPLIT + _SPLIT, n)   # end of the current block
-            if i % _SPLIT == 0:
-                # later[j] holds the n - i strings of columns i, ..., n - 1.
-                for j, text in enumerate(later):
-                    parts = text.split(", ", _SPLIT)
-                    later[j] = parts.pop() if n - i > _SPLIT else ""
-                    ahead[j].extend(parts)
             line = list(map(deque.popleft, ahead))
             for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
                 line[j] = float.__repr__(float(row[j]))
@@ -776,8 +760,7 @@ def save_value_field(path, result, ch, econ, discount):
             # holds only finite values, so this is what json.dump would write.
             upper = list(map(float.__repr__, row[i:].tolist()))
             line += upper
-            ahead.append(deque(upper[1:stop - i]))
-            later.append(", ".join(upper[stop - i:]))
+            ahead.append(deque(upper[1:]))
             fh.write(sep + ", ".join(line))
             sep = ", "
         fh.write("]}\n")

@@ -388,6 +388,23 @@ class TestSweepCommand:
         assert "--points" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # 0 * inf would make the finite first point NaN, and a NaN point is
+    # skipped, so an unchecked range would exit 0 with an empty sweep.csv.
+    @pytest.mark.parametrize(
+        "start, stop", [("nan", "1.5"), ("1.2", "inf"), ("-1e308", "1e308")]
+    )
+    def test_range_without_finite_step_is_a_configuration_error(
+        self, tmp_path, capsys, start, stop
+    ):
+        code = main(
+            ["sweep", "--param", "rh_over_rl", f"--start={start}", f"--stop={stop}",
+             "--points", "2", "--grid", "11", "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"sweep range {float(start):g} to {float(stop):g}" in err
+        assert not (tmp_path / "out").exists()
+
     # grid, tol and max_iter are the same at every point, so a bad one is
     # one configuration error before any output, not a skip per point.
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ traces.csv must come out byte for byte the same."""
 
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from gepower import (
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.policy import export_policy_csv, export_policy_ppm
 from gepower.simulate import EPISODE_BLOCK, write_traces_csv
-from gepower.solver import _SPLIT, SolveResult, save_value_field
+from gepower.solver import SolveResult, save_value_field
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -128,8 +129,9 @@ class TestValueWriter:
         text = (tmp_path / "new").read_text()
         assert '"values": [-6.0, 0.0, ' in text and "0.30000000000000004" in text
 
-    # save_value_field splits the held strings off in blocks of _SPLIT columns.
-    @pytest.mark.parametrize("n", [_SPLIT - 1, _SPLIT, _SPLIT + 1, 2 * _SPLIT, 2 * _SPLIT + 1])
+    # Sizes either side of 32 and 64 rows, where a writer that holds its
+    # strings in blocks of rows would change block.
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
     def test_matches_loop_across_block_edges(self, n, tmp_path):
         rng = np.random.default_rng(n)
         values = rng.normal(size=(n, n))
@@ -141,6 +143,22 @@ class TestValueWriter:
             lambda path: save_value_field(path, result, CH, ECON_A, DISC),
             lambda path: loop_value_field(path, result, CH, ECON_A, DISC),
         )
+
+    def test_holds_far_less_than_every_string(self, tmp_path):
+        # At n=201 the field is 0.32 MB and the strings waiting for the rows
+        # below peak near n^2/4 (about 0.9 MB); a writer that held all n^2
+        # strings at once would peak near 4.7 MB.
+        n = 201
+        values = np.random.default_rng(n).random((n, n))
+        values = values + values.T
+        result = SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300)
+        tracemalloc.start()
+        try:
+            save_value_field(tmp_path / "value.json", result, CH, ECON_A, DISC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestPinnedBytes:
