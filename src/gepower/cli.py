@@ -32,7 +32,8 @@ from .policy import (
     report_has_violations,
     save_structure_report,
 )
-from .simulate import BASELINES, SimConfig, _cpus, run_episodes, save_summary, write_traces_csv
+from .simulate import (BASELINES, SimConfig, _second_cpu, run_episodes, save_summary,
+                       write_traces_csv)
 from .solver import (
     BeliefGrid,
     NonConvergence,
@@ -73,7 +74,7 @@ SWEEP_PARAMS = MODEL_KEYS + ("rh_over_rl", "ch_over_cl")
 
 
 def _add_param_flags(sp):
-    for name in ("lambda0", "lambda1", "beta", "rh", "rl", "ch", "cl", "tol"):
+    for name in MODEL_KEYS + ("tol",):
         sp.add_argument(f"--{name}", type=float, default=None)
     sp.add_argument("--grid", type=int, default=None)
     sp.add_argument(
@@ -242,8 +243,8 @@ def _sweep_chain(cfg, param, values, skip):
 @contextlib.contextmanager
 def _forked(job):
     """Run job() in a forked child when one may: os.fork exists, the
-    process may run on two CPUs or more, and no other Python thread is
-    alive (a fork copies only the calling thread).
+    process may run on a second CPU (simulate._second_cpu), and no other
+    Python thread is alive (a fork copies only the calling thread).
 
     Yields a function that returns job()'s result: the child's, sent back
     as one JSON document through a pipe, or, when no child ran or it did not
@@ -253,7 +254,7 @@ def _forked(job):
     block is left, killed first if it still runs.
     """
     pid = reader = None
-    if hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1:
+    if hasattr(os, "fork") and _second_cpu() and threading.active_count() == 1:
         fds = ()
         try:
             fds = os.pipe()
@@ -307,8 +308,6 @@ def cmd_sweep(args):
     child ran.
     """
     cfg = _merge_config(args)
-    if args.param not in SWEEP_PARAMS:
-        raise ParameterError(f"unknown sweep parameter {args.param!r}; one of {SWEEP_PARAMS}")
     points = args.points
     if points is None:
         points = 8 if args.param.startswith("lambda") else 10

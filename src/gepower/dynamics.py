@@ -95,6 +95,9 @@ class EconParams:
     cl: float
 
     def __post_init__(self):
+        for name in ("rh", "rl", "ch", "cl"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         checks = (
             (self.rl > 0.0, f"rl > 0 violated: rl={self.rl!r}"),
             (self.rl < self.rh, f"rl < rh violated: rl={self.rl!r}, rh={self.rh!r}"),
@@ -108,9 +111,6 @@ class EconParams:
         for ok, msg in checks:
             if not ok:
                 raise ParameterError(msg)
-        for name in ("rh", "rl", "ch", "cl"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

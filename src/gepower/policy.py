@@ -240,15 +240,11 @@ def check_connectivity(p):
 
 
 def bet_dominance_violations(p):
-    """Bet regions may not cross the diagonal by more than one cell."""
-    x = p.grid.points
-    h = p.grid.spacing
-    slack = h + 1e-12
-    p1 = x[:, None]
-    p2 = x[None, :]
+    """Bet regions may not cross the diagonal by more than one cell: bet1
+    at lattice point (i, j) with i < j - 1, or bet2 with i > j + 1."""
+    k = np.arange(p.grid.n)
     out = []
-    for (a, bad_side) in ((Action.BET1, p1 < p2 - slack),
-                          (Action.BET2, p2 < p1 - slack)):
+    for (a, bad_side) in ((Action.BET1, k[:, None] < k - 1), (Action.BET2, k[:, None] > k + 1)):
         for i, j in np.argwhere(p.best[:, :, _IDX[a]] & bad_side):
             out.append((a, int(i), int(j)))
     return out

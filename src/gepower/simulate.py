@@ -31,18 +31,18 @@ STEP_BLOCK episodes are stepped together, one slot at a time, by flat
 lookups in the action, discounted reward and code tables, and their
 actions are counted once a block.
 
-Draw threads: a step block's rows are split into contiguous ranges, one per
-CPU in the process's affinity mask but at most DRAW_RANGES, and drawn at
-once, the first by the calling thread and each other one by a thread of its
-own. Each range buffers DRAW_CHUNK // ranges rows, and a block has no more
-ranges than such chunks, so a small block is one range and starts no
-thread. The stream is PCG64, and Generator.random takes exactly one 64-bit
-output per double, so row k starts k(2 + 3H) outputs in: each range seeds
-its own PCG64 and jumps it there with advance(), in O(log k) steps, and
-writes its codes into its own columns of the block's arrays. Stepping stays
-on the calling thread: its per-slot numpy calls are too short to run in
-parallel under the interpreter lock. No result depends on DRAW_CHUNK,
-STEP_BLOCK or the number of draw threads.
+Draw threads: when the process may run on a second CPU (_second_cpu) and a
+step block has more than DRAW_CHUNK // 2 rows, its rows are drawn as two
+halves at once, the first by the calling thread and the second by one
+thread of its own, each buffering DRAW_CHUNK // 2 rows; otherwise the
+calling thread draws the whole block, DRAW_CHUNK rows at a time. The
+stream is PCG64, and Generator.random takes exactly one 64-bit output per
+double, so row k starts k(2 + 3H) outputs in: each half seeds its own PCG64
+and jumps it there with advance(), in O(log k) steps, and writes its codes
+into its own columns of the block's arrays. Stepping stays on the calling
+thread: its per-slot numpy calls are too short to run in parallel under the
+interpreter lock. No result depends on DRAW_CHUNK, STEP_BLOCK or whether a
+second CPU draws.
 """
 
 from __future__ import annotations
@@ -81,17 +81,13 @@ __all__ = [
 BASELINES = ("myopic", "always-balanced", "always-conservative", "random-uniform")
 
 
-# Rows of uniforms buffered at a time, shared among the draw ranges; each
-# range's chunk is reduced to int8 codes at once.
+# Rows of uniforms buffered at a time, shared by a block's halves; each
+# half's chunk is reduced to int8 codes at once.
 DRAW_CHUNK = 256
-# Draw ranges a step block is split into at most, whatever the CPU count: the
-# threaded draw was measured on two CPUs only, and more ranges means smaller
-# chunks, each a dozen numpy calls. Raise it only after measuring on more.
-DRAW_RANGES = 2
 # Episodes stepped together, one slot at a time. A block's codes (at most 2H
-# bytes an episode) and the DRAW_CHUNK rows of uniforms that all its draw
-# ranges buffer together take about half of what 2048 rows of uniforms take,
-# at every horizon H and any number of draw threads.
+# bytes an episode) and the DRAW_CHUNK rows of uniforms that its halves
+# buffer together take about half of what 2048 rows of uniforms take, at
+# every horizon H, drawn in one half or two.
 STEP_BLOCK = 10240
 # Episodes formatted at a time by write_traces_csv.
 EPISODE_BLOCK = 2048
@@ -166,16 +162,15 @@ def _belief_codes(cfg, ch):
     used = np.array([USES_CHANNEL[a] for a in ACTION_PRIORITY]).T[:, :, None, None]
     tab, nxt, start = [], [], []
     for i, chain in enumerate(chains):
-        bits = _unique(chain.view(np.uint64))
-        beliefs = bits.view(np.float64)
-        # T of a belief met at k < H is its chain's next term, so it has a
-        # code; a belief met only at k = H is never propagated.
-        drifted = propagate_array(beliefs, ch).view(np.uint64)
-        drift = np.minimum(np.searchsorted(bits, drifted), bits.size - 1)
-        drift = np.where(bits[drift] == drifted, drift, np.arange(bits.size))
-        firsts = np.searchsorted(bits, chain[:, 0].view(np.uint64))   # lambda0, lambda1, b0
+        bits, code = _unique(chain.view(np.uint64), return_inverse=True)
+        code = code.reshape(chain.shape)
+        # T of a belief met at k < H is its chain's next term; a belief met
+        # only at k = H is never propagated, and keeps its own code.
+        drift = np.arange(bits.size)
+        drift[code[:, :-1]] = code[:, 1:]
+        firsts = code[:, 0]     # lambda0, lambda1, b0
         nxt.append(np.where(used[i], firsts[_PAIR_STATES[i]][:, None], drift).ravel())
-        tab.append(beliefs)
+        tab.append(bits.view(np.float64))
         start.append(int(firsts[2]))
     return tab, nxt, start
 
@@ -197,19 +192,14 @@ def _pair_moves():
     return nxt.ravel()
 
 
-def _cpus():
-    """CPUs this process may run on: its affinity mask, else the machine's
-    CPU count."""
+def _second_cpu():
+    """Whether this process may run on two CPUs or more: its affinity mask,
+    else the machine's CPU count, says so. The draw splits a block in two
+    (_draw_block) and a sweep forks one child (cli._forked) only then."""
     try:
-        return len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0)) >= 2
     except AttributeError:      # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _draw_workers():
-    """Draw ranges a block is split into: one per CPU this process may run
-    on, at most DRAW_RANGES."""
-    return min(_cpus(), DRAW_RANGES)
+        return (os.cpu_count() or 1) >= 2
 
 
 def _draw_range(seed, first, pair, moves, acts, chunk, b0, ch):
@@ -243,40 +233,36 @@ def _draw_block(seed, first, n, H, b0, ch, random_actions):
     each slot and, for random-uniform, each slot's action code 4a.
     Slot-major, so a slot reads a contiguous row.
 
-    The rows are split into up to _draw_workers() contiguous ranges, and the
-    ranges share DRAW_CHUNK rows of buffers; the calling thread draws the
-    first range and one thread each the others (see the module notes). A
-    worker's exception is raised here, after every thread has been joined.
+    A block of more than DRAW_CHUNK // 2 rows is drawn as two halves, split
+    at n // 2, when a second CPU may draw: the calling thread draws the
+    first and one thread the second (see the module notes). The second
+    half's exception is raised here, after its thread has been joined.
     """
     pair = np.empty(n, dtype=np.intp)
     moves = np.empty((H, n), dtype=np.int8)
     acts = np.empty((H, n), dtype=np.int8) if random_actions else None
-    workers = _draw_workers()
-    chunk = max(1, DRAW_CHUNK // workers)
-    count = min(workers, -(-n // chunk))
-    cuts = [n * r // count for r in range(count + 1)]
-    jobs = [
-        (seed, first + a, pair[a:b], moves[:, a:b], None if acts is None else acts[:, a:b],
-         chunk, b0, ch)
-        for a, b in zip(cuts, cuts[1:])
-    ]
+    half = n // 2 if n > DRAW_CHUNK // 2 and _second_cpu() else n
+    chunk = DRAW_CHUNK if half == n else DRAW_CHUNK // 2
+
+    def draw(a, b):
+        _draw_range(seed, first + a, pair[a:b], moves[:, a:b],
+                    None if acts is None else acts[:, a:b], chunk, b0, ch)
+
     errors = []
 
-    def draw(job):
+    def second():
         try:
-            _draw_range(*job)
+            draw(half, n)
         except BaseException as exc:    # raised again by the caller
             errors.append(exc)
 
-    threads = []
+    if half < n:
+        thread = threading.Thread(target=second)
+        thread.start()
     try:
-        for job in jobs[1:]:
-            thread = threading.Thread(target=draw, args=(job,))
-            thread.start()
-            threads.append(thread)
-        _draw_range(*jobs[0])
+        draw(0, half)
     finally:
-        for thread in threads:
+        if half < n:
             thread.join()
     if errors:
         raise errors[0]
@@ -317,7 +303,7 @@ def run_episodes(policy, cfg, ch, econ, discount, value_scale=None, collect_trac
     one of BASELINES. Returns a SimSummary; with collect_traces also a
     TraceBatch. Identical config means bit-identical results.
 
-    The uniforms are drawn on up to DRAW_RANGES CPUs and reduced to int8
+    The uniforms are drawn on up to two CPUs and reduced to int8
     transition codes, one byte per slot for both channels, plus one action
     byte per slot for random-uniform: H bytes per episode, or 2H. STEP_BLOCK
     episodes are then stepped together, slot by slot; see the module notes.

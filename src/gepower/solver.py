@@ -99,10 +99,6 @@ class BeliefGrid:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def spacing(self):
-        return 1.0 / (self.n - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class ValueField:

@@ -165,6 +165,28 @@ class TestSolveCommand:
         assert "tol" in capsys.readouterr().err
         assert not out.exists()
 
+    # Every non-finite reward would also fail an ordering check; it must be
+    # named for what it is.
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", ["rh", "rl", "ch", "cl"])
+    def test_non_finite_reward_is_a_configuration_error(self, tmp_path, capsys, name, value):
+        out = tmp_path / "out"
+        code = main(["solve", "--grid", "5", f"--{name}={value}", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_cut_mid_object_is_a_parse_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": 21,')
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "parse error: Expecting property name enclosed in double quotes "
+            "at line 1, column 13\n"
+        )
+        assert not out.exists()
+
     def test_memory_error_is_a_configuration_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError()
@@ -197,7 +219,7 @@ def test_commands_do_not_import_scipy(tmp_path):
     # The sweep forks its worker whatever the CPU count, and leaves no child.
     script = (
         "import os, sys\nfrom gepower import cli\n"
-        "cli._cpus = lambda: 2\nforks = []\nfork = os.fork\n"
+        "cli._second_cpu = lambda: True\nforks = []\nfork = os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
     ) + "".join(
         f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n" for argv, codes in runs
@@ -486,7 +508,7 @@ class TestSweepCommand:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted)
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_second_cpu", lambda: True)
         return calls
 
     @pytest.mark.parametrize("off", ["one-cpu", "no-fork"])
@@ -496,7 +518,7 @@ class TestSweepCommand:
         got = self._sweep(tmp_path, capsys, sweep)
         assert forks == [os.getpid()]
         if off == "one-cpu":
-            monkeypatch.setattr(cli, "_cpus", lambda: 1)
+            monkeypatch.setattr(cli, "_second_cpu", lambda: False)
         else:
             monkeypatch.delattr(os, "fork")
         assert self._sweep(tmp_path, capsys, sweep) == got
@@ -560,7 +582,7 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "_sweep_chain", failing)
         got = self._sweep(tmp_path, capsys, sweep)
         assert forks == [parent]
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_second_cpu", lambda: False)
         assert self._sweep(tmp_path, capsys, sweep) == got
         assert len(forks) == 1
         code, _, err = got
@@ -661,6 +683,19 @@ class TestSimulateCommand:
                     "--grid", "11", "--tol", "1e-6", "--max-iter", "10"]
         assert main(baseline + ["--out", str(tmp_path / "b")]) == EXIT_OK
 
+    @pytest.mark.parametrize("flag, bound", [
+        ("--episodes=0", "episodes >= 1 violated: 0"),
+        ("--horizon=0", "horizon >= 1 violated: 0"),
+        ("--seed=-1", "seed >= 0 violated: -1"),
+    ])
+    def test_run_bounds_are_configuration_errors(self, tmp_path, capsys, flag, bound):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--baseline", "myopic", "--episodes", "5", "--horizon", "3",
+                     flag, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert bound in capsys.readouterr().err
+        assert not out.exists()
+
     def test_memory_error_in_a_draw_thread_names_the_run_size(self, tmp_path, capsys,
                                                                monkeypatch):
         # the stepping must not go on over a worker's unwritten codes
@@ -673,7 +708,7 @@ class TestSimulateCommand:
                 raise MemoryError()
             draw(*args)
 
-        monkeypatch.setattr(simulate, "_draw_workers", lambda: 2)
+        monkeypatch.setattr(simulate, "_second_cpu", lambda: True)
         monkeypatch.setattr(simulate, "_draw_range", exhausted)
         before = threading.active_count()
         code = main(["simulate", "--baseline", "myopic", "--episodes", "300", "--horizon", "5",

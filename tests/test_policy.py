@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,29 @@ class TestDetectors:
         primary[0, 5] = _IDX[Action.BET1]   # deep on the wrong side
         bad = bet_dominance_violations(_policy_from_primary(primary))
         assert (Action.BET1, 0, 5) in bad
+
+    def test_bet_dominance_index_rule_matches_float_rule(self):
+        # The rule once read "one cell" as the spacing 1/(n-1) plus 1e-12 of
+        # slack between the points' floats; the index rule must flag the same
+        # points. Off the band of three cells each side of the diagonal the
+        # gap is two cells or none, so the band holds every point where the
+        # rules could part.
+        def float_rule(p):
+            x = p.grid.points
+            slack = 1.0 / (p.grid.n - 1) + 1e-12
+            p1, p2 = x[:, None], x[None, :]
+            return [(a, int(i), int(j))
+                    for a, bad in ((Action.BET1, p1 < p2 - slack),
+                                   (Action.BET2, p2 < p1 - slack))
+                    for i, j in np.argwhere(p.best[:, :, _IDX[a]] & bad)]
+
+        for n in [*range(2, 401), 401, 801, 4001]:
+            band = np.tri(n, k=3, dtype=bool) ^ np.tri(n, k=-4, dtype=bool)
+            best = np.broadcast_to(band[:, :, None], (n, n, len(ACTION_PRIORITY)))
+            p = SimpleNamespace(grid=BeliefGrid(n), best=best)
+            want = float_rule(p)
+            assert len(want) == 2 * (max(n - 2, 0) + max(n - 3, 0)), n
+            assert bet_dominance_violations(p) == want, n
 
 
 def _random_policy(rng, n, density):

@@ -21,7 +21,13 @@ from gepower import (
     run_episodes,
 )
 from gepower import simulate
-from gepower.dynamics import ACTION_PRIORITY, USES_CHANNEL, ParameterError, propagate
+from gepower.dynamics import (
+    ACTION_PRIORITY,
+    USES_CHANNEL,
+    ParameterError,
+    propagate,
+    propagate_array,
+)
 from gepower.simulate import (
     EPISODE_BLOCK,
     STEP_BLOCK,
@@ -223,16 +229,17 @@ class TestLoopOracle:
         self._check(self._policy(name, policy_a), 17)
 
     @pytest.mark.parametrize("seed", [0, 2 ** 70])   # 2**70 goes through SeedSequence
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("chunk, block, episodes", [
         *((chunk, block, 17) for chunk, block in SEAMS),
         (simulate.DRAW_CHUNK, simulate.STEP_BLOCK, EPISODE_BLOCK + 17),
     ])
     @pytest.mark.parametrize("name", POLICIES)
     def test_matches_per_slot_loop_at_any_worker_count(self, name, chunk, block, episodes,
-                                                       workers, seed, policy_a, monkeypatch):
-        # each draw range jumps its own generator to its first row
-        monkeypatch.setattr(simulate, "_draw_workers", lambda: workers)
+                                                       cpus, seed, policy_a, monkeypatch):
+        # each half of a block jumps its own generator to its first row
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         monkeypatch.setattr(simulate, "DRAW_CHUNK", chunk)
         monkeypatch.setattr(simulate, "STEP_BLOCK", block)
         self._check(self._policy(name, policy_a), episodes, seed=seed)
@@ -270,21 +277,20 @@ class TestMemory:
     def test_peak_below_one_block_of_uniforms(self, horizon, name, monkeypatch):
         # the bound is 2048 episodes' rows of uniforms plus the action table,
         # what stepping over whole rows held; the int8 codes of a run over two
-        # step blocks must take less at every horizon and any number of draw
-        # threads
+        # step blocks must take less at every horizon, drawn whole or in halves
         cfg = SimConfig(episodes=STEP_BLOCK + 17, horizon=horizon, seed=4,
                         initial_belief=Belief(0.5, 0.5))
         codes = 3 * (horizon + 1)
         bound = 2048 * (2 + 3 * horizon) * 8 + codes ** 2
-        for workers in (1, 2, 3, 5, 8):
-            monkeypatch.setattr(simulate, "_draw_workers", lambda: workers)
+        for second in (False, True):
+            monkeypatch.setattr(simulate, "_second_cpu", lambda: second)
             tracemalloc.start()
             try:
                 run_episodes(name, cfg, CH, ECON, DISC)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bound, f"{workers} workers: {peak} >= {bound}"
+            assert peak < bound, f"second CPU {second}: {peak} >= {bound}"
 
     def test_table_does_not_grow_with_the_horizon(self):
         # one byte per pair of the 3(H+1) chain terms would be 36 MB here;
@@ -300,7 +306,7 @@ class TestMemory:
 
 
 class TestDrawThreads:
-    """Draw ranges past the first run on threads that are all joined before
+    """A block's second half is drawn on a thread that is joined before
     run_episodes returns or raises."""
 
     @staticmethod
@@ -308,15 +314,16 @@ class TestDrawThreads:
         cfg = SimConfig(episodes=episodes, horizon=5, seed=3, initial_belief=Belief(0.5, 0.5))
         return run_episodes(name, cfg, CH, ECON, DISC)
 
-    @pytest.mark.parametrize("workers, episodes, started", [
+    @pytest.mark.parametrize("cpus, episodes, started", [
         (1, STEP_BLOCK + 17, 0),
         (2, 1, 0),
-        (2, simulate.DRAW_CHUNK // 2, 0),           # one range of one buffer
+        (2, simulate.DRAW_CHUNK // 2, 0),           # drawn whole, one buffer
         (2, simulate.DRAW_CHUNK // 2 + 1, 1),
-        (3, STEP_BLOCK + 17, 2),                    # the 17-episode block is one range
-        (5, 1000, 4),
+        (3, STEP_BLOCK + 17, 1),                    # the 17-episode block is drawn whole
+        (64, 1000, 1),                              # two halves on any mask of 2 or more
+        (256, 1000, 1),
     ])
-    def test_threads_started_and_joined(self, workers, episodes, started, monkeypatch):
+    def test_threads_started_and_joined(self, cpus, episodes, started, monkeypatch):
         threads = []
 
         class Counted(threading.Thread):
@@ -324,7 +331,8 @@ class TestDrawThreads:
                 threads.append(self)
                 super().start()
 
-        monkeypatch.setattr(simulate, "_draw_workers", lambda: workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         monkeypatch.setattr(threading, "Thread", Counted)
         before = threading.active_count()
         self._run(episodes)
@@ -342,29 +350,27 @@ class TestDrawThreads:
                 raise MemoryError(where)
             draw(*args)
 
-        monkeypatch.setattr(simulate, "_draw_workers", lambda: 3)
+        monkeypatch.setattr(simulate, "_second_cpu", lambda: True)
         monkeypatch.setattr(simulate, "_draw_range", exhausted)
         before = threading.active_count()
         with pytest.raises(MemoryError, match=where):
             self._run(1000)
         assert threading.active_count() == before
 
-    def test_worker_count_follows_the_affinity_mask(self):
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("no CPU affinity on this platform")
-        cpus = len(os.sched_getaffinity(0))
-        assert simulate._draw_workers() == min(cpus, simulate.DRAW_RANGES)
-
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64, 256])
-    def test_worker_count_is_capped(self, cpus, monkeypatch):
-        # only two draw ranges were measured; many CPUs must not shrink the
-        # chunks to a few rows each
+    def test_second_cpu_follows_the_affinity_mask(self, cpus, monkeypatch):
+        # the mask when the platform has one, else the machine's CPU count
+        if hasattr(os, "sched_getaffinity"):
+            assert simulate._second_cpu() == (len(os.sched_getaffinity(0)) >= 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        assert simulate._draw_workers() == min(cpus, simulate.DRAW_RANGES)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1 if cpus >= 2 else 2)
+        assert simulate._second_cpu() == (cpus >= 2)
+        monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert simulate._draw_workers() == min(cpus, simulate.DRAW_RANGES)
+        assert simulate._second_cpu() == (cpus >= 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)     # count unknown
+        assert not simulate._second_cpu()
 
 
 class TestBeliefCodes:
@@ -396,6 +402,27 @@ class TestBeliefCodes:
                     for b in {b for chain in chains for b in chain[:-1]}:
                         want = observed if USES_CHANNEL[a][i] else propagate(b, CH)
                         assert tab[i][row[code[b]]] == want
+
+    @pytest.mark.parametrize("horizon", [1, 12, 250])
+    @pytest.mark.parametrize("p1, p2", [(0.3, 0.65), (0.5, 0.5), (0.0, 1.0)])
+    def test_drift_successor_is_the_propagated_belief(self, p1, p2, horizon):
+        # successors are read off the chains: every code held before step H
+        # must lead to the code of propagate_array of its belief
+        cfg = SimConfig(episodes=1, horizon=horizon, seed=0, initial_belief=Belief(p1, p2))
+        tab, nxt, _ = _belief_codes(cfg, CH)
+        rest = ACTION_PRIORITY.index(Action.CONSERVATIVE)     # observes neither channel
+        for i, b0 in enumerate((p1, p2)):
+            bits, C = tab[i].view(np.uint64), tab[i].size
+            held = [np.array([CH.lambda0, CH.lambda1, b0])]
+            for _ in range(horizon - 1):
+                held.append(propagate_array(held[-1], CH))
+            held = np.concatenate(held).view(np.uint64)
+            after = propagate_array(held.view(np.float64), CH).view(np.uint64)
+            code, want = np.searchsorted(bits, held), np.searchsorted(bits, after)
+            np.testing.assert_array_equal(bits[code], held)
+            np.testing.assert_array_equal(bits[want], after)
+            for G in range(4):
+                np.testing.assert_array_equal(nxt[i][(4 * rest + G) * C + code], want)
 
 
 class TestActionTable:
