@@ -4,7 +4,9 @@ Configuration comes from built-in defaults, overridden by an optional JSON
 config file, overridden by explicit flags. Every command writes files that
 are byte-identical across repeated runs of the same inputs. A sweep solves
 its points as two warm-started chains, the second in a forked child when a
-second CPU may run it; its files are the same whether or not one does.
+second CPU may run it, and on a large lattice solve and analyze format
+part of their files in such a child (see worker); the files are the same
+whether or not one does.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ import argparse
 import contextlib
 import json
 import math
-import os
-import signal
 import sys
-import threading
 from pathlib import Path
 
 from .dynamics import ACTION_PRIORITY, Belief, ChannelParams, Discount, EconParams, ParameterError
@@ -32,9 +31,9 @@ from .policy import (
     report_has_violations,
     save_structure_report,
 )
-from .simulate import (BASELINES, SimConfig, _second_cpu, run_episodes, save_summary,
-                       write_traces_csv)
+from .simulate import BASELINES, SimConfig, run_episodes, save_summary, write_traces_csv
 from .solver import (
+    FORK_GRID,
     BeliefGrid,
     NonConvergence,
     SolverConfig,
@@ -43,6 +42,7 @@ from .solver import (
     save_value_field,
     solve,
 )
+from .worker import _forked
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -170,10 +170,17 @@ def cmd_analyze(args):
     result, ch, econ, discount = load_value_field(args.value_file)
     out = _outdir(args.out)
     policy = extract_policy(result.field, ch, econ, discount, args.tie_tol)
-    export_policy_csv(policy, out / "policy.csv")
-    export_policy_ppm(policy, out / "policy.ppm")
-    report = analyze_structure(result.field, policy, ch, econ, discount)
-    save_structure_report(report, out / "structure.json")
+
+    def csv():
+        export_policy_csv(policy, out / "policy.csv")
+        return []
+
+    # Above FORK_GRID a child writes policy.csv meanwhile (see worker._forked).
+    with _forked(csv) if policy.grid.n > FORK_GRID else contextlib.nullcontext(csv) as written:
+        export_policy_ppm(policy, out / "policy.ppm")
+        report = analyze_structure(result.field, policy, ch, econ, discount)
+        save_structure_report(report, out / "structure.json")
+        list(written())     # the child's end, or policy.csv written here
     for name, ok in report.flags.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     print(
@@ -238,63 +245,6 @@ def _sweep_chain(cfg, param, values, skip):
              edges.th1, edges.th2)
         )
     return rows
-
-
-@contextlib.contextmanager
-def _forked(job):
-    """Run job() in a forked child when one may: os.fork exists, the
-    process may run on a second CPU (simulate._second_cpu), and no other
-    Python thread is alive (a fork copies only the calling thread).
-
-    Yields a function that returns job()'s result: the child's, sent back
-    as one JSON document through a pipe, or, when no child ran or it did not
-    exit 0 with a parseable result, job() run in this process, so every
-    error surfaces as it would have in process. The child leaves by
-    os._exit here, never unwinding into the caller, and is reaped when the
-    block is left, killed first if it still runs.
-    """
-    pid = reader = None
-    if hasattr(os, "fork") and _second_cpu() and threading.active_count() == 1:
-        fds = ()
-        try:
-            fds = os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-        else:
-            fd, write_fd = fds
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(fd)
-                    with open(write_fd, "w", encoding="utf-8") as fh:
-                        json.dump(job(), fh)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            reader = open(fd, "rb")
-
-    def result():
-        nonlocal pid
-        if pid is not None:
-            data = reader.read()
-            _, status = os.waitpid(pid, 0)
-            pid = None
-            if status == 0:
-                with contextlib.suppress(ValueError):
-                    return json.loads(data)
-        return job()
-
-    try:
-        yield result
-    finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if reader is not None:
-            reader.close()
 
 
 def cmd_sweep(args):

@@ -31,25 +31,24 @@ STEP_BLOCK episodes are stepped together, one slot at a time, by flat
 lookups in the action, discounted reward and code tables, and their
 actions are counted once a block.
 
-Draw threads: when the process may run on a second CPU (_second_cpu) and a
-step block has more than DRAW_CHUNK // 2 rows, its rows are drawn as two
-halves at once, the first by the calling thread and the second by one
-thread of its own, each buffering DRAW_CHUNK // 2 rows; otherwise the
-calling thread draws the whole block, DRAW_CHUNK rows at a time. The
-stream is PCG64, and Generator.random takes exactly one 64-bit output per
-double, so row k starts k(2 + 3H) outputs in: each half seeds its own PCG64
-and jumps it there with advance(), in O(log k) steps, and writes its codes
-into its own columns of the block's arrays. Stepping stays on the calling
-thread: its per-slot numpy calls are too short to run in parallel under the
-interpreter lock. No result depends on DRAW_CHUNK, STEP_BLOCK or whether a
-second CPU draws.
+Draw threads: when the process may run on a second CPU
+(worker._second_cpu) and a step block has more than DRAW_CHUNK // 2 rows,
+its rows are drawn as two halves at once, the first by the calling thread
+and the second by one thread of its own, each buffering DRAW_CHUNK // 2
+rows; otherwise the calling thread draws the whole block, DRAW_CHUNK rows
+at a time. The stream is PCG64, and Generator.random takes exactly one
+64-bit output per double, so row k starts k(2 + 3H) outputs in: each half
+seeds its own PCG64 and jumps it there with advance(), in O(log k) steps,
+and writes its codes into its own columns of the block's arrays. Stepping
+stays on the calling thread: its per-slot numpy calls are too short to run
+in parallel under the interpreter lock. No result depends on DRAW_CHUNK,
+STEP_BLOCK or whether a second CPU draws.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from dataclasses import asdict, dataclass
 
@@ -66,6 +65,7 @@ from .dynamics import (
     propagate_array,
 )
 from .policy import PolicyField
+from .worker import _second_cpu
 
 __all__ = [
     "BASELINES",
@@ -190,16 +190,6 @@ def _pair_moves():
     tr1, tr2 = np.divmod(np.arange(9), 3)
     nxt = 2 * ((g1 + tr1[:, None]) >> 1) + ((g2 + tr2[:, None]) >> 1)
     return nxt.ravel()
-
-
-def _second_cpu():
-    """Whether this process may run on two CPUs or more: its affinity mask,
-    else the machine's CPU count, says so. The draw splits a block in two
-    (_draw_block) and a sweep forks one child (cli._forked) only then."""
-    try:
-        return len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:      # no affinity mask on this platform
-        return (os.cpu_count() or 1) >= 2
 
 
 def _draw_range(seed, first, pair, moves, acts, chunk, b0, ch):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from gepower import (
@@ -8,6 +10,7 @@ from gepower import (
     SolverConfig,
     extract_policy,
     solve,
+    worker,
 )
 
 # The two canonical parameter sets used across the suite: identical channels
@@ -63,3 +66,18 @@ def policy_a(solved_a):
 @pytest.fixture(scope="session")
 def policy_b(solved_b):
     return extract_policy(solved_b.field, CH, ECON_B, DISC)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that called os.fork, with the worker allowed as on two CPUs."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(worker, "_second_cpu", lambda: True)
+    return calls

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gepower
-from gepower import cli
+from gepower import cli, worker
 from gepower.cli import (
     EXIT_IO,
     EXIT_NONCONVERGENCE,
@@ -204,9 +204,12 @@ def test_commands_do_not_import_scipy(tmp_path):
     src = Path(gepower.__file__).resolve().parents[1]
     out = str(tmp_path)
     value = str(tmp_path / "value.json")
+    big = str(tmp_path / "big")
     runs = [
         (["solve", "--grid", "11", "--out", out], (0,)),
         (["analyze", value, "--out", out], (0, 4)),
+        (["solve", "--grid", str(cli.FORK_GRID + 1), "--out", big], (0,)),
+        (["analyze", str(tmp_path / "big" / "value.json"), "--out", big], (0, 4)),
         (["sweep", "--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8", "--points", "4",
           "--grid", "11", "--out", str(tmp_path / "sweep")], (0,)),
         (["export-lp", "--grid", "11", "--out", str(tmp_path / "lp")], (0,)),
@@ -216,10 +219,11 @@ def test_commands_do_not_import_scipy(tmp_path):
             str(tmp_path / name)], (0,))
           for name in ("myopic", "always-conservative", "random-uniform")),
     ]
-    # The sweep forks its worker whatever the CPU count, and leaves no child.
+    # The sweep, and the solve and analyze above FORK_GRID, each fork one
+    # worker whatever the CPU count, and leave no child.
     script = (
-        "import os, sys\nfrom gepower import cli\n"
-        "cli._second_cpu = lambda: True\nforks = []\nfork = os.fork\n"
+        "import os, sys\nfrom gepower import cli, worker\n"
+        "worker._second_cpu = lambda: True\nforks = []\nfork = os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
     ) + "".join(
         f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n" for argv, codes in runs
@@ -228,7 +232,7 @@ def test_commands_do_not_import_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules\n"
         "                if (m + '.').startswith(tuple(h + '.' for h in heavy)))\n"
         "assert not loaded, loaded\n"
-        "assert forks == [1], forks\n"
+        "assert forks == [1, 1, 1], forks\n"
         "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    pass\n"
         "else:\n    raise AssertionError('a child process remains')\n"
     )
@@ -345,6 +349,25 @@ class TestAnalyzeCommand:
         assert "integral" in capsys.readouterr().err
         assert main(["simulate", str(bad), "--episodes", "4", "--horizon", "3",
                      "--out", str(tmp_path)]) == EXIT_IO
+        assert not (tmp_path / "sim_summary.json").exists()
+
+    # Each would give a negative or non-finite certified bound.
+    @pytest.mark.parametrize("key, value, message", [
+        ("residual", -1.0, "residual must be >= 0"),
+        ("residual", math.inf, "residual must be >= 0"),
+        ("residual", math.nan, "residual must be >= 0"),
+        ("residual", 1e308, "residual must be >= 0"),
+        ("iterations", -4, "iterations must be >= 0, got -4"),
+    ], ids=["residual--1", "residual-inf", "residual-nan", "residual-1e308", "iterations--4"])
+    def test_out_of_range_certificate_is_a_format_error(self, tmp_path, capsys, key, value,
+                                                        message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(counted_value_doc(key, value)))
+        assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_IO
+        assert message in capsys.readouterr().err
+        assert main(["simulate", str(bad), "--episodes", "4", "--horizon", "3",
+                     "--out", str(tmp_path)]) == EXIT_IO
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "sim_summary.json").exists()
 
     @pytest.mark.parametrize("tie_tol", ["nan", "-1", "inf"])
@@ -497,20 +520,6 @@ class TestSweepCommand:
         csv = (out / "sweep.csv").read_bytes() if code == EXIT_OK else None
         return code, csv, capsys.readouterr().err
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids that called os.fork, with the worker allowed as on two CPUs."""
-        calls = []
-        fork = os.fork
-
-        def counted():
-            calls.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        monkeypatch.setattr(cli, "_second_cpu", lambda: True)
-        return calls
-
     @pytest.mark.parametrize("off", ["one-cpu", "no-fork"])
     @pytest.mark.parametrize("sweep", SPLIT_SWEEPS, ids=lambda s: "-".join(s[1::2]))
     def test_worker_leaves_bytes_unchanged(self, tmp_path, capsys, monkeypatch, forks,
@@ -518,7 +527,7 @@ class TestSweepCommand:
         got = self._sweep(tmp_path, capsys, sweep)
         assert forks == [os.getpid()]
         if off == "one-cpu":
-            monkeypatch.setattr(cli, "_second_cpu", lambda: False)
+            monkeypatch.setattr(worker, "_second_cpu", lambda: False)
         else:
             monkeypatch.delattr(os, "fork")
         assert self._sweep(tmp_path, capsys, sweep) == got
@@ -582,7 +591,7 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "_sweep_chain", failing)
         got = self._sweep(tmp_path, capsys, sweep)
         assert forks == [parent]
-        monkeypatch.setattr(cli, "_second_cpu", lambda: False)
+        monkeypatch.setattr(worker, "_second_cpu", lambda: False)
         assert self._sweep(tmp_path, capsys, sweep) == got
         assert len(forks) == 1
         code, _, err = got

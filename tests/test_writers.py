@@ -4,6 +4,9 @@ traces.csv must come out byte for byte the same."""
 
 import csv
 import hashlib
+import json
+import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -23,10 +26,12 @@ from gepower import (
     run_episodes,
     solve,
 )
+from gepower import cli, solver, worker
+from gepower.cli import EXIT_IO, EXIT_OK, EXIT_VIOLATIONS, main
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.policy import export_policy_csv, export_policy_ppm
 from gepower.simulate import EPISODE_BLOCK, write_traces_csv
-from gepower.solver import SolveResult, save_value_field
+from gepower.solver import FORK_GRID, SolveResult, save_value_field
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -159,6 +164,221 @@ class TestValueWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+# Lattices either side of the fork threshold, and two well above it.
+SPLIT_SIZES = [FORK_GRID, FORK_GRID + 1, 201, 401]
+
+
+@pytest.fixture(scope="module", params=SPLIT_SIZES)
+def solved_split(request):
+    return solve(SolverConfig(DISC, 1e-6, 5000), CH, ECON_A, BeliefGrid(request.param))
+
+
+def _no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["worker", "one-cpu", "no-fork"])
+def worker_mode(request, monkeypatch, forks):
+    """How the writers run: with their worker where the lattice is above
+    FORK_GRID, or in one process because one CPU is seen or os.fork is
+    missing. Returns the fork calls, and checks that no child is left."""
+    if request.param == "one-cpu":
+        monkeypatch.setattr(worker, "_second_cpu", lambda: False)
+    elif request.param == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    yield request.param, forks
+    _no_child()
+
+
+def _expected_forks(mode, n):
+    return 1 if mode == "worker" and n > FORK_GRID else 0
+
+
+def _analyze(value, out):
+    code = main(["analyze", str(value), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_VIOLATIONS)
+    return out
+
+
+class TestSplitWriters:
+    """value.json and policy.csv are written in two processes above
+    FORK_GRID, and come out byte for byte as the per-point loops write them
+    with the worker on or off."""
+
+    def test_value_json_matches_loop(self, solved_split, worker_mode, tmp_path):
+        mode, forks = worker_mode
+        _same_bytes(
+            tmp_path,
+            lambda path: save_value_field(path, solved_split, CH, ECON_A, DISC),
+            lambda path: loop_value_field(path, solved_split, CH, ECON_A, DISC),
+        )
+        assert len(forks) == _expected_forks(mode, solved_split.field.grid.n)
+
+    def test_policy_csv_matches_loop(self, solved_split, worker_mode, tmp_path):
+        mode, forks = worker_mode
+        value = tmp_path / "value.json"
+        loop_value_field(value, solved_split, CH, ECON_A, DISC)
+        out = _analyze(value, tmp_path / "analysis")
+        assert len(forks) == _expected_forks(mode, solved_split.field.grid.n)
+        loop_policy_csv(extract_policy(solved_split.field, CH, ECON_A, DISC), tmp_path / "old")
+        assert (out / "policy.csv").read_bytes() == (tmp_path / "old").read_bytes()
+
+    @pytest.mark.parametrize("n", [FORK_GRID, FORK_GRID + 1, 201])
+    def test_value_json_matches_loop_on_mirror_pairs_in_each_block(self, n, worker_mode,
+                                                                   tmp_path):
+        # save_value_field's split row: the child formats rows and columns
+        # [h, n). A -0.0/0.0 pair and an unequal mirrored pair sit in the top
+        # rows, in the cross block [0, h) x [h, n) (one of each on its
+        # corner) and in the trailing block, so a split that copies a
+        # mirrored string without its bit check writes one of them wrong.
+        mode, forks = worker_mode
+        h = n - int(n / math.sqrt(2))
+        values = np.random.default_rng(n).normal(size=(n, n))
+        values = values + values.T
+        zeros = [(1, h // 2), (h - 1, h), (h + 2, n - 2)]
+        unequal = [(2, h // 2 + 1), (h // 2, n - 3), (n - 5, h + 1)]
+        for i, j in zeros:
+            values[i, j], values[j, i] = 0.0, -0.0
+        for i, j in unequal:
+            values[i, j], values[j, i] = 0.1 + 0.2, 0.3
+        result = SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300)
+        _same_bytes(
+            tmp_path,
+            lambda path: save_value_field(path, result, CH, ECON_A, DISC),
+            lambda path: loop_value_field(path, result, CH, ECON_A, DISC),
+        )
+        assert len(forks) == _expected_forks(mode, n)
+        written = json.loads((tmp_path / "new").read_text())["values"]
+        for i, j in zeros + unequal:
+            assert [written[i * n + j], written[j * n + i]] == [values[i, j], values[j, i]]
+        assert all(math.copysign(1.0, written[j * n + i]) < 0 for i, j in zeros)
+
+    def test_split_holds_no_more_than_one_process(self, worker_mode, tmp_path):
+        # At n=401 the one-process writer peaks at 3.4 MB; the split one
+        # holds the child's rows one at a time (2.7 MB), and without a child
+        # makes the trailing block's rows one at a time too (3.4 MB). Made
+        # all at once they would add 2 MB.
+        mode, forks = worker_mode
+        n = 401
+        values = np.random.default_rng(n).random((n, n))
+        values = values + values.T
+        result = SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300)
+        tracemalloc.start()
+        try:
+            save_value_field(tmp_path / "value.json", result, CH, ECON_A, DISC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == _expected_forks(mode, n)
+        assert peak < 4_000_000
+
+
+# How the worker fails in the tests below: no pipe, no fork, the child
+# raising, the child sending lines that are not JSON, the child ending after
+# five whole lines, and the child ending inside a line that still parses.
+FAILURES = ["pipe-raises", "fork-raises", "child-exits-1", "child-sends-garbage",
+            "child-stops-midway", "child-cuts-a-line"]
+
+
+def _fail_worker(monkeypatch, failure, module, name):
+    """Make the worker fail as `failure` says; `module.name` is the
+    function whose call in the child raises for child-exits-1."""
+    parent = os.getpid()
+    if failure == "pipe-raises":
+        def pipe():
+            raise OSError(24, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", pipe)
+    elif failure == "fork-raises":
+        def fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+    elif failure == "child-exits-1":
+        fn = getattr(module, name)
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("the worker fails")
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+    else:
+        dump = json.dump
+        sent = []
+
+        def bad(obj, fh, **kwargs):
+            if os.getpid() == parent:
+                return dump(obj, fh, **kwargs)
+            if failure == "child-sends-garbage":
+                # more than a pipe holds, so the parent must drain it
+                fh.write("{not json")
+                return dump(obj, fh, **kwargs)
+            if len(sent) == 5:
+                if failure == "child-cuts-a-line":
+                    fh.write('"0.5"')
+                fh.flush()
+                os._exit(1 if failure == "child-stops-midway" else 0)
+            sent.append(obj)
+            return dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", bad)
+
+
+class TestSplitWriterFallback:
+    """A failed worker leaves the bytes as they are and no child behind."""
+
+    N = FORK_GRID + 1
+
+    @pytest.fixture(scope="class")
+    def solved_n(self):
+        return solve(SolverConfig(DISC, 1e-6, 5000), CH, ECON_A, BeliefGrid(self.N))
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_value_json(self, solved_n, forks, monkeypatch, tmp_path, failure):
+        _fail_worker(monkeypatch, failure, solver, "_row_strings")
+        _same_bytes(
+            tmp_path,
+            lambda path: save_value_field(path, solved_n, CH, ECON_A, DISC),
+            lambda path: loop_value_field(path, solved_n, CH, ECON_A, DISC),
+        )
+        assert len(forks) == (0 if failure.endswith("raises") else 1)
+        _no_child()
+
+    @pytest.mark.parametrize("failure", FAILURES[:4])
+    def test_policy_csv(self, solved_n, forks, monkeypatch, tmp_path, failure):
+        value = tmp_path / "value.json"
+        loop_value_field(value, solved_n, CH, ECON_A, DISC)
+        want = _analyze(value, tmp_path / "want")
+        assert len(forks) == 1
+        _fail_worker(monkeypatch, failure, cli, "export_policy_csv")
+        got = _analyze(value, tmp_path / "got")
+        assert len(forks) == (1 if failure.endswith("raises") else 2)
+        _no_child()
+        for name in ("policy.csv", "policy.ppm", "structure.json"):
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize("mode", ["worker", "one-cpu"])
+    def test_policy_csv_at_a_directory_is_an_io_error(self, solved_n, forks, monkeypatch,
+                                                      tmp_path, capsys, mode):
+        if mode == "one-cpu":
+            monkeypatch.setattr(worker, "_second_cpu", lambda: False)
+        value = tmp_path / "value.json"
+        loop_value_field(value, solved_n, CH, ECON_A, DISC)
+        out = tmp_path / "analysis"
+        (out / "policy.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["analyze", str(value), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr() == ("", f"i/o failure: [Errno 21] Is a directory: "
+                                           f"{str(out / 'policy.csv')!r}\n")
+        assert len(forks) == (1 if mode == "worker" else 0)
+        _no_child()
+        # policy.csv is written last either way, so the same files are left
+        assert sorted(p.name for p in out.iterdir()) == [
+            "policy.csv", "policy.ppm", "structure.json"]
 
 
 class TestPinnedBytes:
