@@ -4,9 +4,8 @@ Configuration comes from built-in defaults, overridden by an optional JSON
 config file, overridden by explicit flags. Every command writes files that
 are byte-identical across repeated runs of the same inputs. A sweep solves
 its points as two warm-started chains, the second in a forked child when a
-second CPU may run it, and on a large lattice solve and analyze format
-part of their files in such a child (see worker); the files are the same
-whether or not one does.
+second CPU may run it (see worker); sweep.csv is the same whether or not
+one does. main builds the flags of the command it runs only.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .policy import (
 )
 from .simulate import BASELINES, SimConfig, run_episodes, save_summary, write_traces_csv
 from .solver import (
-    FORK_GRID,
     BeliefGrid,
     NonConvergence,
     SolverConfig,
@@ -170,17 +168,10 @@ def cmd_analyze(args):
     result, ch, econ, discount = load_value_field(args.value_file)
     out = _outdir(args.out)
     policy = extract_policy(result.field, ch, econ, discount, args.tie_tol)
-
-    def csv():
-        export_policy_csv(policy, out / "policy.csv")
-        return []
-
-    # Above FORK_GRID a child writes policy.csv meanwhile (see worker._forked).
-    with _forked(csv) if policy.grid.n > FORK_GRID else contextlib.nullcontext(csv) as written:
-        export_policy_ppm(policy, out / "policy.ppm")
-        report = analyze_structure(result.field, policy, ch, econ, discount)
-        save_structure_report(report, out / "structure.json")
-        list(written())     # the child's end, or policy.csv written here
+    export_policy_ppm(policy, out / "policy.ppm")
+    report = analyze_structure(result.field, policy, ch, econ, discount)
+    save_structure_report(report, out / "structure.json")
+    export_policy_csv(policy, out / "policy.csv")
     for name, ok in report.flags.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     print(
@@ -364,33 +355,21 @@ def cmd_export_lp(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gepower",
-        description="Solve, analyze, and simulate optimal power allocation "
-        "over two good/bad Markov channels.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="run policy iteration, write value.json")
-    _add_param_flags(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("analyze", help="policy map, structure report, structural checks")
+def _analyze_flags(sp):
     sp.add_argument("value_file")
     sp.add_argument("--tie-tol", dest="tie_tol", type=float, default=None)
     sp.add_argument("--out", type=str, default=".")
-    sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("sweep", help="solve+analyze across one swept parameter")
+
+def _sweep_flags(sp):
     _add_param_flags(sp)
     sp.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     sp.add_argument("--start", type=float, required=True)
     sp.add_argument("--stop", type=float, required=True)
     sp.add_argument("--points", type=int, default=None)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo a policy or baseline")
+
+def _simulate_flags(sp):
     sp.add_argument("value_file", nargs="?", default=None)
     sp.add_argument("--baseline", choices=BASELINES, default=None)
     _add_param_flags(sp)
@@ -400,18 +379,44 @@ def build_parser():
     sp.add_argument("--p1", type=float, default=0.5)
     sp.add_argument("--p2", type=float, default=0.5)
     sp.add_argument("--dump-traces", dest="dump_traces", action="store_true")
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("export-lp", help="write the LP model and metadata sidecar")
-    _add_param_flags(sp)
-    sp.set_defaults(func=cmd_export_lp)
 
+# Each command's help and the function that adds its flags; the command
+# runs cmd_<name>.
+_COMMANDS = {
+    "solve": ("run policy iteration, write value.json", _add_param_flags),
+    "analyze": ("policy map, structure report, structural checks", _analyze_flags),
+    "sweep": ("solve+analyze across one swept parameter", _sweep_flags),
+    "simulate": ("Monte Carlo a policy or baseline", _simulate_flags),
+    "export-lp": ("write the LP model and metadata sidecar", _add_param_flags),
+}
+
+
+def build_parser(command=None):
+    """The gepower parser. Given a command's name, only that command's
+    subparser gets its flags, so a parse of that command's argv reads the
+    same and skips the other commands' add_argument calls, each of which
+    builds a help formatter; without one, as for `gepower -h`, every
+    subparser gets its flags."""
+    parser = argparse.ArgumentParser(
+        prog="gepower",
+        description="Solve, analyze, and simulate optimal power allocation "
+        "over two good/bad Markov channels.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        if command == name or command not in _COMMANDS:
+            add_flags(sp)
+        # looked up now, so that a wrapper set on this module (a tracer's)
+        # is what runs
+        sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -523,22 +522,30 @@ _CSV_SUFFIXES = [
 _BEST_BITS = np.array([1 << k for k in range(len(ACTION_PRIORITY))], dtype=np.uint8)
 
 
+def _row_runs(row):
+    """The runs of equal values along a 1-D array, as (start, stop, value)."""
+    cuts = (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
+    starts = [0] + cuts
+    return zip(starts, cuts + [len(row)], row[starts].tolist())
+
+
 def export_policy_csv(policy, path):
     """One row per lattice point: indices, beliefs, primary and tied actions."""
     x = [repr(float(p)) for p in policy.grid.points]
-    # A row is "i," "j," x_i ",x_j," "primary,best\n"; the column pieces are
-    # made once.
-    cols = [f"{j}," for j in range(policy.grid.n)]
-    xcols = [f",{xj}," for xj in x]
+    # A row is "i," "j," x_i ",x_j," "primary,best\n". Column j's piece holds
+    # \x00 for "i," and \x01 for x_i, which each row fills in; a run of
+    # points with the same row end is one join.
+    pieces = [f"\x00{j},\x01,{xj}," for j, xj in enumerate(x)]
     with open(path, "w") as fh:
         fh.write("# primary action resolves ties as balanced > bet1 > bet2 > conservative\n")
         fh.write("i,j,p1,p2,primary,best\n")
         for i in range(policy.grid.n):
             codes = (policy.primary[i].astype(np.uint8) << 4) | (policy.best[i] @ _BEST_BITS)
-            fh.write("".join(chain.from_iterable(zip(
-                repeat(f"{i},"), cols, repeat(x[i]), xcols,
-                map(_CSV_SUFFIXES.__getitem__, codes.tolist()),
-            ))))
+            text = "".join(
+                _CSV_SUFFIXES[c].join(pieces[a:b]) + _CSV_SUFFIXES[c]
+                for a, b, c in _row_runs(codes)
+            )
+            fh.write(text.replace("\x00", f"{i},").replace("\x01", x[i]))
 
 
 _PPM_COLORS = {
@@ -565,6 +572,8 @@ def export_policy_ppm(policy, path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
+        # A run of one colour is one repeat; the row drops its last gap.
+        cells = [pixel + "  " for pixel in _PPM_PIXELS]
         for row in policy.primary.T[::-1]:
-            fh.write("  ".join(map(_PPM_PIXELS.__getitem__, row.tolist())))
-            fh.write("\n")
+            text = "".join(cells[c] * (b - a) for a, b, c in _row_runs(row))
+            fh.write(text[:-2] + "\n")

@@ -26,8 +26,6 @@ stencils are flat tables built once per grid and channel (see _Stencils).
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import json
 import math
 from bisect import bisect_right
@@ -49,7 +47,6 @@ from .dynamics import (
     propagate,
     propagate_array,
 )
-from .worker import _forked
 
 __all__ = [
     "BeliefGrid",
@@ -719,10 +716,6 @@ def _certify(v, q, iteration, steps, cfg):
     return SolveResult(nxt, iteration, residual, beta / (1.0 - beta) * residual, steps)
 
 
-# Lattices with more points a side than this write their large artifacts,
-# value.json here and policy.csv in cli.cmd_analyze, in two processes.
-FORK_GRID = 150
-
 _LAYOUT_NOTE = (
     "row-major: values[i*n + j] is the value at belief (i/(n-1), j/(n-1)); "
     "index i runs along the first channel's belief"
@@ -744,36 +737,20 @@ def save_value_field(path, result, ch, econ, discount):
         "iterations": result.iterations,
         "residual": result.residual,
     }
-    vals = result.field.values
-    n = len(vals)
-    # Above FORK_GRID a child formats the trailing block vals[h:, h:], one
-    # text per row, while this process formats rows [0, h), which fill the
-    # queues with the left-hand strings of rows h and on: h balances the
-    # two halves' float.__repr__ calls, n h - h^2 / 2 = (n - h)^2 / 2.
-    h = n - int(n / math.sqrt(2)) if n > FORK_GRID else n
-
-    def tails():
-        return (", ".join(line) for line in _row_strings(vals[h:, h:], n - h))
-
-    with _forked(tails) if h < n else contextlib.nullcontext(list) as block:
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc)[:-1] + ', "values": [')
-            rows = _row_strings(vals, h)
-            for i, line in enumerate(itertools.islice(rows, h)):
-                fh.write((", " if i else "") + ", ".join(line))
-            for tail, line in zip(block(), rows):
-                fh.write(", " + ", ".join(line) + ", " + tail)
-            fh.write("]}\n")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc)[:-1] + ', "values": [')
+        for i, line in enumerate(_row_strings(result.field.values)):
+            fh.write((", " if i else "") + ", ".join(line))
+        fh.write("]}\n")
 
 
-def _row_strings(vals, top):
-    """Each row of the square field vals as the list of its float strings,
-    the rows from `top` on cut after column `top`.
+def _row_strings(vals):
+    """Each row of the square field vals as the list of its float strings.
 
     json writes a finite float as float.__repr__, and ValueField holds only
     finite values, so these are the strings json.dump would write. A solved
-    field is mirror-symmetric, so row i < top formats only its entries from
-    the diagonal on, and takes entry (i, j) left of it from the string row j
+    field is mirror-symmetric, so row i formats only its entries from the
+    diagonal on, and takes entry (i, j) left of it from the string row j
     made for (j, i) wherever the two have the same bits (bits, so that -0.0
     and 0.0 stay apart). Row j's strings for the rows below it wait in the
     queue ahead[j], which each row pops once.
@@ -782,13 +759,11 @@ def _row_strings(vals, top):
     ahead = []
     for i, row in enumerate(vals):
         line = list(map(deque.popleft, ahead))
-        k = len(ahead)
-        for j in np.flatnonzero(bits[i, :k] != bits[:k, i]).tolist():
+        for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
             line[j] = float.__repr__(float(row[j]))
-        if i < top:
-            upper = list(map(float.__repr__, row[i:].tolist()))
-            line += upper
-            ahead.append(deque(upper[1:]))
+        upper = list(map(float.__repr__, row[i:].tolist()))
+        line += upper
+        ahead.append(deque(upper[1:]))
         yield line
 
 

@@ -1,24 +1,17 @@
 """One forked worker on a second CPU, with an in-process fallback.
 
-Three commands hand one job each to a forked child while they do other
-work (see _forked for when a child is forked):
-
-- sweep: the second chain of points (cli.cmd_sweep);
-- solve on a lattice of more than solver.FORK_GRID points a side: the float
-  strings of value.json's trailing block, one text per row
-  (solver.save_value_field);
-- analyze of such a lattice: writing policy.csv (cli.cmd_analyze).
-
-No command forks more than one child. The child's items are the ones job()
-makes in process, and the items a failed child did not deliver are made in
-process, so no file or message depends on whether a child ran; `taskset -c
-0 gepower ...` forks nothing.
+sweep hands its second chain of points to a forked child while it solves
+the first (cli.cmd_sweep; see _forked for when a child is forked). The
+child's result is the one the job makes in process, and a failed child's
+job is run in process, so no file or message depends on whether a child
+ran; `taskset -c 0 gepower ...` forks nothing. solve and analyze write
+their files in one process: a child's copy-on-write faults on the parent's
+heap cost them more than the formatting it took over.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import signal
@@ -42,18 +35,14 @@ def _forked(job):
     process may run on a second CPU (_second_cpu), and no other Python
     thread is alive (a fork copies only the calling thread).
 
-    job() returns an iterable of items that each survive a JSON round trip
-    unchanged. Yields a function that returns an iterator over job()'s
-    items. The child makes all of them, so that it never waits on the pipe,
-    then sends them through the pipe as one JSON line per item, and the
-    iterator yields each item as its line arrives, so the caller never holds
-    them all. When no child ran, or the child's lines end early, hold a line
-    that is not JSON or come from a child that did not exit 0, the iterator
-    goes on from the first item not yet yielded with the items of job() run
-    in this process, so every error surfaces as it would have in process.
-    The child leaves by os._exit here, never unwinding into the caller, and
-    is reaped when its items run out or when the block is left, killed first
-    if it still runs.
+    job() returns a value that survives a JSON round trip unchanged. Yields
+    a function that returns job()'s value. The child makes it and sends it
+    through the pipe as one JSON line. When no child ran, or the child's
+    line is cut short, is not JSON or comes from a child that did not exit
+    0, the function returns job() run in this process, so every error
+    surfaces as it would have in process. The child leaves by os._exit
+    here, never unwinding into the caller, and is reaped when the function
+    returns or when the block is left, killed first if it still runs.
     """
     pid = reader = None
     if hasattr(os, "fork") and _second_cpu() and threading.active_count() == 1:
@@ -70,11 +59,10 @@ def _forked(job):
                 code = 1
                 try:
                     os.close(fd)
-                    items = list(job())
+                    value = job()
                     with open(write_fd, "w", encoding="utf-8") as fh:
-                        for item in items:
-                            json.dump(item, fh)
-                            fh.write("\n")
+                        json.dump(value, fh)
+                        fh.write("\n")
                     code = 0
                 finally:
                     os._exit(code)
@@ -83,27 +71,18 @@ def _forked(job):
 
     def result():
         nonlocal pid
-        sent = 0
         if pid is not None:
-            whole = False
-            for line in reader:
-                # a line cut short by the child's end could still parse
-                if not line.endswith(b"\n"):
-                    break
-                try:
-                    item = json.loads(line)
-                except ValueError:
-                    break
-                yield item
-                sent += 1
-            else:
-                whole = True
-            reader.read()       # the rest of the child's lines, so it can exit
+            line = reader.readline()
+            reader.read()       # the rest of the child's output, so it can exit
             _, status = os.waitpid(pid, 0)
             pid = None
-            if whole and status == 0:
-                return
-        yield from itertools.islice(job(), sent, None)
+            # a line cut short by the child's end could still parse
+            if status == 0 and line.endswith(b"\n"):
+                try:
+                    return json.loads(line)
+                except ValueError:
+                    pass
+        return job()
 
     try:
         yield result

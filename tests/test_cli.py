@@ -196,6 +196,85 @@ class TestSolveCommand:
         assert "grid" in capsys.readouterr().err
 
 
+class TestParser:
+    """main adds flags only to the subparser of the command it runs; every
+    argv parses, prints and exits as it does with every command's flags."""
+
+    TYPICAL = [
+        ["solve", "--grid", "21", "--beta", "0.95", "--max-iter", "9", "--out", "o"],
+        ["analyze", "value.json", "--tie-tol", "0.5", "--out", "o"],
+        ["sweep", "--param", "lambda0", "--start", "0.1", "--stop", "0.5", "--points", "3",
+         "--grid", "11"],
+        ["simulate", "--baseline", "myopic", "--episodes", "20", "--p1", "0.3",
+         "--dump-traces"],
+        ["simulate", "value.json", "--seed", "4", "--horizon", "7"],
+        ["export-lp", "--grid", "11", "--config", "c.json", "--rh", "3.5"],
+    ]
+    ARGVS = TYPICAL + [
+        argv
+        for name in cli._COMMANDS
+        for argv in ([name, "--help"], [name, "-h"], [name, "--bogus", "1"], [name, "--grid"])
+    ] + [
+        ["analyze"],
+        ["sweep", "--param", "rh", "--start", "1", "--stop", "2"],
+        ["sweep", "--start", "1", "--stop", "2"],
+        ["simulate", "--baseline", "psychic"],
+        ["solve", "--grid", "many"],
+        ["solve", "extra"],
+        ["-h"],
+        ["--help", "solve"],
+        ["frobnicate", "--grid", "3"],
+        [],
+    ]
+
+    @staticmethod
+    def _parse(parser, argv, capsys):
+        """The namespace or exit code of a parse, and what it printed."""
+        try:
+            got = parser.parse_args(argv)
+        except SystemExit as exc:
+            got = exc.code
+        return got, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_parses_as_the_full_parser(self, argv, capsys):
+        command = argv[0] if argv else None
+        assert self._parse(cli.build_parser(command), argv, capsys) == self._parse(
+            cli.build_parser(), argv, capsys)
+
+    def test_other_commands_get_no_flags(self):
+        parser = cli.build_parser("analyze")
+        sub = next(a for a in parser._actions if a.dest == "command")
+        flags = {name: [a.dest for a in sp._actions if a.dest != "help"]
+                 for name, sp in sub.choices.items()}
+        assert flags.pop("analyze") == ["value_file", "tie_tol", "out"]
+        assert flags == dict.fromkeys(flags, []) and len(flags) == 4
+
+    @pytest.mark.parametrize("argv", TYPICAL, ids=" ".join)
+    def test_main_runs_the_module_command(self, argv, monkeypatch, tmp_path):
+        # A wrapper set on the module, as a tracer sets one, is what runs.
+        monkeypatch.chdir(tmp_path)     # where the real command would write
+        ran = []
+        name = "cmd_" + argv[0].replace("-", "_")
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args.command) or EXIT_OK)
+        assert main(argv) == EXIT_OK
+        assert ran == [argv[0]]
+
+    @pytest.mark.parametrize("argv", TYPICAL[:2] + [["-h"], []], ids=" ".join)
+    def test_main_builds_the_named_command(self, argv, monkeypatch):
+        built = []
+
+        def spy(command=None):
+            built.append(command)
+            raise KeyboardInterrupt     # stops main before it parses
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr(sys, "argv", ["gepower", *argv])
+        with pytest.raises(KeyboardInterrupt):
+            main(argv if argv else None)
+        assert built == [argv[0] if argv else None]
+
+
 def test_commands_do_not_import_scipy(tmp_path):
     # Importing scipy costs every CLI process start-up time and resident
     # memory, so no command may load it, at import or on first use; nor
@@ -205,34 +284,38 @@ def test_commands_do_not_import_scipy(tmp_path):
     out = str(tmp_path)
     value = str(tmp_path / "value.json")
     big = str(tmp_path / "big")
+    # Each run with the forks made so far: the sweep forks one worker
+    # whatever the CPU count, and no other command forks, not even solve
+    # and analyze on a lattice of 151 points a side.
     runs = [
-        (["solve", "--grid", "11", "--out", out], (0,)),
-        (["analyze", value, "--out", out], (0, 4)),
-        (["solve", "--grid", str(cli.FORK_GRID + 1), "--out", big], (0,)),
-        (["analyze", str(tmp_path / "big" / "value.json"), "--out", big], (0, 4)),
+        (["solve", "--grid", "11", "--out", out], (0,), 0),
+        (["analyze", value, "--out", out], (0, 4), 0),
+        (["solve", "--grid", "151", "--out", big], (0,), 0),
+        (["analyze", str(tmp_path / "big" / "value.json"), "--out", big], (0, 4), 0),
         (["sweep", "--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8", "--points", "4",
-          "--grid", "11", "--out", str(tmp_path / "sweep")], (0,)),
-        (["export-lp", "--grid", "11", "--out", str(tmp_path / "lp")], (0,)),
+          "--grid", "11", "--out", str(tmp_path / "sweep")], (0,), 1),
+        (["export-lp", "--grid", "11", "--out", str(tmp_path / "lp")], (0,), 1),
         (["simulate", value, "--episodes", "20", "--horizon", "5", "--dump-traces", "--out",
-          str(tmp_path / "sim")], (0,)),
+          str(tmp_path / "sim")], (0,), 1),
         *((["simulate", "--baseline", name, "--episodes", "20", "--horizon", "5", "--out",
-            str(tmp_path / name)], (0,))
+            str(tmp_path / name)], (0,), 1)
           for name in ("myopic", "always-conservative", "random-uniform")),
     ]
-    # The sweep, and the solve and analyze above FORK_GRID, each fork one
-    # worker whatever the CPU count, and leave no child.
+    # No child is left behind.
     script = (
         "import os, sys\nfrom gepower import cli, worker\n"
         "worker._second_cpu = lambda: True\nforks = []\nfork = os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
     ) + "".join(
-        f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n" for argv, codes in runs
+        f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n"
+        f"assert forks == {[1] * made!r}, ({argv[0]!r}, forks)\n"
+        for argv, codes, made in runs
     ) + (
         "heavy = ('scipy', 'concurrent.futures', 'multiprocessing', 'numpy.ma')\n"
         "loaded = sorted(m for m in sys.modules\n"
         "                if (m + '.').startswith(tuple(h + '.' for h in heavy)))\n"
         "assert not loaded, loaded\n"
-        "assert forks == [1, 1, 1], forks\n"
+        "assert forks == [1], forks\n"
         "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    pass\n"
         "else:\n    raise AssertionError('a child process remains')\n"
     )
@@ -535,7 +618,9 @@ class TestSweepCommand:
         assert len(forks) == 1
 
     @pytest.mark.parametrize(
-        "failure", ["pipe-raises", "fork-raises", "child-exits-1", "child-sends-garbage"])
+        "failure",
+        ["pipe-raises", "fork-raises", "child-exits-1", "child-sends-garbage",
+         "child-cuts-its-line"])
     def test_failed_worker_falls_back_in_process(self, tmp_path, capsys, monkeypatch, forks,
                                                 failure):
         sweep = self.SPLIT_SWEEPS[0]
@@ -560,7 +645,7 @@ class TestSweepCommand:
                 return chain(*args)
 
             monkeypatch.setattr(cli, "_sweep_chain", failing)
-        else:
+        elif failure == "child-sends-garbage":
             dump = json.dump
 
             def garbage(obj, fh, **kwargs):
@@ -570,6 +655,18 @@ class TestSweepCommand:
                     dump(obj, fh, **kwargs)
 
             monkeypatch.setattr(json, "dump", garbage)
+        else:
+            dump = json.dump
+
+            def cut(obj, fh, **kwargs):
+                if os.getpid() == parent:
+                    return dump(obj, fh, **kwargs)
+                # no rows and no skips: JSON that parses, with no newline
+                fh.write("[[], []]")
+                fh.flush()
+                os._exit(0)
+
+            monkeypatch.setattr(json, "dump", cut)
         assert self._sweep(tmp_path, capsys, sweep) == want
         assert want[0] == EXIT_OK
         assert len(forks) == (1 if failure.endswith("raises") else 2)

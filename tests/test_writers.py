@@ -6,7 +6,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -26,12 +25,11 @@ from gepower import (
     run_episodes,
     solve,
 )
-from gepower import cli, solver, worker
 from gepower.cli import EXIT_IO, EXIT_OK, EXIT_VIOLATIONS, main
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.policy import export_policy_csv, export_policy_ppm
 from gepower.simulate import EPISODE_BLOCK, write_traces_csv
-from gepower.solver import FORK_GRID, SolveResult, save_value_field
+from gepower.solver import SolveResult, save_value_field
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -166,75 +164,63 @@ class TestValueWriter:
         assert peak < 2_000_000
 
 
-# Lattices either side of the fork threshold, and two well above it.
-SPLIT_SIZES = [FORK_GRID, FORK_GRID + 1, 201, 401]
+# Lattices either side of 150 points a side, and two well above it.
+LARGE_SIZES = [150, 151, 201, 401]
 
 
-@pytest.fixture(scope="module", params=SPLIT_SIZES)
-def solved_split(request):
+@pytest.fixture(scope="module", params=LARGE_SIZES)
+def solved_large(request):
     return solve(SolverConfig(DISC, 1e-6, 5000), CH, ECON_A, BeliefGrid(request.param))
 
 
-def _no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture(params=["worker", "one-cpu", "no-fork"])
-def worker_mode(request, monkeypatch, forks):
-    """How the writers run: with their worker where the lattice is above
-    FORK_GRID, or in one process because one CPU is seen or os.fork is
-    missing. Returns the fork calls, and checks that no child is left."""
-    if request.param == "one-cpu":
-        monkeypatch.setattr(worker, "_second_cpu", lambda: False)
-    elif request.param == "no-fork":
-        monkeypatch.delattr(os, "fork")
-    yield request.param, forks
-    _no_child()
-
-
-def _expected_forks(mode, n):
-    return 1 if mode == "worker" and n > FORK_GRID else 0
-
-
-def _analyze(value, out):
-    code = main(["analyze", str(value), "--out", str(out)])
+def _analyze(value, out, *flags):
+    code = main(["analyze", str(value), "--out", str(out), *flags])
     assert code in (EXIT_OK, EXIT_VIOLATIONS)
     return out
 
 
-class TestSplitWriters:
-    """value.json and policy.csv are written in two processes above
-    FORK_GRID, and come out byte for byte as the per-point loops write them
-    with the worker on or off."""
+def _peak(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def test_value_json_matches_loop(self, solved_split, worker_mode, tmp_path):
-        mode, forks = worker_mode
+
+class TestLargeWriters:
+    """value.json, policy.csv and policy.ppm of large lattices come out byte
+    for byte as the per-point loops write them, all in one process."""
+
+    def test_value_json_matches_loop(self, solved_large, forks, tmp_path):
         _same_bytes(
             tmp_path,
-            lambda path: save_value_field(path, solved_split, CH, ECON_A, DISC),
-            lambda path: loop_value_field(path, solved_split, CH, ECON_A, DISC),
+            lambda path: save_value_field(path, solved_large, CH, ECON_A, DISC),
+            lambda path: loop_value_field(path, solved_large, CH, ECON_A, DISC),
         )
-        assert len(forks) == _expected_forks(mode, solved_split.field.grid.n)
+        assert forks == []
 
-    def test_policy_csv_matches_loop(self, solved_split, worker_mode, tmp_path):
-        mode, forks = worker_mode
+    @pytest.mark.parametrize("tie_tol", [None, 0.5])
+    def test_policy_files_match_loop(self, solved_large, tie_tol, forks, tmp_path):
         value = tmp_path / "value.json"
-        loop_value_field(value, solved_split, CH, ECON_A, DISC)
-        out = _analyze(value, tmp_path / "analysis")
-        assert len(forks) == _expected_forks(mode, solved_split.field.grid.n)
-        loop_policy_csv(extract_policy(solved_split.field, CH, ECON_A, DISC), tmp_path / "old")
-        assert (out / "policy.csv").read_bytes() == (tmp_path / "old").read_bytes()
+        loop_value_field(value, solved_large, CH, ECON_A, DISC)
+        flags = [] if tie_tol is None else ["--tie-tol", str(tie_tol)]
+        out = _analyze(value, tmp_path / "analysis", *flags)
+        assert forks == []
+        policy = extract_policy(solved_large.field, CH, ECON_A, DISC, tie_tol)
+        if tie_tol is not None:
+            assert set(np.unique(policy.primary)) == set(range(len(ACTION_PRIORITY)))
+        loop_policy_csv(policy, tmp_path / "old.csv")
+        loop_policy_ppm(policy, tmp_path / "old.ppm")
+        assert (out / "policy.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (out / "policy.ppm").read_bytes() == (tmp_path / "old.ppm").read_bytes()
 
-    @pytest.mark.parametrize("n", [FORK_GRID, FORK_GRID + 1, 201])
-    def test_value_json_matches_loop_on_mirror_pairs_in_each_block(self, n, worker_mode,
-                                                                   tmp_path):
-        # save_value_field's split row: the child formats rows and columns
-        # [h, n). A -0.0/0.0 pair and an unequal mirrored pair sit in the top
-        # rows, in the cross block [0, h) x [h, n) (one of each on its
-        # corner) and in the trailing block, so a split that copies a
-        # mirrored string without its bit check writes one of them wrong.
-        mode, forks = worker_mode
+    @pytest.mark.parametrize("n", [150, 151, 201])
+    def test_value_json_matches_loop_on_mirror_pairs_across_the_field(self, n, tmp_path):
+        # A -0.0/0.0 pair and an unequal mirrored pair each sit in the top
+        # rows, on both sides of row h = n - floor(n / sqrt(2)) and in the
+        # bottom rows, so a writer that copies a mirrored string without its
+        # bit check writes one of them wrong.
         h = n - int(n / math.sqrt(2))
         values = np.random.default_rng(n).normal(size=(n, n))
         values = values + values.T
@@ -250,133 +236,44 @@ class TestSplitWriters:
             lambda path: save_value_field(path, result, CH, ECON_A, DISC),
             lambda path: loop_value_field(path, result, CH, ECON_A, DISC),
         )
-        assert len(forks) == _expected_forks(mode, n)
         written = json.loads((tmp_path / "new").read_text())["values"]
         for i, j in zeros + unequal:
             assert [written[i * n + j], written[j * n + i]] == [values[i, j], values[j, i]]
         assert all(math.copysign(1.0, written[j * n + i]) < 0 for i, j in zeros)
 
-    def test_split_holds_no_more_than_one_process(self, worker_mode, tmp_path):
-        # At n=401 the one-process writer peaks at 3.4 MB; the split one
-        # holds the child's rows one at a time (2.7 MB), and without a child
-        # makes the trailing block's rows one at a time too (3.4 MB). Made
-        # all at once they would add 2 MB.
-        mode, forks = worker_mode
+    def test_value_json_peak_at_401(self, tmp_path):
+        # The strings waiting for the rows below peak near n^2/4 (3.4 MB at
+        # n=401); made all at once they would add 2 MB more.
         n = 401
         values = np.random.default_rng(n).random((n, n))
         values = values + values.T
         result = SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300)
-        tracemalloc.start()
-        try:
-            save_value_field(tmp_path / "value.json", result, CH, ECON_A, DISC)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(forks) == _expected_forks(mode, n)
+        peak = _peak(lambda: save_value_field(tmp_path / "value.json", result, CH, ECON_A, DISC))
         assert peak < 4_000_000
 
+    @pytest.mark.parametrize("solved_large", [401], indirect=True)
+    @pytest.mark.parametrize("tie_tol", [None, 0.5])
+    def test_policy_writers_peak_at_401(self, solved_large, tie_tol, tmp_path):
+        # The run writers find their runs one row at a time: 0.10-0.11 MB for
+        # policy.csv and 0.03 MB for policy.ppm at n=401. Runs found over the
+        # whole lattice at once would peak at about 1.0 and 0.18 MB.
+        policy = extract_policy(solved_large.field, CH, ECON_A, DISC, tie_tol)
+        assert _peak(lambda: export_policy_csv(policy, tmp_path / "policy.csv")) < 250_000
+        assert _peak(lambda: export_policy_ppm(policy, tmp_path / "policy.ppm")) < 100_000
 
-# How the worker fails in the tests below: no pipe, no fork, the child
-# raising, the child sending lines that are not JSON, the child ending after
-# five whole lines, and the child ending inside a line that still parses.
-FAILURES = ["pipe-raises", "fork-raises", "child-exits-1", "child-sends-garbage",
-            "child-stops-midway", "child-cuts-a-line"]
-
-
-def _fail_worker(monkeypatch, failure, module, name):
-    """Make the worker fail as `failure` says; `module.name` is the
-    function whose call in the child raises for child-exits-1."""
-    parent = os.getpid()
-    if failure == "pipe-raises":
-        def pipe():
-            raise OSError(24, "Too many open files")
-
-        monkeypatch.setattr(os, "pipe", pipe)
-    elif failure == "fork-raises":
-        def fork():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-    elif failure == "child-exits-1":
-        fn = getattr(module, name)
-
-        def failing(*args, **kwargs):
-            if os.getpid() != parent:
-                raise RuntimeError("the worker fails")
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, failing)
-    else:
-        dump = json.dump
-        sent = []
-
-        def bad(obj, fh, **kwargs):
-            if os.getpid() == parent:
-                return dump(obj, fh, **kwargs)
-            if failure == "child-sends-garbage":
-                # more than a pipe holds, so the parent must drain it
-                fh.write("{not json")
-                return dump(obj, fh, **kwargs)
-            if len(sent) == 5:
-                if failure == "child-cuts-a-line":
-                    fh.write('"0.5"')
-                fh.flush()
-                os._exit(1 if failure == "child-stops-midway" else 0)
-            sent.append(obj)
-            return dump(obj, fh, **kwargs)
-
-        monkeypatch.setattr(json, "dump", bad)
-
-
-class TestSplitWriterFallback:
-    """A failed worker leaves the bytes as they are and no child behind."""
-
-    N = FORK_GRID + 1
-
-    @pytest.fixture(scope="class")
-    def solved_n(self):
-        return solve(SolverConfig(DISC, 1e-6, 5000), CH, ECON_A, BeliefGrid(self.N))
-
-    @pytest.mark.parametrize("failure", FAILURES)
-    def test_value_json(self, solved_n, forks, monkeypatch, tmp_path, failure):
-        _fail_worker(monkeypatch, failure, solver, "_row_strings")
-        _same_bytes(
-            tmp_path,
-            lambda path: save_value_field(path, solved_n, CH, ECON_A, DISC),
-            lambda path: loop_value_field(path, solved_n, CH, ECON_A, DISC),
-        )
-        assert len(forks) == (0 if failure.endswith("raises") else 1)
-        _no_child()
-
-    @pytest.mark.parametrize("failure", FAILURES[:4])
-    def test_policy_csv(self, solved_n, forks, monkeypatch, tmp_path, failure):
+    def test_policy_csv_at_a_directory_is_an_io_error(self, forks, tmp_path, capsys):
+        n = 151
+        result = solve(SolverConfig(DISC, 1e-6, 5000), CH, ECON_A, BeliefGrid(n))
         value = tmp_path / "value.json"
-        loop_value_field(value, solved_n, CH, ECON_A, DISC)
-        want = _analyze(value, tmp_path / "want")
-        assert len(forks) == 1
-        _fail_worker(monkeypatch, failure, cli, "export_policy_csv")
-        got = _analyze(value, tmp_path / "got")
-        assert len(forks) == (1 if failure.endswith("raises") else 2)
-        _no_child()
-        for name in ("policy.csv", "policy.ppm", "structure.json"):
-            assert (got / name).read_bytes() == (want / name).read_bytes(), name
-
-    @pytest.mark.parametrize("mode", ["worker", "one-cpu"])
-    def test_policy_csv_at_a_directory_is_an_io_error(self, solved_n, forks, monkeypatch,
-                                                      tmp_path, capsys, mode):
-        if mode == "one-cpu":
-            monkeypatch.setattr(worker, "_second_cpu", lambda: False)
-        value = tmp_path / "value.json"
-        loop_value_field(value, solved_n, CH, ECON_A, DISC)
+        loop_value_field(value, result, CH, ECON_A, DISC)
         out = tmp_path / "analysis"
         (out / "policy.csv").mkdir(parents=True)
         capsys.readouterr()
         assert main(["analyze", str(value), "--out", str(out)]) == EXIT_IO
         assert capsys.readouterr() == ("", f"i/o failure: [Errno 21] Is a directory: "
                                            f"{str(out / 'policy.csv')!r}\n")
-        assert len(forks) == (1 if mode == "worker" else 0)
-        _no_child()
-        # policy.csv is written last either way, so the same files are left
+        assert forks == []
+        # policy.csv is written last, so the other files are left whole
         assert sorted(p.name for p in out.iterdir()) == [
             "policy.csv", "policy.ppm", "structure.json"]
 
