@@ -513,10 +513,10 @@ def save_structure_report(report, path):
 # "primary,best-set" row ends, indexed by (primary << 4) | best-set bits with
 # bit k standing for ACTION_PRIORITY[k].
 _CSV_SUFFIXES = [
-    ACTION_PRIORITY[code >> 4].value
-    + ","
-    + "|".join(a.value for k, a in enumerate(ACTION_PRIORITY) if code >> k & 1)
-    + "\n"
+    "{},{}\n".format(
+        ACTION_PRIORITY[code >> 4].value,
+        "|".join(a.value for k, a in enumerate(ACTION_PRIORITY) if code >> k & 1),
+    ).encode()
     for code in range(len(ACTION_PRIORITY) << 4)
 ]
 _BEST_BITS = np.array([1 << k for k in range(len(ACTION_PRIORITY))], dtype=np.uint8)
@@ -531,21 +531,21 @@ def _row_runs(row):
 
 def export_policy_csv(policy, path):
     """One row per lattice point: indices, beliefs, primary and tied actions."""
-    x = [repr(float(p)) for p in policy.grid.points]
+    x = [repr(float(p)).encode() for p in policy.grid.points]
     # A row is "i," "j," x_i ",x_j," "primary,best\n". Column j's piece holds
     # \x00 for "i," and \x01 for x_i, which each row fills in; a run of
     # points with the same row end is one join.
-    pieces = [f"\x00{j},\x01,{xj}," for j, xj in enumerate(x)]
-    with open(path, "w") as fh:
-        fh.write("# primary action resolves ties as balanced > bet1 > bet2 > conservative\n")
-        fh.write("i,j,p1,p2,primary,best\n")
+    pieces = [b"\x00%d,\x01,%s," % (j, xj) for j, xj in enumerate(x)]
+    with open(path, "wb") as fh:
+        fh.write(b"# primary action resolves ties as balanced > bet1 > bet2 > conservative\n")
+        fh.write(b"i,j,p1,p2,primary,best\n")
         for i in range(policy.grid.n):
             codes = (policy.primary[i].astype(np.uint8) << 4) | (policy.best[i] @ _BEST_BITS)
-            text = "".join(
+            text = b"".join(
                 _CSV_SUFFIXES[c].join(pieces[a:b]) + _CSV_SUFFIXES[c]
                 for a, b, c in _row_runs(codes)
             )
-            fh.write(text.replace("\x00", f"{i},").replace("\x01", x[i]))
+            fh.write(text.replace(b"\x00", b"%d," % i).replace(b"\x01", x[i]))
 
 
 _PPM_COLORS = {
@@ -560,20 +560,14 @@ _PPM_PIXELS = ["%d %d %d" % _PPM_COLORS[a] for a in ACTION_PRIORITY]
 def export_policy_ppm(policy, path):
     """Plain-text pixmap of the primary action, one pixel per lattice point."""
     n = policy.grid.n
-    lines = [
-        "P3",
-        "# primary action map; legend (r g b):",
-    ]
-    for a, pixel in zip(ACTION_PRIORITY, _PPM_PIXELS):
-        lines.append(f"# {a.value} = {pixel}")
-    lines.append("# column c is p1 = c/(n-1); row r is p2 = 1 - r/(n-1) (p2 falls top to bottom)")
-    lines.append(f"{n} {n}")
-    lines.append("255")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    head = ["P3", "# primary action map; legend (r g b):"]
+    head += [f"# {a.value} = {pixel}" for a, pixel in zip(ACTION_PRIORITY, _PPM_PIXELS)]
+    head += ["# column c is p1 = c/(n-1); row r is p2 = 1 - r/(n-1) (p2 falls top to bottom)",
+             f"{n} {n}", "255", ""]
+    with open(path, "wb") as fh:
+        fh.write("\n".join(head).encode())
         # A run of one colour is one repeat; the row drops its last gap.
-        cells = [pixel + "  " for pixel in _PPM_PIXELS]
+        cells = [(pixel + "  ").encode() for pixel in _PPM_PIXELS]
         for row in policy.primary.T[::-1]:
-            text = "".join(cells[c] * (b - a) for a, b, c in _row_runs(row))
-            fh.write(text[:-2] + "\n")
+            text = b"".join(cells[c] * (b - a) for a, b, c in _row_runs(row))
+            fh.write(text[:-2] + b"\n")

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -723,7 +722,15 @@ _LAYOUT_NOTE = (
 
 
 def save_value_field(path, result, ch, econ, discount):
-    """Write a solved field plus its parameters as a single JSON document."""
+    """Write a solved field plus its parameters as a single JSON document.
+
+    The bytes are those of json.dumps: each value is its double's shortest
+    round-trip decimal. orjson writes those digits, 16 rows at a time, but
+    not Python's exponent form outside [1e-4, 1e16) (1e-7 for 1e-07, 1e16
+    for 1e+16), so a nonzero value there is written with float.__repr__.
+    """
+    import orjson
+
     doc = {
         "layout": _LAYOUT_NOTE,
         "n": result.field.grid.n,
@@ -737,45 +744,42 @@ def save_value_field(path, result, ch, econ, discount):
         "iterations": result.iterations,
         "residual": result.residual,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc)[:-1] + ', "values": [')
-        for i, line in enumerate(_row_strings(result.field.values)):
-            fh.write((", " if i else "") + ", ".join(line))
-        fh.write("]}\n")
-
-
-def _row_strings(vals):
-    """Each row of the square field vals as the list of its float strings.
-
-    json writes a finite float as float.__repr__, and ValueField holds only
-    finite values, so these are the strings json.dump would write. A solved
-    field is mirror-symmetric, so row i formats only its entries from the
-    diagonal on, and takes entry (i, j) left of it from the string row j
-    made for (j, i) wherever the two have the same bits (bits, so that -0.0
-    and 0.0 stay apart). Row j's strings for the rows below it wait in the
-    queue ahead[j], which each row pops once.
-    """
-    bits = vals.view(np.uint64)
-    ahead = []
-    for i, row in enumerate(vals):
-        line = list(map(deque.popleft, ahead))
-        for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
-            line[j] = float.__repr__(float(row[j]))
-        upper = list(map(float.__repr__, row[i:].tolist()))
-        line += upper
-        ahead.append(deque(upper[1:]))
-        yield line
+    flat = result.field.values.ravel()
+    step = 16 * result.field.grid.n
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(doc)[:-1] + ', "values": [').encode())
+        for start in range(0, flat.size, step):
+            block = flat[start:start + step]
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            mag = np.abs(block)
+            odd = np.flatnonzero((mag >= 1e16) | ((mag < 1e-4) & (mag > 0.0)))
+            if odd.size:
+                parts = text.split(b",")
+                for k in odd.tolist():
+                    parts[k] = repr(float(block[k])).encode()
+                text = b",".join(parts)
+            fh.write((b", " if start else b"") + text.replace(b",", b", "))
+        fh.write(b"]}\n")
 
 
 def load_value_field(path):
     """Inverse of save_value_field.
 
     Returns (SolveResult, ChannelParams, EconParams, Discount). Any content
-    that does not describe a valid solved field raises ValueFileError.
+    that does not describe a valid solved field raises ValueFileError. What
+    orjson rejects (NaN, 1e400, a lone surrogate, a BOM, bytes that are not
+    UTF-8) json reads again, to accept or reject it as it always did; an
+    integer outside [-2**63, 2**64) reads as a float, where json kept it.
     """
+    import orjson
+
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(path, "rb") as fh:
+                doc = orjson.loads(fh.read())
+        except orjson.JSONDecodeError:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
         return _parse_value_doc(doc)
     except KeyError as exc:
         raise ValueFileError(f"value file {path}: missing key {exc}") from exc

@@ -1,19 +1,20 @@
 """Scalar and per-slot reference loops for the vectorised kernels and
 policy supports, the table-driven Monte Carlo, the table-driven artifact
-writers and LP text, the memoised Q grids, the unstacked policy argmax,
-the scalar Q probe and the vectorised contiguity check, and scipy
-references for the numpy support marking, policy evaluation and LP
-constraint rows.
+writers and LP text, the orjson value-file reader, the memoised Q grids,
+the unstacked policy argmax, the scalar Q probe and the vectorised
+contiguity check, and scipy references for the numpy support marking,
+policy evaluation and LP constraint rows.
 
 These are the straightforward formulations: one dict per kernel row, a
 mask marked per successor vertex pair, a Monte Carlo step that carries
 float beliefs and recomputes every reward, writers that format every point,
-slot or LP term on its own, Q grids that locate every coordinate and
-rebuild the reward table on each call, a policy read off the stacked Q
-grids, one Q function per action built on one-point numpy interpolation, a
-per-line hole search, sparse matrix products for the support, Jacobi steps
-through a CSR matrix product, and I - beta * K in scipy's sparse
-arithmetic. Tests require the production code to match them bit for bit.
+slot or LP term on its own, a value-file reader that is one json.load, Q
+grids that locate every coordinate and rebuild the reward table on each
+call, a policy read off the stacked Q grids, one Q function per action
+built on one-point numpy interpolation, a per-line hole search, sparse
+matrix products for the support, Jacobi steps through a CSR matrix
+product, and I - beta * K in scipy's sparse arithmetic. Tests require the
+production code to match them bit for bit.
 """
 
 import csv
@@ -35,7 +36,13 @@ from gepower.dynamics import (
 from gepower.lpmodel import _constraint_rows, variable_name
 from gepower.policy import _PPM_COLORS, ContiguityViolation, PolicyField
 from gepower.simulate import SimSummary, TraceBatch
-from gepower.solver import _LAYOUT_NOTE, action_value_grids, interpolate
+from gepower.solver import (
+    _LAYOUT_NOTE,
+    ValueFileError,
+    _parse_value_doc,
+    action_value_grids,
+    interpolate,
+)
 from lp_oracles import as_csr
 
 
@@ -361,6 +368,18 @@ def loop_value_field(path, result, ch, econ, discount):
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
+
+
+def json_load_value_field(path):
+    """load_value_field with json alone: one json.load of the text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return _parse_value_doc(doc)
+    except KeyError as exc:
+        raise ValueFileError(f"value file {path}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueFileError(f"value file {path}: {exc}") from exc
 
 
 def loop_traces_csv(batch, path):

@@ -279,38 +279,46 @@ def test_commands_do_not_import_scipy(tmp_path):
     # Importing scipy costs every CLI process start-up time and resident
     # memory, so no command may load it, at import or on first use; nor
     # concurrent.futures (it imports logging, ~12 ms), multiprocessing or
-    # numpy.ma (np.unique imports it on its first call).
+    # numpy.ma (np.unique imports it on its first call). orjson (~7.5 ms)
+    # is for value.json alone: the import, the sweep, export-lp and the
+    # baselines leave it unloaded.
     src = Path(gepower.__file__).resolve().parents[1]
     out = str(tmp_path)
     value = str(tmp_path / "value.json")
     big = str(tmp_path / "big")
     # Each run with the forks made so far: the sweep forks one worker
     # whatever the CPU count, and no other command forks, not even solve
-    # and analyze on a lattice of 151 points a side.
-    runs = [
-        (["solve", "--grid", "11", "--out", out], (0,), 0),
-        (["analyze", value, "--out", out], (0, 4), 0),
-        (["solve", "--grid", "151", "--out", big], (0,), 0),
-        (["analyze", str(tmp_path / "big" / "value.json"), "--out", big], (0, 4), 0),
+    # and analyze on a lattice of 151 points a side. The first runs read and
+    # write no value.json.
+    lean = [
         (["sweep", "--param", "rh_over_rl", "--start", "1.2", "--stop", "1.8", "--points", "4",
           "--grid", "11", "--out", str(tmp_path / "sweep")], (0,), 1),
         (["export-lp", "--grid", "11", "--out", str(tmp_path / "lp")], (0,), 1),
-        (["simulate", value, "--episodes", "20", "--horizon", "5", "--dump-traces", "--out",
-          str(tmp_path / "sim")], (0,), 1),
         *((["simulate", "--baseline", name, "--episodes", "20", "--horizon", "5", "--out",
             str(tmp_path / name)], (0,), 1)
           for name in ("myopic", "always-conservative", "random-uniform")),
+    ]
+    runs = lean + [
+        (["solve", "--grid", "11", "--out", out], (0,), 1),
+        (["analyze", value, "--out", out], (0, 4), 1),
+        (["solve", "--grid", "151", "--out", big], (0,), 1),
+        (["analyze", str(tmp_path / "big" / "value.json"), "--out", big], (0, 4), 1),
+        (["simulate", value, "--episodes", "20", "--horizon", "5", "--dump-traces", "--out",
+          str(tmp_path / "sim")], (0,), 1),
     ]
     # No child is left behind.
     script = (
         "import os, sys\nfrom gepower import cli, worker\n"
         "worker._second_cpu = lambda: True\nforks = []\nfork = os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
+        "assert 'orjson' not in sys.modules, 'import'\n"
     ) + "".join(
         f"assert cli.main({argv!r}) in {codes!r}, {argv[0]!r}\n"
         f"assert forks == {[1] * made!r}, ({argv[0]!r}, forks)\n"
-        for argv, codes, made in runs
+        + (f"assert 'orjson' not in sys.modules, {argv[:2]!r}\n" if k < len(lean) else "")
+        for k, (argv, codes, made) in enumerate(runs)
     ) + (
+        "assert 'orjson' in sys.modules\n"
         "heavy = ('scipy', 'concurrent.futures', 'multiprocessing', 'numpy.ma')\n"
         "loaded = sorted(m for m in sys.modules\n"
         "                if (m + '.').startswith(tuple(h + '.' for h in heavy)))\n"
@@ -452,6 +460,17 @@ class TestAnalyzeCommand:
                      "--out", str(tmp_path)]) == EXIT_IO
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sim_summary.json").exists()
+
+    # orjson reads an integer literal beyond 64 bits as the nearest double
+    # (json kept 2**64 + 1 exact), so only the count in the message moves.
+    def test_count_beyond_64_bits_is_a_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(counted_value_doc("n", 3)).replace('"n": 3', f'"n": {2**64 + 1}'))
+        assert main(["analyze", str(bad), "--out", str(tmp_path)]) == EXIT_IO
+        assert f"expected {2**128} values, found 9" in capsys.readouterr().err
+        assert main(["simulate", str(bad), "--episodes", "4", "--horizon", "3",
+                     "--out", str(tmp_path)]) == EXIT_IO
+        assert f"expected {2**128} values, found 9" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tie_tol", ["nan", "-1", "inf"])
     def test_bad_tie_tol_is_a_configuration_error(self, value_file, tmp_path, tie_tol):

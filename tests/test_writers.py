@@ -1,16 +1,25 @@
 """The table-driven artifact writers against the per-point loops they
 replaced (tests/loop_oracles.py): policy.csv, policy.ppm, value.json and
-traces.csv must come out byte for byte the same."""
+traces.csv must come out byte for byte the same. value.json's reader
+against one json.load of the file."""
 
 import csv
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
-from loop_oracles import loop_policy_csv, loop_policy_ppm, loop_traces_csv, loop_value_field
+from loop_oracles import (
+    json_load_value_field,
+    loop_policy_csv,
+    loop_policy_ppm,
+    loop_traces_csv,
+    loop_value_field,
+)
 
 from gepower import (
     Belief,
@@ -29,7 +38,7 @@ from gepower.cli import EXIT_IO, EXIT_OK, EXIT_VIOLATIONS, main
 from gepower.dynamics import ACTION_PRIORITY
 from gepower.policy import export_policy_csv, export_policy_ppm
 from gepower.simulate import EPISODE_BLOCK, write_traces_csv
-from gepower.solver import SolveResult, save_value_field
+from gepower.solver import SolveResult, load_value_field, save_value_field
 
 CH = ChannelParams(0.1, 0.9)
 ECON_A = EconParams(3.0, 2.0, 1.2, 0.8)
@@ -99,18 +108,26 @@ class TestValueWriter:
         )
 
     def test_matches_loop_on_awkward_floats(self, tmp_path):
+        # orjson and Python write the same digits but not the same exponent
+        # form outside [1e-4, 1e16), so each magnitude class sits beside
+        # both edges, with either sign.
         grid = BeliefGrid(7)
         values = np.linspace(-3.0, 40.0, 49).reshape(7, 7)
-        values.flat[:6] = [-0.0, 0.0, 1e-05, 1e16, 0.1 + 0.2, -1.0 / 3.0]
+        edges = [5e-324, 1e-07, 1e-05, 9.999999999999999e-05, 1e-4, 0.00025,
+                 9999999999999998.0, 1e16, 1.7976931348623157e308]
+        values.flat[:len(edges) * 2 + 4] = [-0.0, 0.0, 0.1 + 0.2, -1.0 / 3.0] + edges + [
+            -v for v in edges]
         result = SolveResult(ValueField(grid, values), 3, 1e-300, 9e-300)
         _same_bytes(
             tmp_path,
             lambda path: save_value_field(path, result, CH, ECON_A, DISC),
             lambda path: loop_value_field(path, result, CH, ECON_A, DISC),
         )
-        assert '"values": [-0.0, 0.0, 1e-05, 1e+16, 0.30000000000000004, ' in (
-            (tmp_path / "new").read_text()
-        )
+        assert (
+            '"values": [-0.0, 0.0, 0.30000000000000004, -0.3333333333333333, 5e-324, 1e-07, '
+            "1e-05, 9.999999999999999e-05, 0.0001, 0.00025, 9999999999999998.0, 1e+16, "
+            "1.7976931348623157e+308, -5e-324, "
+        ) in (tmp_path / "new").read_text()
 
     def test_matches_loop_on_mirror_pairs_with_other_bits(self, tmp_path):
         # Symmetric by value but not by bits at (0, 1), since -0.0 == 0.0,
@@ -132,14 +149,18 @@ class TestValueWriter:
         text = (tmp_path / "new").read_text()
         assert '"values": [-6.0, 0.0, ' in text and "0.30000000000000004" in text
 
-    # Sizes either side of 32 and 64 rows, where a writer that holds its
-    # strings in blocks of rows would change block.
-    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
+    # Sizes either side of one and two of the 16-row blocks the writer
+    # formats at a time, and of 64 rows. Each block starts and ends with a
+    # value that takes float.__repr__.
+    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 64, 65])
     def test_matches_loop_across_block_edges(self, n, tmp_path):
         rng = np.random.default_rng(n)
         values = rng.normal(size=(n, n))
         values = values + values.T
         values[n - 1, 3] = 0.5
+        starts = np.arange(0, n * n, 16 * n)
+        values.flat[starts] = 1e-7
+        values.flat[np.minimum(starts + 16 * n, n * n) - 1] = -3e16
         result = SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300)
         _same_bytes(
             tmp_path,
@@ -148,8 +169,8 @@ class TestValueWriter:
         )
 
     def test_holds_far_less_than_every_string(self, tmp_path):
-        # At n=201 the field is 0.32 MB and the strings waiting for the rows
-        # below peak near n^2/4 (about 0.9 MB); a writer that held all n^2
+        # At n=201 the field is 0.32 MB and the writer holds one 16-row
+        # block's text at a time (a 0.22 MB peak); a writer that held all n^2
         # strings at once would peak near 4.7 MB.
         n = 201
         values = np.random.default_rng(n).random((n, n))
@@ -162,6 +183,103 @@ class TestValueWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def _outcome(load, path):
+    """What load makes of the file at path: the field's bits and the rest of
+    the document, or the exception's type and message."""
+    try:
+        result, ch, econ, discount = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.field.values.tobytes(), result.iterations, result.residual, ch, econ, discount
+
+
+def _first_value(literal):
+    return lambda data: re.sub(rb'"values": \[[^,]+', b'"values": [' + literal, data, count=1)
+
+
+def _residual(literal):
+    return lambda data: re.sub(rb'"residual": [^,]+', b'"residual": ' + literal, data, count=1)
+
+
+def _values_on_lines(newline):
+    """One value a line, then a stray byte after the document."""
+    def change(data):
+        head, values = data.split(b'"values": ')
+        return head + b'"values": ' + values.replace(b", ", b"," + newline) + b"x"
+    return change
+
+
+# Edits of a written value.json, and whether orjson rejects the result, so
+# that json decides it. The line breaks place json's errors through the text
+# layer's newline translation.
+READER_EDITS = {
+    "as-written": (lambda data: data, False),
+    "residual-nan": (_residual(b"NaN"), True),
+    "residual-infinity": (_residual(b"Infinity"), True),
+    "values-1e400": (_first_value(b"1e400"), True),
+    "values-below-int64": (_first_value(b"-9223372036854775809"), False),
+    "values-above-uint64": (_first_value(b"18446744073709551617"), False),
+    "not-utf8": (lambda data: data.replace(b'"layout": "', b'"layout": "\xff'), True),
+    "bom": (lambda data: b"\xef\xbb\xbf" + data, True),
+    "lone-surrogate": (lambda data: data.replace(b'"layout": "', b'"layout": "\\ud800'), True),
+    "crlf-extra-data": (_values_on_lines(b"\r\n"), True),
+    "cr-extra-data": (_values_on_lines(b"\r"), True),
+}
+
+
+class TestValueReader:
+    @pytest.fixture()
+    def written(self, tmp_path):
+        values = np.linspace(0.5, 4.5, 9).reshape(3, 3)
+        result = SolveResult(ValueField(BeliefGrid(3), values), 3, 1e-9, 9e-9)
+        path = tmp_path / "value.json"
+        save_value_field(path, result, CH, ECON_A, DISC)
+        return path
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        n = 23
+        rng = np.random.default_rng(n)
+        values = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-9, 18, (n, n))
+        values.flat[:5] = [0.0, -0.0, 5e-324, 1e-4, -1.7976931348623157e308]
+        result = SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300)
+        path = tmp_path / "value.json"
+        save_value_field(path, result, CH, ECON_A, DISC)
+        loaded, ch, econ, discount = load_value_field(path)
+        assert loaded.field.values.tobytes() == result.field.values.tobytes()
+        assert (loaded.iterations, loaded.residual, ch, econ, discount) == (
+            3, 1e-300, CH, ECON_A, DISC)
+
+    def test_round_trip_of_solved_field(self, solved, tmp_path):
+        path = tmp_path / "value.json"
+        save_value_field(path, solved, CH, ECON_A, DISC)
+        loaded = load_value_field(path)[0]
+        assert loaded.field.values.tobytes() == solved.field.values.tobytes()
+
+    @pytest.mark.parametrize("edit", sorted(READER_EDITS))
+    def test_matches_json(self, edit, written):
+        change, rejected = READER_EDITS[edit]
+        data = change(written.read_bytes())
+        written.write_bytes(data)
+        if rejected:
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(data)
+        assert _outcome(load_value_field, written) == _outcome(json_load_value_field, written)
+
+    # orjson reads an integer literal outside [-2**63, 2**64) as the nearest
+    # double; json keeps it exact. Only a count can tell them apart.
+    def test_integer_beyond_64_bits_reads_as_a_float(self, written):
+        data = written.read_bytes()
+        written.write_bytes(re.sub(rb'"n": \d+', b'"n": 18446744073709551617', data))
+        assert _outcome(load_value_field, written)[1].endswith(
+            f"expected {2 ** 128} values, found 9")
+        assert _outcome(json_load_value_field, written)[1].endswith(
+            f"expected {(2 ** 64 + 1) ** 2} values, found 9")
+        written.write_bytes(re.sub(rb'"iterations": \d+', b'"iterations": 18446744073709551617',
+                                   data))
+        assert load_value_field(written)[0].iterations == 2 ** 64
+        assert json_load_value_field(written)[0].iterations == 2 ** 64 + 1
 
 
 # Lattices either side of 150 points a side, and two well above it.
@@ -242,14 +360,29 @@ class TestLargeWriters:
         assert all(math.copysign(1.0, written[j * n + i]) < 0 for i, j in zeros)
 
     def test_value_json_peak_at_401(self, tmp_path):
-        # The strings waiting for the rows below peak near n^2/4 (3.4 MB at
-        # n=401); made all at once they would add 2 MB more.
+        # Each 16-row block's text lives only while it is written: 0.56 MB
+        # at n=401. The text of the whole field made at once is 3.2 MB.
         n = 401
         values = np.random.default_rng(n).random((n, n))
         values = values + values.T
         result = SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300)
         peak = _peak(lambda: save_value_field(tmp_path / "value.json", result, CH, ECON_A, DISC))
         assert peak < 4_000_000
+
+    def test_value_json_read_peak_at_401(self, tmp_path):
+        # The file's 3.2 MB of bytes and the parsed list (5.1 MB) meet while
+        # orjson parses: 8.35 MB. The bytes are gone before the field's
+        # arrays are made; kept alive, they would lift the peak to 11.1 MB.
+        # One json.load of the text peaks at 8.5 MB.
+        n = 401
+        values = np.random.default_rng(n).random((n, n))
+        values = values + values.T
+        path = tmp_path / "value.json"
+        save_value_field(path, SolveResult(ValueField(BeliefGrid(n), values), 3, 1e-300, 9e-300),
+                         CH, ECON_A, DISC)
+        peak = _peak(lambda: load_value_field(path))
+        assert peak <= _peak(lambda: json_load_value_field(path))
+        assert peak < 8_500_000
 
     @pytest.mark.parametrize("solved_large", [401], indirect=True)
     @pytest.mark.parametrize("tie_tol", [None, 0.5])
