@@ -357,16 +357,6 @@ class DiagonalStructure:
     sequence: str            # run-compressed primary actions, for reports
 
 
-def _run_compress(labels):
-    runs = []
-    for name in labels:
-        if runs and runs[-1][0] == name:
-            runs[-1][1] += 1
-        else:
-            runs.append([name, 1])
-    return " ".join(f"{name}*{count}" for name, count in runs)
-
-
 def diagonal_structure(v, policy, ch, econ, discount):
     """Classify the diagonal action sequence and bisect its thresholds.
 
@@ -379,7 +369,8 @@ def diagonal_structure(v, policy, ch, econ, discount):
     x = v.grid.points
     diag = np.arange(n)
     bestd = policy.best[diag, diag, :]
-    seq = _run_compress(ACTION_PRIORITY[k].value for k in policy.primary[diag, diag])
+    seq = " ".join(f"{ACTION_PRIORITY[k].value}*{b - a}"
+                   for a, b, k in _row_runs(policy.primary[diag, diag]))
 
     in_bal = bestd[:, _IDX[Action.BALANCED]]
     in_bet = bestd[:, _IDX[Action.BET1]]

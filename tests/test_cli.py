@@ -808,6 +808,20 @@ class TestSimulateCommand:
                     "--grid", "11", "--tol", "1e-6", "--max-iter", "10"]
         assert main(baseline + ["--out", str(tmp_path / "b")]) == EXIT_OK
 
+    def test_value_file_ignores_model_keys_in_a_config(self, tmp_path):
+        # a config shared with solve works: its model and solve keys are
+        # ignored, where the same values as flags exit 2 (above)
+        out = tmp_path / "solve"
+        assert main(_solve_args(out)) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 0.5, "lambda0": 0.4, "grid": 11, "tol": 1e-3}))
+        base = ["simulate", str(out / "value.json"), "--episodes", "50", "--horizon", "10",
+                "--seed", "5"]
+        assert main(base + ["--out", str(tmp_path / "plain")]) == EXIT_OK
+        assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "cfg")]) == EXIT_OK
+        got = (tmp_path / "cfg" / "sim_summary.json").read_bytes()
+        assert got == (tmp_path / "plain" / "sim_summary.json").read_bytes()
+
     @pytest.mark.parametrize("flag, bound", [
         ("--episodes=0", "episodes >= 1 violated: 0"),
         ("--horizon=0", "horizon >= 1 violated: 0"),
