@@ -139,8 +139,7 @@ def cmd_solve(args):
     result = solve(SolverConfig(discount, cfg["tol"], int(cfg["max_iter"])), ch, econ, grid)
     out = _outdir(cfg["out"])
     save_value_field(out / "value.json", result, ch, econ, discount)
-    policy = extract_policy(result.field, ch, econ, discount)
-    diag = diagonal_structure(result.field, policy, ch, econ, discount)
+    diag = diagonal_structure(result.field, None, ch, econ, discount)
     report = {
         "converged": True,
         "method": "policy-iteration",

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import ACTION_PRIORITY, Action, ParameterError, propagate
-from .solver import _axis, _gather, _q_max, action_value_grids, q_probe
+from .solver import _axis, _gather, _q_action, _q_max, action_value_grids, q_probe
 
 __all__ = [
     "PolicyField",
@@ -100,20 +100,29 @@ def extract_policy(v, ch, econ, discount, tie_tol=None):
     """
     if tie_tol is not None and not 0.0 <= tie_tol < math.inf:
         raise ParameterError(f"0 <= tie_tol < inf violated: tie_tol={tie_tol!r}")
-    q = action_value_grids(v, ch, econ, discount)
+    planes, primary, tie_tol = _best_sets(action_value_grids(v, ch, econ, discount), v, tie_tol)
+    return PolicyField(v.grid, planes.transpose(1, 2, 0), primary, tie_tol)
+
+
+def _best_sets(q, v, tie_tol):
+    """extract_policy's tie rule on the Q arrays q (one shape, priority
+    order): the planes [k] of the actions within tie_tol (None: 1e-8 of v's
+    value range) of the max, the first such k per point, and tie_tol."""
     if tie_tol is None:
         spread = float(v.values.max() - v.values.min())
         tie_tol = 1e-8 * (spread if spread > 0.0 else 1.0)
     # One action's plane at a time, against the running max, so the four
-    # grids are never stacked; best is a view of the planes.
+    # arrays are never stacked.
     low = _q_max(q)
     low -= tie_tol
     planes = np.empty((len(ACTION_PRIORITY),) + low.shape, dtype=bool)
     for plane, a in zip(planes, ACTION_PRIORITY):
         np.greater_equal(q[a], low, out=plane)
-    best = planes.transpose(1, 2, 0)
-    primary = best.argmax(axis=2).astype(np.int8)
-    return PolicyField(v.grid, best, primary, float(tie_tol))
+    # The first best action: the planes written over each other, last first.
+    primary = np.full(low.shape, len(ACTION_PRIORITY) - 1, dtype=np.int8)
+    for k in range(len(ACTION_PRIORITY) - 2, -1, -1):
+        np.copyto(primary, k, where=planes[k])
+    return planes, primary, float(tie_tol)
 
 
 def region_map(p):
@@ -364,17 +373,23 @@ def diagonal_structure(v, policy, ch, econ, discount):
     crossing); conservative, a bet tie band, then balanced yields two (the
     rest/bet and bet/balanced crossings). Any other observed sequence is
     reported as-is rather than force-fitted.
+
+    The best sets are policy's or, with policy None, those extract_policy
+    gives at its default tie_tol, found from the diagonal's Q values alone.
     """
     n = v.grid.n
     x = v.grid.points
-    diag = np.arange(n)
-    bestd = policy.best[diag, diag, :]
-    seq = " ".join(f"{ACTION_PRIORITY[k].value}*{b - a}"
-                   for a, b, k in _row_runs(policy.primary[diag, diag]))
+    if policy is None:
+        q = {a: _q_action(v.values, v.grid, ch, econ, discount, k, None)
+             for k, a in enumerate(ACTION_PRIORITY)}
+        planes, primary, _ = _best_sets(q, v, None)
+    else:
+        planes, primary = np.diagonal(policy.best), np.diagonal(policy.primary)
+    seq = " ".join(f"{ACTION_PRIORITY[k].value}*{b - a}" for a, b, k in _row_runs(primary))
 
-    in_bal = bestd[:, _IDX[Action.BALANCED]]
-    in_bet = bestd[:, _IDX[Action.BET1]]
-    in_rest = bestd[:, _IDX[Action.CONSERVATIVE]]
+    in_bal = planes[_IDX[Action.BALANCED]]
+    in_bet = planes[_IDX[Action.BET1]]
+    in_rest = planes[_IDX[Action.CONSERVATIVE]]
     covered = (in_bal | in_bet | in_rest).all()
     strict_bet = in_bet & ~in_bal & ~in_rest
 

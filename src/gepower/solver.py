@@ -19,9 +19,10 @@ downstream mirror checks depend on.
 
 The hot kernels skip redundant work only where the result keeps its
 bits: a bit-symmetric field's Q grids take the mirror path (see
-action_value_grids), the Jacobi steps check their spans a batch at a time
-and still stop at the same step (see _evaluate), and the transition
-stencils are flat tables built once per grid and channel (see _Stencils).
+action_value_grids), Q is computed only where it is read (_q_action), the
+Jacobi steps check their spans a batch at a time and still stop at the
+same step (see _evaluate), and the transition stencils are flat tables
+built once per grid and channel (see _Stencils).
 """
 
 from __future__ import annotations
@@ -167,9 +168,10 @@ def _axis(points, q):
     return np.stack([idx, idx + 1]), np.stack([1.0 - frac, frac])
 
 
-def _gather(values, ax, ay, mirror=False):
-    # Bilinear interpolation on the tensor product of two located axes. The
-    # four corner terms are summed diagonal pair first: on a symmetric field
+def _gather(values, ax, ay, mirror=False, pairwise=False):
+    # Bilinear interpolation on the tensor product of two located axes (or
+    # with pairwise, at their pairs (ax[k], ay[k]) only). The four corner
+    # terms are summed diagonal pair first: on a symmetric field
     # this makes transposed queries agree bit for bit (addition commutes, it
     # only fails to associate), which the mirror-symmetry guarantees rely on.
     # mirror says that ay is ax and values is bit-symmetric. Then term(1, 0)
@@ -179,8 +181,12 @@ def _gather(values, ax, ay, mirror=False):
 
     def term(a, b):
         # (wx * wy) * v, accumulated in place to hold few grid-sized temporaries
-        t = wx[a][:, None] * wy[b]
-        t *= values[cx[a]][:, cy[b]]
+        if pairwise:
+            t = wx[a] * wy[b]
+            t *= values[cx[a], cy[b]]
+        else:
+            t = wx[a][:, None] * wy[b]
+            t *= values[cx[a]][:, cy[b]]
         return t
 
     out = term(0, 0)
@@ -196,13 +202,11 @@ def _gather(values, ax, ay, mirror=False):
 
 @lru_cache(maxsize=3)
 def _reward_table(grid, econ):
-    """Read-only expected rewards of balanced, bet1 and bet2, (p1 column, p2
-    row). The balanced table is n x n; three are kept, one per lattice of a
-    coarse-to-fine cold solve at n=401."""
+    """Read-only n x n expected rewards of balanced, bet1 and bet2, (p1
+    column, p2 row); the bet tables are views of one column and one row.
+    Three are kept, one per lattice of a coarse-to-fine cold solve at n=401."""
     table = expected_rewards(grid.points[:, None], grid.points[None, :], econ)[:3]
-    for g in table:
-        g.setflags(write=False)
-    return table
+    return tuple(np.broadcast_to(g, (grid.n, grid.n)) for g in table)
 
 
 def interpolate(v, b):
@@ -276,12 +280,10 @@ def action_value_grids(v, ch, econ, discount):
 
     A bit-symmetric v (every field the solver builds is one) takes the
     mirror path, which skips work by two exact identities: the bet2 grid is
-    the transpose of the bet1 grid (returned as that view), and the one
-    gather adds its cross term as T01 + T01.T (see _gather). Its
-    grids equal the general path's bit for bit. Any other field, such as a
-    loaded asymmetric one, takes the general path. Symmetry is tested on
-    the bits, so a field whose mirrored entries are 0.0 and -0.0 is not
-    bit-symmetric.
+    the transpose of the bet1 grid (returned as that view), and the drift
+    gather adds its cross term as T01 + T01.T (see _gather), with the
+    general path's bits. Any other field takes the general path. Symmetry
+    is tested on the bits, so mirrored entries 0.0 and -0.0 break it.
     """
     bits = v.values.view(np.uint64)
     return _q_grids(v, ch, econ, discount, bool(np.array_equal(bits, bits.T)))
@@ -293,37 +295,55 @@ def _q_grids(v, ch, econ, discount, mirror):
     located axis both x both (see _Stencils) reads every value they need:
     V(lambda_k, lambda_l) at s[:2, :2], the lambda rows at s[:2, 2:], the
     lambda columns at s[2:, :2] and the drift block at s[2:, 2:]."""
-    x = v.grid.points
-    beta = discount.beta
     both = _stencils(v.grid, ch).both
     s = _gather(v.values, both, both, mirror)
-    v00, v01, v10, v11 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    row = s[:2, 2:]   # row[k, j] = V(lambda_k, T(x_j))
-    col = s[2:, :2]   # col[i, k] = V(T(x_i), lambda_k)
+    near = s[:2, :2], s[:2, 2:], s[2:, :2].T[:, :, None], s[2:, 2:]
+    x, table = v.grid.points, _reward_table(v.grid, econ)
+    q = {}
+    for k, a in enumerate(ACTION_PRIORITY):
+        # With mirror, g_b2 is g_b1.T, col[:, k] is row[k] and p2 is p1.T,
+        # bit for bit.
+        q[a] = (q[Action.BET1].T if mirror and a is Action.BET2
+                else _q(k, discount.beta, x[:, None], x, table, near[k]))
+    return q
 
-    p1 = x[:, None]
-    p2 = x[None, :]
-    g_bb, g_b1, g_b2 = _reward_table(v.grid, econ)
 
-    q_bb = g_bb + beta * (
-        (((1.0 - p1) * (1.0 - p2)) * v00 + (p1 * p2) * v11)
-        + ((p1 * (1.0 - p2)) * v10 + ((1.0 - p1) * p2) * v01)
-    )
-    q_b1 = g_b1 + beta * (p1 * row[1][None, :] + (1.0 - p1) * row[0][None, :])
-    if mirror:
-        # g_b2 is g_b1.T, col[:, k] is row[k] and p2 is p1.T, bit for bit.
-        q_b2 = q_b1.T
-    else:
-        q_b2 = g_b2 + beta * (p2 * col[:, 1][:, None] + (1.0 - p2) * col[:, 0][:, None])
-    # Resting earns nothing; adding a zero reward could only flip -0.0.
-    q_br = beta * s[2:, 2:]
+def _q_action(values, grid, ch, econ, discount, k, rows=slice(None), cols=slice(None)):
+    """Q of action ACTION_PRIORITY[k] against values on the lattice box
+    rows x cols (slices), or with rows None at the points (x_i, x_i), with
+    _q_grids' bits: it gathers only the values that action reads, and the
+    diagonal's drift term pairwise, (t00 + t11) + (t01 + t10), which the
+    mirror path adds as cross + cross.T."""
+    cells, w = _stencils(grid, ch).both
+    lam = cells[:, :2], w[:, :2]
+    diagonal = rows is None
+    rows = cols if diagonal else rows
+    at_rows, at_cols = ((cells[:, 2:][:, s], w[:, 2:][:, s]) for s in (rows, cols))
+    p1, p2 = grid.points[rows] if diagonal else grid.points[rows, None], grid.points[cols]
+    table = [np.diagonal(t) if diagonal else t[rows, cols] for t in _reward_table(grid, econ)]
+    axes = ((lam, lam), (lam, at_cols), (at_rows, lam), (at_rows, at_cols))[k]
+    near = _gather(values, *axes, pairwise=diagonal and k == 3)
+    if k == 2:
+        near = near.T if diagonal else near.T[:, :, None]
+    return _q(k, discount.beta, p1, p2, table, near)
 
-    return {
-        Action.BALANCED: q_bb,
-        Action.BET1: q_b1,
-        Action.BET2: q_b2,
-        Action.CONSERVATIVE: q_br,
-    }
+
+def _q(k, beta, p1, p2, table, near):
+    """Q of action ACTION_PRIORITY[k] at the beliefs (p1, p2) from the
+    reward tables and the successor values near: V(lambda_k, lambda_l),
+    V(lambda_k, T(p2)), V(T(p1), lambda_k) or V(T(p1), T(p2))."""
+    if k == 0:
+        (v00, v01), (v10, v11) = near
+        return table[0] + beta * (
+            (((1.0 - p1) * (1.0 - p2)) * v00 + (p1 * p2) * v11)
+            + ((p1 * (1.0 - p2)) * v10 + ((1.0 - p1) * p2) * v01)
+        )
+    if k == 3:
+        # Resting earns nothing; adding a zero reward could only flip -0.0.
+        return beta * near
+    low, high = near
+    p = p1 if k == 1 else p2
+    return table[k] + beta * (p * high + (1.0 - p) * low)
 
 
 def bellman_backup(v, ch, econ, discount):
@@ -606,12 +626,18 @@ def _evaluate(kernel, gain, beta, max_steps):
 def _extend(grid, support, v_support, policy, ch, econ, discount):
     """The policy's values on the whole lattice from its values on its
     closed support, symmetrized. Every successor lies in the support, so
-    one pass of each point's chosen-action Q grid is exact."""
+    one pass of each point's chosen-action Q is exact; each action's Q is
+    computed on the bounding box of its points only (see _q_action)."""
     vals = np.zeros(grid.n * grid.n)
     vals[support] = v_support
-    q = action_value_grids(ValueField(grid, vals.reshape(grid.n, grid.n)), ch, econ, discount)
-    vals = _select(q, policy)
-    return ValueField(grid, (vals + vals.T) / 2.0)
+    vals, out = vals.reshape(grid.n, grid.n), np.empty((grid.n, grid.n))
+    for k in range(len(ACTION_PRIORITY)):
+        at = policy == k
+        r, c = np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0))
+        if r.size:
+            box = slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1)
+            np.copyto(out[box], _q_action(vals, grid, ch, econ, discount, k, *box), where=at[box])
+    return ValueField(grid, (out + out.T) / 2.0)
 
 
 # Cold solves on lattices above this size start from the solved half-size

@@ -1,16 +1,17 @@
 """Scalar and per-slot reference loops for the vectorised kernels and
 policy supports, the table-driven Monte Carlo, the table-driven artifact
 writers and LP text, the orjson value-file reader, the memoised Q grids,
-the unstacked policy argmax, the scalar Q probe and the vectorised
-contiguity check, and scipy references for the numpy support marking,
-policy evaluation and LP constraint rows.
+the boxed policy extension, the unstacked policy argmax, the scalar Q
+probe and the vectorised contiguity check, and scipy references for the
+numpy support marking, policy evaluation and LP constraint rows.
 
 These are the straightforward formulations: one dict per kernel row, a
 mask marked per successor vertex pair, a Monte Carlo step that carries
 float beliefs and recomputes every reward, writers that format every point,
 slot or LP term on its own, a value-file reader that is one json.load, Q
 grids that locate every coordinate and rebuild the reward table on each
-call, a policy read off the stacked Q grids, one Q function per action
+call, an extension that reads each point's action off all four full Q
+grids, a policy read off the stacked Q grids, one Q function per action
 built on one-point numpy interpolation, a per-line hole search, sparse
 matrix products for the support, Jacobi steps through a CSR matrix
 product, and I - beta * K in scipy's sparse arithmetic. Tests require the
@@ -38,8 +39,10 @@ from gepower.policy import _PPM_COLORS, ContiguityViolation, PolicyField
 from gepower.simulate import SimSummary, TraceBatch
 from gepower.solver import (
     _LAYOUT_NOTE,
+    ValueField,
     ValueFileError,
     _parse_value_doc,
+    _select,
     action_value_grids,
     interpolate,
 )
@@ -567,6 +570,16 @@ def q_conservative(v, b, ch, discount):
     """Action value of resting: no reward, beliefs drift toward stationary."""
     nxt = Belief(propagate(b.p1, ch), propagate(b.p2, ch))
     return discount.beta * interpolate(v, nxt)
+
+
+def select_extend(grid, support, v_support, policy, ch, econ, discount):
+    """solver._extend through all four full-lattice Q grids of the
+    zero-filled support field, each point reading its action's grid."""
+    vals = np.zeros(grid.n * grid.n)
+    vals[support] = v_support
+    q = action_value_grids(ValueField(grid, vals.reshape(grid.n, grid.n)), ch, econ, discount)
+    vals = _select(q, policy)
+    return ValueField(grid, (vals + vals.T) / 2.0)
 
 
 def stack_extract_policy(v, ch, econ, discount, tie_tol=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,6 +196,86 @@ class TestSolveCommand:
         monkeypatch.setattr(gepower.cli, "solve", exhausted)
         assert main(_solve_args(tmp_path)) == EXIT_VALIDATION
         assert "grid" in capsys.readouterr().err
+
+
+def _full_policy_diagonal(value_json, tie_tol=None):
+    """The diagonal structure that the full tie-aware policy of a written
+    field gives."""
+    result, ch, econ, discount = gepower.load_value_field(value_json)
+    policy = gepower.extract_policy(result.field, ch, econ, discount, tie_tol)
+    return gepower.diagonal_structure(result.field, policy, ch, econ, discount)
+
+
+class TestSolveReportDiagonal:
+    """solve classifies the diagonal from its own Q values; the report must
+    hold what the full policy gives."""
+
+    @pytest.mark.parametrize("extra, kind", [
+        ([], "one-threshold"),
+        (["--rh", "3.7", "--grid", "41"], "two-threshold"),
+        (["--grid", "2"], "one-threshold"),
+        (["--lambda0", "0.3", "--lambda1", "0.35", "--rh", "3.7", "--grid", "5"],
+         "two-threshold"),
+    ])
+    def test_matches_the_full_policy(self, tmp_path, extra, kind):
+        assert main(_solve_args(tmp_path, extra)) == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        want = _full_policy_diagonal(tmp_path / "value.json")
+        assert want.kind == kind
+        assert report["diagonal"] == {"kind": want.kind, "rho1": want.rho1, "rho2": want.rho2}
+
+    def test_other(self, tmp_path, monkeypatch):
+        # No solved field found so far classifies as other; a random field
+        # handed to the report does, through the same code.
+        n = 11
+        grid = gepower.BeliefGrid(n)
+        values = np.random.default_rng(0).uniform(0.0, 10.0, (n, n))
+        field = gepower.ValueField(grid, values)
+        fake = gepower.SolveResult(field, 1, 0.0, 0.0)
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: fake)
+        assert main(_solve_args(tmp_path, ["--grid", str(n)])) == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        want = _full_policy_diagonal(tmp_path / "value.json")
+        assert want.kind == "other"
+        assert report["diagonal"] == {"kind": want.kind, "rho1": want.rho1, "rho2": want.rho2}
+
+    def test_analyze_keeps_its_tie_tol(self, tmp_path):
+        # At --tie-tol 0.1 the two-threshold field's bet band ties away, so
+        # analyze must classify from its full policy, not solve's default.
+        assert main(_solve_args(tmp_path, ["--rh", "3.7", "--grid", "41"])) == EXIT_OK
+        code = main(["analyze", str(tmp_path / "value.json"), "--tie-tol", "0.1",
+                     "--out", str(tmp_path / "a")])
+        assert code in (EXIT_OK, EXIT_VIOLATIONS)
+        doc = json.loads((tmp_path / "a" / "structure.json").read_text())
+        want = _full_policy_diagonal(tmp_path / "value.json", 0.1)
+        assert want.kind == "one-threshold"
+        assert doc["diagonal"] == dataclasses.asdict(want)
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["diagonal"]["kind"] == "two-threshold"
+
+    def test_no_lattice_q_grid_after_the_solve(self, tmp_path, monkeypatch):
+        # The report needs the diagonal only: one solve op builds no policy
+        # and no full Q grid once solver.solve has returned.
+        events = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                out = fn(*args, **kwargs)
+                events.append(name + " returned")
+                return out
+            return wrapped
+
+        from gepower import policy, solver
+        monkeypatch.setattr(cli, "solve", spy("solve", cli.solve))
+        monkeypatch.setattr(solver, "_q_grids", spy("_q_grids", solver._q_grids))
+        monkeypatch.setattr(cli, "extract_policy", spy("extract_policy", cli.extract_policy))
+        monkeypatch.setattr(policy, "extract_policy", spy("extract_policy", policy.extract_policy))
+        assert main(_solve_args(tmp_path)) == EXIT_OK
+        assert "extract_policy" not in events
+        done = events.index("solve returned")
+        assert "_q_grids" in events[:done]
+        assert "_q_grids" not in events[done:]
 
 
 class TestParser:

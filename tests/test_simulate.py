@@ -229,7 +229,7 @@ class TestLoopOracle:
         self._check(self._policy(name, policy_a), 17)
 
     @pytest.mark.parametrize("seed", [0, 2 ** 70])   # 2**70 goes through SeedSequence
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("cpus", [1, 2])     # more CPUs take the 2-CPU path; see below
     @pytest.mark.parametrize("chunk, block, episodes", [
         *((chunk, block, 17) for chunk, block in SEAMS),
         (simulate.DRAW_CHUNK, simulate.STEP_BLOCK, EPISODE_BLOCK + 17),
@@ -243,6 +243,14 @@ class TestLoopOracle:
         monkeypatch.setattr(simulate, "DRAW_CHUNK", chunk)
         monkeypatch.setattr(simulate, "STEP_BLOCK", block)
         self._check(self._policy(name, policy_a), episodes, seed=seed)
+
+    def test_more_cpus_take_the_two_cpu_path(self, monkeypatch):
+        # _second_cpu reduces the affinity mask to one bool, so the worker
+        # counts above cover every mask.
+        for cpus in (3, 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert simulate._second_cpu()
 
     @pytest.mark.parametrize("k", [100, EPISODE_BLOCK + 5])
     def test_prefix_of_larger_run(self, k, policy_a):

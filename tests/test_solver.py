@@ -31,7 +31,10 @@ from gepower.lpmodel import build_all_kernels
 from gepower.solver import (
     ValueFileError,
     _evaluate,
+    _extend,
+    _improve,
     _parse_value_doc,
+    _q_action,
     _q_grids,
     _restricted_kernel,
     _reward_table,
@@ -53,6 +56,7 @@ from loop_oracles import (
     q_bet1,
     q_bet2,
     q_conservative,
+    select_extend,
     sparse_support,
 )
 from lp_oracles import as_csr
@@ -394,6 +398,115 @@ class TestMirrorPath:
                     assert probe(x[a], x[b]) == tuple(
                         float(got[act][a, b]) for act in ACTION_PRIORITY
                     ), (a, b)
+
+
+class TestBoxedExtend:
+    """_extend computes each action's Q on the bounding box of its points
+    only; every point must get the bits the full-grid path (select_extend)
+    gives it."""
+
+    LAMBDAS = [(0.1, 0.9), (0.13, 0.87)]   # the second puts no T(x_i) on the lattice
+
+    @staticmethod
+    def _assert_same(grid, support, v_support, policy, ch):
+        got = _extend(grid, support, v_support, policy, ch, ECON, DISC)
+        want = select_extend(grid, support, v_support, policy, ch, ECON, DISC)
+        assert np.array_equal(_bits(got.values), _bits(want.values))
+
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 11, 101])
+    def test_random_policies(self, n, lam):
+        # Each action absent once, then all four present; random supports
+        # and values, so the support field is asymmetric, with signed zeros.
+        ch = ChannelParams(*lam)
+        grid = BeliefGrid(n)
+        rng = np.random.default_rng(n)
+        for absent in (0, 1, 2, 3, None):
+            actions = [k for k in range(4) if k != absent]
+            policy = rng.choice(actions, size=(n, n)).astype(np.int8)
+            support = np.flatnonzero(rng.random(n * n) < 0.6)
+            v_support = rng.uniform(-3.0, 9.0, support.size)
+            v_support[rng.random(support.size) < 0.2] = -0.0
+            self._assert_same(grid, support, v_support, policy, ch)
+
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 11, 101])
+    def test_boxes_on_the_lattice_edges(self, n, lam):
+        # One action on a background of another: a single point on each
+        # edge (and corner) in turn, then on all four edges at once.
+        ch = ChannelParams(*lam)
+        grid = BeliefGrid(n)
+        rng = np.random.default_rng(n + 7)
+        support = np.arange(n * n)
+        v_support = rng.uniform(0.0, 5.0, n * n)
+        mid, last = n // 2, n - 1
+        spots = [[(0, mid)], [(last, mid)], [(mid, 0)], [(mid, last)], [(0, 0)], [(last, last)],
+                 [(0, mid), (last, mid), (mid, 0), (mid, last)]]
+        for k, background in itertools.permutations(range(4), 2):
+            for points in spots:
+                policy = np.full((n, n), background, dtype=np.int8)
+                for i, j in points:
+                    policy[i, j] = k
+                self._assert_same(grid, support, v_support, policy, ch)
+
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+    @pytest.mark.parametrize("n", [11, 101])
+    def test_solver_policies(self, n, lam):
+        # The policies and supports a solve extends, from the zero field
+        # and from a solved one.
+        ch = ChannelParams(*lam)
+        grid = BeliefGrid(n)
+        st = _stencils(grid, ch)
+        solved = solve(SolverConfig(DISC), ch, ECON, grid).field
+        for v in (ValueField(grid, np.zeros((n, n))), solved):
+            policy = _improve(v, None, ch, ECON, DISC)[0]
+            support = _support(policy, st)
+            self._assert_same(grid, support, v.values.ravel()[support], policy, ch)
+
+
+class TestDiagonalQ:
+    """_q_action at the diagonal points against the diagonal of the full Q
+    grids, bit for bit, on bit-symmetric fields (mirror path) and
+    asymmetric ones (general path), with +0.0 and -0.0 entries; and on
+    boxes against the grids' cuts."""
+
+    @staticmethod
+    def _fields(n, ch):
+        fields = TestMirrorPath._symmetric_fields(n, ch, DISC)
+        rng = np.random.default_rng(n + 3)
+        raw = rng.uniform(-1.0, 5.0, size=(n, n))
+        fields["asymmetric"] = ValueField(BeliefGrid(n), raw)
+        signed = fields["solved"].values.copy()
+        signed[0, n - 1], signed[n - 1, 0] = 0.0, -0.0
+        fields["signed-zero-pair"] = ValueField(BeliefGrid(n), signed)
+        zeros = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+        fields["random-signed-zeros"] = ValueField(BeliefGrid(n), zeros)
+        return fields
+
+    @pytest.mark.parametrize("lam", PLAN_LAMBDAS + [(0.13, 0.87)], ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 11, 101])
+    def test_is_the_grids_diagonal(self, n, lam):
+        ch = ChannelParams(*lam)
+        for name, v in self._fields(n, ch).items():
+            grids = action_value_grids(v, ch, ECON, DISC)
+            for k, a in enumerate(ACTION_PRIORITY):
+                diag = _q_action(v.values, v.grid, ch, ECON, DISC, k, None)
+                assert diag.shape == (n,), (name, a)
+                assert np.array_equal(_bits(diag), _bits(np.diagonal(grids[a]))), (name, a)
+
+    @pytest.mark.parametrize("lam", [(0.1, 0.9), (0.13, 0.87)], ids=str)
+    @pytest.mark.parametrize("n", [3, 11])
+    def test_boxes_are_cuts_of_the_grids(self, n, lam):
+        ch = ChannelParams(*lam)
+        rng = np.random.default_rng(n)
+        for name, v in self._fields(n, ch).items():
+            grids = _q_grids(v, ch, ECON, DISC, False)
+            for _ in range(6):
+                (r0, r1), (c0, c1) = (np.sort(rng.choice(n + 1, 2, replace=False)) for _ in "rc")
+                box = slice(r0, r1), slice(c0, c1)
+                for k, a in enumerate(ACTION_PRIORITY):
+                    got = _q_action(v.values, v.grid, ch, ECON, DISC, k, *box)
+                    assert np.array_equal(_bits(got), _bits(grids[a][box])), (name, a, box)
 
 
 class TestBellmanBackup:
