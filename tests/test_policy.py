@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,10 +30,12 @@ from gepower.policy import (
     check_symmetry,
     export_policy_csv,
     export_policy_ppm,
+    _best_sets,
     _components,
     _IDX,
     _runs,
 )
+from gepower.solver import _q_action
 from scipy import ndimage
 
 from loop_oracles import (
@@ -457,6 +460,40 @@ class TestDiagonal:
         diag = diagonal_structure(v, policy, CH, ECON_A, DISC)
         assert diag.kind == "other"
         assert "balanced" in diag.sequence
+
+
+class TestDiagonalWithoutPolicy:
+    # With policy None, diagonal_structure finds the diagonal's best sets
+    # from the diagonal's own Q values; they, the primary actions and the
+    # classification must be what the full default-tie_tol policy gives.
+    # Solved fields carry exact bet ties on the diagonal, random fields
+    # none, and +0.0/-0.0 fields tie every action whose Q comes out zero.
+    @staticmethod
+    def _field(n, kind, ch, econ):
+        grid = BeliefGrid(n)
+        if kind == "solved":
+            return solve(SolverConfig(DISC, 1e-6, 5000), ch, econ, grid).field
+        rng = np.random.default_rng(n)
+        if kind == "random":
+            return ValueField(grid, 10.0 * rng.standard_normal((n, n)))
+        return ValueField(grid, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0))
+
+    @pytest.mark.parametrize("ch", [CH, ChannelParams(0.13, 0.87)], ids=["lam-0.1", "lam-0.13"])
+    @pytest.mark.parametrize("econ", [ECON_A, EconParams(3.7, 2.0, 1.2, 0.8)], ids=["A", "B"])
+    @pytest.mark.parametrize("kind", ["solved", "random", "signed-zeros"])
+    @pytest.mark.parametrize("n", [2, 7, 22, 101])
+    def test_matches_the_full_policy(self, n, kind, econ, ch):
+        v = self._field(n, kind, ch, econ)
+        full = extract_policy(v, ch, econ, DISC)
+        q = {a: _q_action(v.values, v.grid, ch, econ, DISC, k, None)
+             for k, a in enumerate(ACTION_PRIORITY)}
+        planes, primary, tie_tol = _best_sets(q, v, None)
+        assert np.array_equal(planes, np.diagonal(full.best))
+        assert primary.dtype == np.int8
+        assert np.array_equal(primary, np.diagonal(full.primary))
+        assert tie_tol == full.tie_tol
+        got = diagonal_structure(v, None, ch, econ, DISC)
+        assert asdict(got) == asdict(diagonal_structure(v, full, ch, econ, DISC))
 
 
 class TestStructureReport:
