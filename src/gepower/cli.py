@@ -209,7 +209,9 @@ def _sweep_chain(cfg, param, values, skip):
 
     Neighbouring points have nearly equal fields, so each solve starts from
     the field of the chain's last point that solved; the chain's first
-    point, and every point until one solves, starts cold.
+    point, and every point until one solves, starts cold. A start that does
+    not converge falls back to the cold solve (see solve), so a point is
+    skipped only where its cold solve fails too.
     """
     rows = []
     solved = None

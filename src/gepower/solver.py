@@ -12,8 +12,9 @@ and one final Bellman backup certifies the field with its residual. A solve
 can start from a given field, such as a neighbouring parameter point's
 solution, instead of the zero field: the start picks the first policy and
 is where the first evaluation sets out from, and the certificate is the
-same. A cold solve on a large lattice starts from the solved half-size
-lattice (Chow and Tsitsiklis 1991, one-way multigrid). The backup is
+same. Without one, or where it does not converge, a large lattice starts
+from the solved half-size lattice (Chow and Tsitsiklis 1991, one-way
+multigrid), and the zero field is the last start tried. The backup is
 written so that a symmetric field stays bit-exactly symmetric, which the
 downstream mirror checks depend on.
 
@@ -648,7 +649,7 @@ _CASCADE_ABOVE = 101
 
 def solve(cfg, ch, econ, grid, start=None):
     """Howard policy iteration to a repeated policy, from the greedy policy
-    of `start` or, without one, of a cold start (see below).
+    of the first start that converges.
 
     Each improvement takes the greedy policy of the current field (see
     _improve) and evaluates it on the closed set of lattice points its
@@ -657,44 +658,39 @@ def solve(cfg, ch, econ, grid, start=None):
     field certifies it: its step is the reported residual and its output,
     exactly mirror-symmetric, is the returned field.
 
-    start, a ValueField on grid, picks the first policy and is where the
-    first evaluation sets out from: a field close to the solution saves
-    improvements and evaluation steps, and the certificate is the same
-    whatever the start. Without a start, a lattice of n <= 101 starts from
-    the zero field (the myopic policy); a larger one starts from the solved
-    lattice of (n + 1) // 2 points, itself solved this way, interpolated
-    onto grid (see _from_coarse). The counts and the certificate describe
-    the requested lattice only. Raises ParameterError when start lies on
-    another grid, and NonConvergence when max_iter improvements are not
-    enough or the certified residual exceeds cfg.tol; a cold solve raises it
-    only when the zero-field start does too, and then raises that one.
+    A start picks the first policy and is where the first evaluation sets
+    out from; the certificate is the same whatever the start. The starts
+    tried, until one converges, are: start (a ValueField on grid), if
+    given; above _CASCADE_ABOVE points, this function's answer on the
+    (n + 1) // 2 lattice, interpolated onto grid; the zero field (the
+    myopic policy). The counts and the certificate describe the converged
+    solve on grid only. Raises ParameterError when start lies on another
+    grid, and NonConvergence when the zero start fails too: max_iter
+    improvements are not enough or the certified residual exceeds cfg.tol.
     """
     if start is not None:
         if start.grid != grid:
             raise ParameterError(f"start field on grid n={start.grid.n}, solve on n={grid.n}")
-    elif grid.n > _CASCADE_ABOVE:
         try:
-            return _solve(cfg, ch, econ, grid, _from_coarse(cfg, ch, econ, grid))
+            return _solve(cfg, ch, econ, grid, start)
         except NonConvergence:
             pass
-    return _solve(cfg, ch, econ, grid, start)
+    if grid.n > _CASCADE_ABOVE:
+        try:
+            # All passed unnamed: the coarse grid, field and located axis are
+            # freed before the solve on grid, and the start once it is replaced.
+            return _solve(cfg, ch, econ, grid, _refined(
+                solve(cfg, ch, econ, BeliefGrid((grid.n + 1) // 2)).field, grid
+            ))
+        except NonConvergence:
+            pass
+    return _solve(cfg, ch, econ, grid, None)
 
 
-def _from_coarse(cfg, ch, econ, grid):
-    """The solved lattice of (n + 1) // 2 points, interpolated onto grid
-    (with n odd, the coarse points are every other fine point). That lattice
-    starts the same way above _CASCADE_ABOVE points, and from the zero field
-    at or below.
-    """
-    coarse = BeliefGrid((grid.n + 1) // 2)
-    # The start is passed unnamed, so no frame keeps it alive once the
-    # coarse solve has replaced it.
-    values = _solve(
-        cfg, ch, econ, coarse,
-        _from_coarse(cfg, ch, econ, coarse) if coarse.n > _CASCADE_ABOVE else None,
-    ).field.values
-    at = _axis(coarse.points, grid.points)
-    return ValueField(grid, _gather(values, at, at))
+def _refined(v, grid):
+    """v interpolated onto the points of grid."""
+    at = _axis(v.grid.points, grid.points)
+    return ValueField(grid, _gather(v.values, at, at))
 
 
 def _solve(cfg, ch, econ, grid, v):

@@ -664,6 +664,23 @@ class TestSweepCommand:
         assert "grid size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_failed_warm_start_point_is_solved_cold(self, tmp_path, capsys):
+        # At this beta and tol the 1.15 point's warm start (from 1.05) stops
+        # at residual 1.137e-13 after 4 improvements; its cold solve converges.
+        def rows(start, stop, points):
+            out = tmp_path / f"{start}-{points}"
+            argv = ["sweep", "--param", "rh_over_rl", "--start", start, "--stop", stop,
+                    "--points", points, "--beta", "0.99", "--tol", "1e-13", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            return [ln for ln in (out / "sweep.csv").read_text().splitlines()
+                    if not ln.startswith("#")]
+
+        three = rows("1.05", "1.25", "3")
+        assert "skipping" not in capsys.readouterr().err
+        assert len(three) == 1 + 3
+        assert three[2].startswith("1.15,")
+        assert three[2] == rows("1.15", "1.15", "1")[1]
+
     def test_lambda1_sweep_notes_fixed_lambda0(self, tmp_path):
         main(
             ["sweep", "--param", "lambda1", "--start", "0.9", "--stop", "0.5",

@@ -803,14 +803,15 @@ class TestBenchmarkSizeBytes:
 
 class TestCoarseStart:
     """A cold solve above the size rule starts from the solved half-size
-    lattice; start=zero field is the zero-start path it replaces there, and
-    at or below the rule the cold solve is that path bit for bit."""
+    lattice; solver._solve from the zero field is the zero-start path it
+    replaces there, and at or below the rule the cold solve is that path bit
+    for bit. The reference calls _solve, not solve with a zero start field,
+    because a started solve that fails falls back to the cold solve."""
 
     @staticmethod
     def _solve(n, beta, zero_start=False, max_iter=5000):
-        grid = BeliefGrid(n)
-        start = ValueField(grid, np.zeros((n, n))) if zero_start else None
-        return solve(SolverConfig(Discount(beta), 1e-6, max_iter), CH, ECON, grid, start=start)
+        cfg = SolverConfig(Discount(beta), 1e-6, max_iter)
+        return (solver._solve if zero_start else solve)(cfg, CH, ECON, BeliefGrid(n), None)
 
     @pytest.mark.parametrize("beta", [0.9, 0.99])
     def test_agrees_with_the_zero_start_above_the_rule(self, beta):
@@ -855,7 +856,7 @@ class TestCoarseStart:
         grid = BeliefGrid(401)
         cfg = SolverConfig(Discount(0.99), 1e-13, 7)
         cold = solve(cfg, CH, ECON, grid)
-        zero = solve(cfg, CH, ECON, grid, start=ValueField(grid, np.zeros((401, 401))))
+        zero = solver._solve(cfg, CH, ECON, grid, None)
         assert np.array_equal(cold.field.values, zero.field.values)
         assert (cold.iterations, cold.evaluation_steps, cold.residual) == (
             zero.iterations, zero.evaluation_steps, zero.residual
@@ -882,6 +883,84 @@ class TestCoarseStart:
 
     def test_capped_cli_solve_still_exits_3(self, tmp_path):
         assert main(["solve", "--grid", "201", "--max-iter", "1", "--out", str(tmp_path)]) == 3
+
+
+class TestStartRule:
+    """solve tries the given start, then the cold start (above the size rule,
+    solve on the half lattice interpolated), then the zero field. The spy
+    records each _solve call as (n, "start" or "zero") in calls, and makes
+    the calls whose 1-based numbers are in fail raise NonConvergence."""
+
+    CFG = SolverConfig(DISC, 1e-6, 5000)
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        real, calls, fail = solver._solve, [], []
+
+        def spied(cfg, ch, econ, grid, v):
+            calls.append((grid.n, "zero" if v is None else "start"))
+            if len(calls) in fail:
+                raise NonConvergence(0, 1.0, cfg.tol)
+            return real(cfg, ch, econ, grid, v)
+
+        monkeypatch.setattr(solver, "_solve", spied)
+        return calls, fail
+
+    @staticmethod
+    def _same(got, want):
+        assert np.array_equal(got.field.values, want.field.values)
+        assert (got.iterations, got.evaluation_steps, got.residual) == (
+            want.iterations, want.evaluation_steps, want.residual
+        )
+
+    def _neighbour(self, n):
+        # A warm start: the solved field of a nearby reward ratio.
+        return solve(self.CFG, CH, EconParams(3.3, 2.0, 1.2, 0.8), BeliefGrid(n)).field
+
+    @pytest.mark.parametrize("n, want", [
+        (7, [(7, "zero")]),
+        (101, [(101, "zero")]),
+        (102, [(51, "zero"), (102, "start")]),
+        (201, [(101, "zero"), (201, "start")]),
+        (401, [(101, "zero"), (201, "start"), (401, "start")]),
+    ])
+    def test_cold_solve_calls(self, spy, n, want):
+        calls, _ = spy
+        solve(self.CFG, CH, ECON, BeliefGrid(n))
+        assert calls == want
+
+    def test_converging_warm_start_makes_one_call(self, spy):
+        calls, _ = spy
+        start = self._neighbour(201)
+        calls.clear()
+        solve(self.CFG, CH, ECON, BeliefGrid(201), start=start)
+        assert calls == [(201, "start")]
+
+    @pytest.mark.parametrize("n, want", [
+        (101, [(101, "start"), (101, "zero")]),
+        (201, [(201, "start"), (101, "zero"), (201, "start")]),
+    ])
+    def test_failed_warm_start_falls_back_to_the_cold_solve(self, spy, monkeypatch, n, want):
+        calls, fail = spy
+        start = self._neighbour(n)
+        calls.clear()
+        fail.append(1)
+        got = solve(self.CFG, CH, ECON, BeliefGrid(n), start=start)
+        assert calls == want
+        monkeypatch.undo()
+        self._same(got, solve(self.CFG, CH, ECON, BeliefGrid(n)))
+
+    def test_failed_cascade_lattice_falls_back_on_that_lattice(self, spy, monkeypatch):
+        # The started 201 solve fails, so the 201 lattice falls back to its
+        # zero start, and the 401 solve starts from that field.
+        calls, fail = spy
+        fail.append(2)
+        got = solve(self.CFG, CH, ECON, BeliefGrid(401))
+        assert calls == [(101, "zero"), (201, "start"), (201, "zero"), (401, "start")]
+        monkeypatch.undo()
+        grid = BeliefGrid(401)
+        coarse = solver._solve(self.CFG, CH, ECON, BeliefGrid(201), None).field
+        self._same(got, solver._solve(self.CFG, CH, ECON, grid, solver._refined(coarse, grid)))
 
 
 # Channels with lambda between lattice points, two close lambdas, lambda1 = 1
